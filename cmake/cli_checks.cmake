@@ -446,6 +446,8 @@ endif()
 # still answer every id with the identical result — replay makes the
 # crash invisible apart from cache provenance, which the comparison
 # strips (a replayed solve recomputes what the dead worker had cached).
+# The clean run also scrapes the fleet's merged metrics, drained so
+# every job is counted, in both formats.
 set(fleet_jobs
 "{\"id\": \"f1\", \"soc\": \"d695\", \"width\": 16, \"backend\": \"rectpack\"}
 {\"id\": \"f2\", \"soc\": \"d695\", \"width\": 17, \"backend\": \"rectpack\"}
@@ -456,13 +458,19 @@ set(fleet_jobs_tail
 {\"id\": \"f5\", \"soc\": \"d695\", \"width\": 20, \"backend\": \"rectpack\"}
 {\"id\": \"f6\", \"soc\": \"d695\", \"width\": 21, \"backend\": \"rectpack\"}
 {\"id\": \"f1again\", \"soc\": \"d695\", \"width\": 16, \"backend\": \"rectpack\"}
-{\"op\": \"stats\"}
+")
+set(fleet_metrics_ops
+"{\"op\": \"metrics\", \"drain\": true}
+{\"op\": \"metrics\", \"format\": \"prometheus\"}
+")
+set(fleet_control
+"{\"op\": \"stats\"}
 {\"op\": \"shutdown\"}
 ")
 file(WRITE ${WORK_DIR}/fleet_clean.ndjson
-     "${fleet_jobs}${fleet_jobs_tail}")
+     "${fleet_jobs}${fleet_jobs_tail}${fleet_metrics_ops}${fleet_control}")
 file(WRITE ${WORK_DIR}/fleet_crash.ndjson
-     "${fleet_jobs}{\"op\": \"kill_worker\", \"worker\": 0}\n${fleet_jobs_tail}")
+     "${fleet_jobs}{\"op\": \"kill_worker\", \"worker\": 0}\n${fleet_jobs_tail}${fleet_control}")
 
 foreach(phase clean crash)
   execute_process(COMMAND ${WTAM_ROUTER} --quiet --workers 2
@@ -483,6 +491,15 @@ foreach(phase clean crash)
     string(REPLACE "<semi>" ";" line "${line}")
     string(JSON op ERROR_VARIABLE no_op GET "${line}" op)
     if(no_op STREQUAL "NOTFOUND")
+      if(op STREQUAL "metrics")
+        string(JSON body ERROR_VARIABLE no_body GET "${line}" body)
+        if(no_body STREQUAL "NOTFOUND")
+          set(fleet_prom_body "${body}")
+        else()
+          set(fleet_metrics "${line}")
+        endif()
+        continue()
+      endif()
       if(NOT op STREQUAL "stats")
         continue()  # kill_worker / shutdown ack
       endif()
@@ -546,8 +563,50 @@ if(NOT fleet_crash_respawns GREATER 0)
                       "kill_worker")
 endif()
 
+# The clean run's merged scrape: counters sum over the workers, and
+# every histogram keeps its percentiles (workers ship buckets, which
+# the router merges exactly).
+if(NOT DEFINED fleet_metrics OR NOT DEFINED fleet_prom_body)
+  message(FATAL_ERROR "wtam_router clean run: missing metrics scrape(s)")
+endif()
+string(JSON fleet_completed GET "${fleet_metrics}" counters
+       serve.jobs_completed)
+string(JSON fleet_solves GET "${fleet_metrics}" histograms solver.solve_ns
+       count)
+if(NOT fleet_completed EQUAL 7 OR NOT fleet_solves EQUAL 7)
+  message(FATAL_ERROR "wtam_router metrics: serve.jobs_completed="
+                      "${fleet_completed}, solver.solve_ns count="
+                      "${fleet_solves}, expected 7/7:\n${fleet_metrics}")
+endif()
+string(JSON fleet_histograms LENGTH "${fleet_metrics}" histograms)
+math(EXPR fleet_last_histogram "${fleet_histograms} - 1")
+foreach(i RANGE ${fleet_last_histogram})
+  string(JSON name MEMBER "${fleet_metrics}" histograms ${i})
+  foreach(p p50 p90 p95 p99)
+    string(JSON value ERROR_VARIABLE no_value GET "${fleet_metrics}"
+           histograms ${name} ${p})
+    if(NOT no_value STREQUAL "NOTFOUND")
+      message(FATAL_ERROR "wtam_router metrics: histogram ${name} has no "
+                          "${p}:\n${fleet_metrics}")
+    endif()
+  endforeach()
+endforeach()
+foreach(p p50 p99)
+  string(JSON value GET "${fleet_metrics}" histograms solver.solve_ns ${p})
+  if(NOT value GREATER 0)
+    message(FATAL_ERROR "wtam_router metrics: solver.solve_ns ${p} is "
+                        "'${value}', expected > 0")
+  endif()
+endforeach()
+string(FIND "${fleet_prom_body}" "solver_solve_ns{quantile=\"0.99\"}" at)
+if(at EQUAL -1)
+  message(FATAL_ERROR "wtam_router metrics: prometheus body lacks the "
+                      "solver_solve_ns quantile lines:\n${fleet_prom_body}")
+endif()
+
 message(STATUS "wtam_router fleet smoke holds (7 jobs over 2 workers, "
-               "crash replay byte-identical modulo cache provenance)")
+               "crash replay byte-identical modulo cache provenance, "
+               "merged metrics with percentiles)")
 
 # ---- multi-host fleet (TCP workers, kill mid-batch, hot resize) ------------
 # Three fleets answer the same five jobs and must agree byte for byte

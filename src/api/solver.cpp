@@ -143,13 +143,11 @@ SolveResult execute_impl(const SolveRequest& request, std::size_t index,
                              request.options);
 
     std::optional<WidthSolve> best;
-    std::optional<core::TestTimeTable> best_table;  // off-cache path only
     int best_width = 0;
     int cache_hits = 0;
     SolveInterrupt interrupt = SolveInterrupt::None;
     for (int w = request.width; w <= width_last; ++w) {
       WidthSolve solve;
-      std::optional<core::TestTimeTable> table;
       SolveInterrupt fired = SolveInterrupt::None;
       if (cacheable) {
         key.width = w;
@@ -193,18 +191,13 @@ SolveResult execute_impl(const SolveRequest& request, std::size_t index,
             cache->abandon(fetch);  // interrupted incumbents are not results
         }
       } else {
-        // Off the cache path the lower bound and validation are needed
-        // only for the winning width, so they are deferred past the loop
-        // (the winner's table is kept for them).
-        table.emplace(soc, w);
-        solve.outcome = backend.optimize(*table, w, request.options, context);
+        solve = solve_width(backend, soc, w, request.options, context);
         fired = solve.outcome.interrupt;
       }
       ++result.widths_tried;
       if (!best.has_value() ||
           solve.outcome.testing_time < best->outcome.testing_time) {
         best = std::move(solve);
-        best_table = std::move(table);
         best_width = w;
       }
       if (fired != SolveInterrupt::None) {
@@ -223,16 +216,6 @@ SolveResult execute_impl(const SolveRequest& request, std::size_t index,
     }
 
     if (best.has_value()) {
-      if (best_table.has_value()) {
-        best->lower_bound =
-            core::testing_time_lower_bounds(*best_table, best_width)
-                .combined();
-        obs::SpanTimer span(trace, "validate");
-        best->schedule_valid =
-            pack::validate_packed_schedule(*best_table, best->outcome.schedule,
-                                           request.options.constraints)
-                .empty();
-      }
       result.width = best_width;
       result.lower_bound = best->lower_bound;
       result.schedule_valid = best->schedule_valid;

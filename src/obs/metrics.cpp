@@ -107,31 +107,24 @@ std::pair<std::int64_t, std::int64_t> Histogram::bucket_bounds(
 
 void Histogram::record(std::int64_t value) {
   if (value < 0) value = 0;
-  const int index = bucket_index(value);
+  const auto index = static_cast<std::size_t>(bucket_index(value));
   Slot& slot = slots_[detail::thread_slot()];
   common::MutexLock lock(slot.mu);
-  if (slot.count == 0 || value < slot.min) slot.min = value;
-  if (slot.count == 0 || value > slot.max) slot.max = value;
-  slot.count += 1;
-  slot.sum += value;
-  slot.buckets[static_cast<std::size_t>(index)] += 1;
+  HistogramData& data = slot.data;
+  if (data.buckets.empty()) data.buckets.assign(kHistogramBuckets, 0);
+  if (data.count == 0 || value < data.min) data.min = value;
+  if (data.count == 0 || value > data.max) data.max = value;
+  data.count += 1;
+  data.sum += value;
+  data.buckets[index] += 1;
 }
 
 HistogramData Histogram::merged() const {
   HistogramData data;
   data.buckets.assign(kHistogramBuckets, 0);
-  bool any = false;
   for (const Slot& slot : slots_) {
     common::MutexLock lock(slot.mu);
-    if (slot.count == 0) continue;
-    if (!any || slot.min < data.min) data.min = slot.min;
-    if (!any || slot.max > data.max) data.max = slot.max;
-    any = true;
-    data.count += slot.count;
-    data.sum += slot.sum;
-    for (int i = 0; i < kHistogramBuckets; ++i)
-      data.buckets[static_cast<std::size_t>(i)] +=
-          slot.buckets[static_cast<std::size_t>(i)];
+    data.merge(slot.data);
   }
   return data;
 }
@@ -139,12 +132,33 @@ HistogramData Histogram::merged() const {
 void Histogram::reset() {
   for (Slot& slot : slots_) {
     common::MutexLock lock(slot.mu);
-    slot.count = 0;
-    slot.sum = 0;
-    slot.min = 0;
-    slot.max = 0;
-    slot.buckets.fill(0);
+    slot.data = HistogramData{};
   }
+}
+
+namespace {
+
+/// a + b clamped to the int64 range: merges fold in values other
+/// processes sent, and a signed overflow there must not be UB.
+std::int64_t saturating_add(std::int64_t a, std::int64_t b) {
+  std::int64_t out = 0;
+  if (!__builtin_add_overflow(a, b, &out)) return out;
+  return b > 0 ? std::numeric_limits<std::int64_t>::max()
+               : std::numeric_limits<std::int64_t>::min();
+}
+
+}  // namespace
+
+void HistogramData::merge(const HistogramData& other) {
+  if (other.count == 0) return;
+  min = count == 0 ? other.min : std::min(min, other.min);
+  max = count == 0 ? other.max : std::max(max, other.max);
+  count = saturating_add(count, other.count);
+  sum = saturating_add(sum, other.sum);
+  if (buckets.size() < other.buckets.size())
+    buckets.resize(other.buckets.size(), 0);
+  for (std::size_t i = 0; i < other.buckets.size(); ++i)
+    buckets[i] += other.buckets[i];
 }
 
 double HistogramData::quantile(double q) const noexcept {
@@ -232,21 +246,8 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   for (const auto& [name, gauge] : gauges)
     snapshot.gauges.push_back({name, gauge->value()});
   snapshot.histograms.reserve(histograms.size());
-  for (const auto& [name, histogram] : histograms) {
-    const HistogramData data = histogram->merged();
-    HistogramValue value;
-    value.name = name;
-    value.count = data.count;
-    value.sum = data.sum;
-    value.min = data.min;
-    value.max = data.max;
-    value.mean = data.mean();
-    value.p50 = data.quantile(0.50);
-    value.p90 = data.quantile(0.90);
-    value.p95 = data.quantile(0.95);
-    value.p99 = data.quantile(0.99);
-    snapshot.histograms.push_back(std::move(value));
-  }
+  for (const auto& [name, histogram] : histograms)
+    snapshot.histograms.push_back({name, histogram->merged()});
   return snapshot;
 }
 
@@ -267,8 +268,48 @@ void MetricsRegistry::reset() {
 }
 
 // ---------------------------------------------------------------------------
+// MetricsSnapshot merge
+
+namespace {
+
+/// Folds each entry of `from` into the name-sorted `into`: `fold` on a
+/// name match, a sorted insert otherwise.
+template <typename Entry, typename Fold>
+void merge_by_name(std::vector<Entry>& into, const std::vector<Entry>& from,
+                   Fold fold) {
+  for (const Entry& entry : from) {
+    const auto it = std::lower_bound(
+        into.begin(), into.end(), entry.name,
+        [](const Entry& e, const std::string& name) { return e.name < name; });
+    if (it != into.end() && it->name == entry.name)
+      fold(*it, entry);
+    else
+      into.insert(it, entry);
+  }
+}
+
+}  // namespace
+
+void MetricsSnapshot::merge(const MetricsSnapshot& other) {
+  const auto add = [](auto& into, const auto& from) {
+    into.value = saturating_add(into.value, from.value);
+  };
+  merge_by_name(counters, other.counters, add);
+  merge_by_name(gauges, other.gauges, add);
+  merge_by_name(histograms, other.histograms,
+                [](HistogramValue& into, const HistogramValue& from) {
+                  into.data.merge(from.data);
+                });
+}
+
+// ---------------------------------------------------------------------------
 // Prometheus text exposition
 
+namespace {
+
+/// Maps a registry metric name onto the Prometheus grammar: every
+/// character outside [a-zA-Z0-9_:] becomes '_' and a leading digit is
+/// prefixed.
 std::string sanitize_metric_name(const std::string& name) {
   std::string out;
   out.reserve(name.size());
@@ -280,8 +321,6 @@ std::string sanitize_metric_name(const std::string& name) {
   if (out.empty() || (out[0] >= '0' && out[0] <= '9')) out.insert(0, 1, '_');
   return out;
 }
-
-namespace {
 
 std::string format_sample_value(double value) {
   if (std::isfinite(value) && value == std::floor(value) &&
@@ -310,17 +349,13 @@ std::string to_prometheus(const MetricsSnapshot& snapshot) {
   }
   for (const HistogramValue& histogram : snapshot.histograms) {
     const std::string name = sanitize_metric_name(histogram.name);
+    const HistogramData& data = histogram.data;
     out << "# TYPE " << name << " summary\n";
-    out << name << "{quantile=\"0.5\"} " << format_sample_value(histogram.p50)
-        << "\n";
-    out << name << "{quantile=\"0.9\"} " << format_sample_value(histogram.p90)
-        << "\n";
-    out << name << "{quantile=\"0.95\"} "
-        << format_sample_value(histogram.p95) << "\n";
-    out << name << "{quantile=\"0.99\"} "
-        << format_sample_value(histogram.p99) << "\n";
-    out << name << "_sum " << histogram.sum << "\n";
-    out << name << "_count " << histogram.count << "\n";
+    for (const ReportedQuantile& q : kReportedQuantiles)
+      out << name << "{quantile=\"" << q.label << "\"} "
+          << format_sample_value(data.quantile(q.q)) << "\n";
+    out << name << "_sum " << data.sum << "\n";
+    out << name << "_count " << data.count << "\n";
   }
   return out.str();
 }

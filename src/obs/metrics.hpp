@@ -99,13 +99,20 @@ class Gauge {
 };
 
 /// Merged view of one histogram: totals plus the full bucket vector
-/// (indexable with Histogram::bucket_index/bucket_bounds).
+/// (indexable with Histogram::bucket_index/bucket_bounds; empty or
+/// kHistogramBuckets long).
 struct HistogramData {
   std::int64_t count = 0;
   std::int64_t sum = 0;
   std::int64_t min = 0;  ///< 0 when count == 0
   std::int64_t max = 0;  ///< 0 when count == 0
   std::vector<std::uint64_t> buckets;
+
+  /// Folds `other` in: totals add, [min, max] widens, buckets add
+  /// index-wise. Exact — every histogram shares the one fixed bucket
+  /// layout — so merged shards or processes report the quantiles one
+  /// histogram holding every sample would.
+  void merge(const HistogramData& other);
 
   /// Quantile estimate for q in [0, 1]: cumulative walk to the target
   /// rank, linear interpolation within the bucket, clamped to the
@@ -143,12 +150,7 @@ class Histogram {
  private:
   struct alignas(64) Slot {
     mutable common::Mutex mu;
-    std::int64_t count WTAM_GUARDED_BY(mu) = 0;
-    std::int64_t sum WTAM_GUARDED_BY(mu) = 0;
-    std::int64_t min WTAM_GUARDED_BY(mu) = 0;
-    std::int64_t max WTAM_GUARDED_BY(mu) = 0;
-    std::array<std::uint64_t, kHistogramBuckets> buckets
-        WTAM_GUARDED_BY(mu){};
+    HistogramData data WTAM_GUARDED_BY(mu);  // buckets sized on first record
   };
   std::array<Slot, kMetricSlots> slots_;
 };
@@ -165,18 +167,22 @@ struct GaugeValue {
   std::int64_t value = 0;
 };
 
-/// One named histogram summary in a snapshot.
+/// A quantile every renderer reports: q, its Prometheus label, and its
+/// JSON key.
+struct ReportedQuantile {
+  double q;
+  const char* label;
+  const char* key;
+};
+inline constexpr ReportedQuantile kReportedQuantiles[] = {
+    {0.50, "0.5", "p50"}, {0.90, "0.9", "p90"},
+    {0.95, "0.95", "p95"}, {0.99, "0.99", "p99"}};
+
+/// One named histogram in a snapshot; quantiles are computed when it
+/// is rendered.
 struct HistogramValue {
   std::string name;
-  std::int64_t count = 0;
-  std::int64_t sum = 0;
-  std::int64_t min = 0;
-  std::int64_t max = 0;
-  double mean = 0.0;
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
+  HistogramData data;
 };
 
 /// Point-in-time copy of every registered metric, names sorted, so two
@@ -185,6 +191,12 @@ struct MetricsSnapshot {
   std::vector<CounterValue> counters;
   std::vector<GaugeValue> gauges;
   std::vector<HistogramValue> histograms;
+
+  /// Folds `other` in by name, keeping names sorted: counters and gauges
+  /// sum, histograms merge exactly (HistogramData::merge). How a fleet's
+  /// worker snapshots, and a process's out-of-registry counters, join
+  /// one scrape.
+  void merge(const MetricsSnapshot& other);
 };
 
 /// Register-on-first-use registry. counter()/gauge()/histogram() return
@@ -216,12 +228,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
       WTAM_GUARDED_BY(mu_);
 };
-
-/// Maps a registry metric name onto the Prometheus grammar: every
-/// character outside [a-zA-Z0-9_:] becomes '_' and a leading digit is
-/// prefixed. Exposed so other renderers of merged fleet metrics
-/// (serve::Router's prometheus verb) sanitize identically.
-[[nodiscard]] std::string sanitize_metric_name(const std::string& name);
 
 /// Prometheus text exposition (version 0.0.4) of a snapshot: counters
 /// and gauges as typed samples, histograms as summaries with quantile

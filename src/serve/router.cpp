@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -15,6 +13,7 @@
 #include "common/hash.hpp"
 #include "common/timer.hpp"
 #include "obs/metrics.hpp"
+#include "obs/metrics_json.hpp"
 
 namespace wtam::serve {
 
@@ -29,7 +28,7 @@ api::JsonValue error_object(const std::string& message) {
 /// Generic fleet fold for op acks: numbers sum, "ok" flags AND, objects
 /// merge key-wise (the first ack fixes the key order), strings/arrays
 /// keep the first worker's value. Good for stats / cache_clear /
-/// cache_save / shutdown; metrics needs the histogram-aware merge below.
+/// cache_save / shutdown; metrics acks merge as obs snapshots instead.
 api::JsonValue merge_acks(const api::JsonValue& a, const api::JsonValue& b) {
   using Kind = api::JsonValue::Kind;
   if (a.kind() == Kind::Int && b.kind() == Kind::Int)
@@ -52,119 +51,36 @@ api::JsonValue merge_acks(const api::JsonValue& a, const api::JsonValue& b) {
   return a;
 }
 
-/// Merges fleet metrics acks: counters and gauges sum per name (sorted),
-/// histograms combine count/sum/min/max and recompute the mean.
-/// Percentiles are dropped — quantiles of independent sketches do not
-/// merge, and a made-up number is worse than an absent one.
-api::JsonValue merge_metrics_acks(
-    const std::vector<const api::JsonValue*>& acks) {
-  std::map<std::string, std::int64_t> counters;
-  std::map<std::string, std::int64_t> gauges;
-  struct Hist {
-    std::int64_t count = 0;
-    std::int64_t sum = 0;
-    std::int64_t min = 0;
-    std::int64_t max = 0;
-  };
-  std::map<std::string, Hist> histograms;
-
-  for (const api::JsonValue* ack : acks) {
-    if (const api::JsonValue* section = ack->find("counters"))
-      if (section->is_object())
-        for (const auto& [name, value] : section->members())
-          counters[name] += value.as_int();
-    if (const api::JsonValue* section = ack->find("gauges"))
-      if (section->is_object())
-        for (const auto& [name, value] : section->members())
-          gauges[name] += value.as_int();
-    if (const api::JsonValue* section = ack->find("histograms"))
-      if (section->is_object())
-        for (const auto& [name, entry] : section->members()) {
-          const api::JsonValue* count = entry.find("count");
-          if (count == nullptr || count->as_int() == 0) continue;
-          Hist& hist = histograms[name];
-          const std::int64_t entry_min = entry.find("min")->as_int();
-          const std::int64_t entry_max = entry.find("max")->as_int();
-          if (hist.count == 0) {
-            hist.min = entry_min;
-            hist.max = entry_max;
-          } else {
-            hist.min = std::min(hist.min, entry_min);
-            hist.max = std::max(hist.max, entry_max);
-          }
-          hist.count += count->as_int();
-          hist.sum += entry.find("sum")->as_int();
-        }
-  }
-
-  api::JsonValue merged = api::JsonValue::object();
-  merged.set("op", api::JsonValue::string("metrics"));
-  api::JsonValue counters_json = api::JsonValue::object();
-  for (const auto& [name, value] : counters)
-    counters_json.set(name, api::JsonValue::number(value));
-  merged.set("counters", std::move(counters_json));
-  api::JsonValue gauges_json = api::JsonValue::object();
-  for (const auto& [name, value] : gauges)
-    gauges_json.set(name, api::JsonValue::number(value));
-  merged.set("gauges", std::move(gauges_json));
-  api::JsonValue histograms_json = api::JsonValue::object();
-  for (const auto& [name, hist] : histograms) {
-    api::JsonValue entry = api::JsonValue::object();
-    entry.set("count", api::JsonValue::number(hist.count));
-    entry.set("sum", api::JsonValue::number(hist.sum));
-    entry.set("min", api::JsonValue::number(hist.min));
-    entry.set("max", api::JsonValue::number(hist.max));
-    entry.set("mean",
-              api::JsonValue::number(static_cast<double>(hist.sum) /
-                                     static_cast<double>(hist.count)));
-    histograms_json.set(name, std::move(entry));
-  }
-  merged.set("histograms", std::move(histograms_json));
-  return merged;
+/// Calls fn(name, value) for each router counter, in report order.
+template <typename Fn>
+void for_each_counter(const RouterCounters& counters, Fn fn) {
+  fn("routed", counters.routed);
+  fn("shed", counters.shed);
+  fn("respawns", counters.respawns);
+  fn("replayed", counters.replayed);
+  fn("orphaned", counters.orphaned);
+  fn("pings", counters.pings);
+  fn("health_severed", counters.health_severed);
+  fn("resizes", counters.resizes);
 }
 
-/// Renders a merged metrics ack as Prometheus text. Counters and gauges
-/// are typed samples; each histogram becomes a summary with only
-/// _sum/_count — the merge already dropped the per-worker quantiles
-/// (they do not combine), so none appear here either.
-std::string merged_metrics_to_prometheus(const api::JsonValue& merged) {
-  std::ostringstream out;
-  if (const api::JsonValue* section = merged.find("counters"))
-    for (const auto& [name, value] : section->members()) {
-      const std::string sanitized = obs::sanitize_metric_name(name);
-      out << "# TYPE " << sanitized << " counter\n"
-          << sanitized << " " << value.as_int() << "\n";
-    }
-  if (const api::JsonValue* section = merged.find("gauges"))
-    for (const auto& [name, value] : section->members()) {
-      const std::string sanitized = obs::sanitize_metric_name(name);
-      out << "# TYPE " << sanitized << " gauge\n"
-          << sanitized << " " << value.as_int() << "\n";
-    }
-  if (const api::JsonValue* section = merged.find("histograms"))
-    for (const auto& [name, entry] : section->members()) {
-      const std::string sanitized = obs::sanitize_metric_name(name);
-      out << "# TYPE " << sanitized << " summary\n";
-      out << sanitized << "_sum " << entry.find("sum")->as_int() << "\n";
-      out << sanitized << "_count " << entry.find("count")->as_int() << "\n";
-    }
-  return out.str();
-}
-
+/// The stats verb's "router" section.
 api::JsonValue router_counters_json(const RouterCounters& counters) {
   api::JsonValue value = api::JsonValue::object();
-  const auto set = [&value](const char* key, std::uint64_t count) {
+  for_each_counter(counters, [&value](const char* key, std::uint64_t count) {
     value.set(key, api::JsonValue::number(static_cast<std::int64_t>(count)));
-  };
-  set("routed", counters.routed);
-  set("shed", counters.shed);
-  set("respawns", counters.respawns);
-  set("replayed", counters.replayed);
-  set("orphaned", counters.orphaned);
-  set("pings", counters.pings);
-  set("health_severed", counters.health_severed);
-  set("resizes", counters.resizes);
+  });
   return value;
+}
+
+/// The router counters as serve.router.* metrics (names unsorted).
+obs::MetricsSnapshot router_metrics(const RouterCounters& counters) {
+  obs::MetricsSnapshot snapshot;
+  for_each_counter(counters, [&snapshot](const char* key, std::uint64_t count) {
+    snapshot.counters.push_back({std::string("serve.router.") + key,
+                                 static_cast<std::int64_t>(count)});
+  });
+  return snapshot;
 }
 
 struct ReshardStats {
@@ -443,59 +359,30 @@ bool Router::handle_line(const std::string& line) {
           "router: metrics format must be \"json\" or \"prometheus\""));
       return true;
     }
-    // The fleet is always scraped in JSON (the only form that merges);
-    // prometheus is a rendering of the merged snapshot.
+    // Workers are always scraped in JSON, the form that carries buckets.
+    // A dead worker's error object, or an ack that does not parse (an
+    // older worker without buckets), is counted, not merged.
     api::JsonValue fleet_request = value;
     fleet_request.set("format", api::JsonValue::string("json"));
     const std::vector<api::JsonValue> acks =
         broadcast(fleet_request.dump_compact_string());
-    std::vector<const api::JsonValue*> ack_ptrs;
+    obs::MetricsSnapshot fleet;
+    fleet.merge(router_metrics(counters()));
     std::size_t errors = 0;
     for (const api::JsonValue& ack : acks) {
-      if (ack.find("error") != nullptr && ack.find("op") == nullptr)
+      try {
+        fleet.merge(obs::metrics_from_json(ack));
+      } catch (const std::exception&) {
         ++errors;
-      else
-        ack_ptrs.push_back(&ack);
+      }
     }
-    api::JsonValue merged = merge_metrics_acks(ack_ptrs);
-    // The router's own counters join the scrape under serve.router.*,
-    // re-sorted into the counters section's name order.
-    const RouterCounters now = counters();
-    const api::JsonValue* counters_json = merged.find("counters");
-    std::map<std::string, std::int64_t> all;
-    for (const auto& [name, count] : counters_json->members())
-      all[name] = count.as_int();
-    all["serve.router.routed"] = static_cast<std::int64_t>(now.routed);
-    all["serve.router.shed"] = static_cast<std::int64_t>(now.shed);
-    all["serve.router.respawns"] = static_cast<std::int64_t>(now.respawns);
-    all["serve.router.replayed"] = static_cast<std::int64_t>(now.replayed);
-    all["serve.router.orphaned"] = static_cast<std::int64_t>(now.orphaned);
-    all["serve.router.pings"] = static_cast<std::int64_t>(now.pings);
-    all["serve.router.health_severed"] =
-        static_cast<std::int64_t>(now.health_severed);
-    all["serve.router.resizes"] = static_cast<std::int64_t>(now.resizes);
-    api::JsonValue rebuilt = api::JsonValue::object();
-    for (const auto& [name, count] : all)
-      rebuilt.set(name, api::JsonValue::number(count));
-    merged.set("counters", std::move(rebuilt));
-    if (format == "prometheus") {
-      api::JsonValue response = api::JsonValue::object();
-      response.set("op", api::JsonValue::string("metrics"));
-      response.set("format", api::JsonValue::string("prometheus"));
-      response.set("body",
-                   api::JsonValue::string(merged_metrics_to_prometheus(merged)));
-      response.set("workers", api::JsonValue::number(static_cast<std::int64_t>(workers())));
-      if (errors != 0)
-        response.set("worker_errors",
-                     api::JsonValue::number(static_cast<std::int64_t>(errors)));
-      emit(response);
-      return true;
-    }
-    merged.set("workers", api::JsonValue::number(static_cast<std::int64_t>(workers())));
+    api::JsonValue response =
+        obs::metrics_response(fleet, format == "prometheus");
+    response.set("workers", api::JsonValue::number(static_cast<std::int64_t>(workers())));
     if (errors != 0)
-      merged.set("worker_errors",
-                 api::JsonValue::number(static_cast<std::int64_t>(errors)));
-    emit(merged);
+      response.set("worker_errors",
+                   api::JsonValue::number(static_cast<std::int64_t>(errors)));
+    emit(response);
     return true;
   }
 

@@ -37,18 +37,19 @@
 //     deterministic) instead of queued, bounding fleet queue time;
 //   * control verbs fan out — stats / metrics / cache_clear /
 //     cache_save broadcast to every worker and the acks merge (numbers
-//     sum, "ok" ANDs; histograms merge count/sum/min/max/mean). The
-//     merged stats/metrics additionally carry the router's own
-//     counters ("router" section / serve.router.* names).
-//     {"op": "metrics", "format": "prometheus"} renders the merged
-//     snapshot as Prometheus text in a "body" field — counters and
-//     gauges as samples, histograms as _sum/_count-only summaries
-//     (quantiles of independent sketches do not merge, so none are
-//     invented). Router-specific verbs: {"op": "ping"} answers from the
-//     router itself; {"op": "kill_worker", "worker": i} severs a worker
-//     (crash-recovery test hook; the ack waits for the slot to come
-//     back); {"op": "resize", "workers": M} re-shards the fleet (below);
-//     shutdown drains the fleet before acking;
+//     sum, "ok" ANDs). The merged stats/metrics additionally carry the
+//     router's own counters ("router" section / serve.router.* names).
+//     Metrics acks merge as obs snapshots — workers ship histogram
+//     buckets, so fleet percentiles are exact — and render through the
+//     same obs functions wtam_serve uses, as JSON or, with "format":
+//     "prometheus", as Prometheus text in a "body" field. A worker
+//     whose ack does not parse (an older worker without buckets) is
+//     counted in "worker_errors". Router-specific verbs: {"op":
+//     "ping"} answers from the router itself; {"op": "kill_worker",
+//     "worker": i} severs a worker (crash-recovery test hook; the ack
+//     waits for the slot to come back); {"op": "resize", "workers": M}
+//     re-shards the fleet (below); shutdown drains the fleet before
+//     acking;
 //   * the fleet resizes hot — resize drains in-flight work, stops the
 //     old fleet (local workers save their cache files on EOF), re-hashes
 //     every persisted cache entry into per-worker snapshots under the

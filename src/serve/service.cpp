@@ -1,6 +1,5 @@
 #include "serve/service.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "api/cache_store.hpp"
@@ -47,6 +46,27 @@ api::JsonValue cache_stats_json(const api::ResultCacheStats& stats,
   set_count(cache_json, "bytes", stats.bytes);
   if (include_max_bytes) set_count(cache_json, "max_bytes", stats.max_bytes);
   return cache_json;
+}
+
+/// The cache's stats as serve.cache.* metrics (names unsorted; merge
+/// them into a snapshot), so one scrape shows the whole service.
+obs::MetricsSnapshot cache_metrics(const api::ResultCacheStats& stats) {
+  obs::MetricsSnapshot snapshot;
+  const auto counter = [&snapshot](const char* name, std::uint64_t count) {
+    snapshot.counters.push_back({name, static_cast<std::int64_t>(count)});
+  };
+  counter("serve.cache.hits", stats.hits);
+  counter("serve.cache.misses", stats.misses);
+  counter("serve.cache.coalesced", stats.coalesced);
+  counter("serve.cache.insertions", stats.insertions);
+  counter("serve.cache.evictions", stats.evictions);
+  const auto gauge = [&snapshot](const char* name, std::uint64_t count) {
+    snapshot.gauges.push_back({name, static_cast<std::int64_t>(count)});
+  };
+  gauge("serve.cache.entries", stats.entries);
+  gauge("serve.cache.bytes", stats.bytes);
+  gauge("serve.cache.max_bytes", stats.max_bytes);
+  return snapshot;
 }
 
 }  // namespace
@@ -392,51 +412,15 @@ Service::Action Service::handle_op(const api::JsonValue& value,
         drain ? accounting_->wait_for_drain() : accounting_->snapshot();
 
     // Sync the serve gauges from job accounting, snapshot the process
-    // registry, and fold the cache's counters in, so one scrape shows
-    // the whole service. Counter/gauge lists are re-sorted so the merged
-    // snapshot keeps the registry's deterministic name order.
+    // registry, and fold the cache's counters in.
     registry.gauge("serve.inflight_jobs")
         .set(static_cast<std::int64_t>(now.running()));
     registry.gauge("serve.queue_depth")
         .set(static_cast<std::int64_t>(now.queue_depth()));
     obs::MetricsSnapshot snapshot = registry.snapshot();
-    if (cache_) {
-      const api::ResultCacheStats stats = cache_->stats();
-      const auto counter = [&snapshot](const char* name, std::uint64_t count) {
-        snapshot.counters.push_back({name, static_cast<std::int64_t>(count)});
-      };
-      counter("serve.cache.hits", stats.hits);
-      counter("serve.cache.misses", stats.misses);
-      counter("serve.cache.coalesced", stats.coalesced);
-      counter("serve.cache.insertions", stats.insertions);
-      counter("serve.cache.evictions", stats.evictions);
-      const auto gauge = [&snapshot](const char* name, std::uint64_t count) {
-        snapshot.gauges.push_back({name, static_cast<std::int64_t>(count)});
-      };
-      gauge("serve.cache.entries", stats.entries);
-      gauge("serve.cache.bytes", stats.bytes);
-      gauge("serve.cache.max_bytes", stats.max_bytes);
-      const auto by_name = [](const auto& a, const auto& b) {
-        return a.name < b.name;
-      };
-      std::sort(snapshot.counters.begin(), snapshot.counters.end(), by_name);
-      std::sort(snapshot.gauges.begin(), snapshot.gauges.end(), by_name);
-    }
-
-    api::JsonValue response = api::JsonValue::object();
-    response.set("op", api::JsonValue::string("metrics"));
-    if (format == "prometheus") {
-      response.set("format", api::JsonValue::string("prometheus"));
-      response.set("body",
-                   api::JsonValue::string(obs::to_prometheus(snapshot)));
-    } else {
-      // Materialized first: members() returns a reference into the
-      // document, which must outlive the loop.
-      const api::JsonValue sections = obs::metrics_to_json(snapshot);
-      for (const auto& [section, content] : sections.members())
-        response.set(section, content);
-    }
-    sink(response.dump_compact_string());
+    if (cache_) snapshot.merge(cache_metrics(cache_->stats()));
+    sink(obs::metrics_response(snapshot, format == "prometheus")
+             .dump_compact_string());
     return Action::Continue;
   }
 

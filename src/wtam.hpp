@@ -38,7 +38,6 @@
 #include "pack/rectpack.hpp"            // IWYU pragma: export
 #include "pack/skyline.hpp"             // IWYU pragma: export
 #include "partition/partition.hpp"      // IWYU pragma: export
-#include "sched/lpt.hpp"                // IWYU pragma: export
 #include "soc/benchmarks.hpp"           // IWYU pragma: export
 #include "soc/generator.hpp"            // IWYU pragma: export
 #include "soc/load.hpp"                 // IWYU pragma: export

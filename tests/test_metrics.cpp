@@ -1,17 +1,21 @@
 // Metrics registry contract: exact counts under contention, documented
-// histogram bucket boundaries, deterministic snapshots, and thread-safe
-// trace recording. The contention tests carry the `concurrency` ctest
-// label so the TSan CI job exercises the sharded-slot locking.
+// histogram bucket boundaries, deterministic snapshots, exact snapshot
+// merges through the strict JSON wire format, and thread-safe trace
+// recording. The contention tests carry the `concurrency` ctest label
+// so the TSan CI job exercises the sharded-slot locking.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "api/json_value.hpp"
 #include "obs/metrics.hpp"
+#include "obs/metrics_json.hpp"
 #include "obs/trace.hpp"
 
 namespace wtam::obs {
@@ -209,8 +213,8 @@ TEST(MetricsRegistry, SnapshotIsSortedAndDeterministic) {
   ASSERT_EQ(first.gauges.size(), 1u);
   EXPECT_EQ(first.gauges[0].value, 7);
   ASSERT_EQ(first.histograms.size(), 1u);
-  EXPECT_EQ(first.histograms[0].count, 1);
-  EXPECT_EQ(first.histograms[0].p50, 42.0);
+  EXPECT_EQ(first.histograms[0].data.count, 1);
+  EXPECT_EQ(first.histograms[0].data.quantile(0.5), 42.0);
 
   // Same state -> identical snapshot (names AND values), so two scrapes
   // of a quiet server render byte-identical expositions.
@@ -230,7 +234,153 @@ TEST(MetricsRegistry, ResetZeroesValuesKeepsNames) {
   ASSERT_EQ(snapshot.gauges.size(), 1u);
   EXPECT_EQ(snapshot.gauges[0].value, 0);
   ASSERT_EQ(snapshot.histograms.size(), 1u);
-  EXPECT_EQ(snapshot.histograms[0].count, 0);
+  EXPECT_EQ(snapshot.histograms[0].data.count, 0);
+}
+
+// --- merging through the wire format ---------------------------------------
+
+/// A registry's snapshot as a metrics ack would carry it: rendered,
+/// serialized, parsed, and read back.
+MetricsSnapshot round_trip(const MetricsRegistry& registry) {
+  const std::string wire =
+      metrics_to_json(registry.snapshot()).dump_compact_string();
+  return metrics_from_json(api::JsonValue::parse(wire));
+}
+
+TEST(MetricsMerge, SplitRegistriesMergeToTheOneRegistryBytes) {
+  // Every sample lands in `all` and in one of the two halves; names
+  // only one half knows must survive the merge too.
+  MetricsRegistry all;
+  MetricsRegistry halves[2];
+  const auto count = [&](int half, const std::string& name, int delta) {
+    all.counter(name).increment(delta);
+    halves[half].counter(name).increment(delta);
+  };
+  const auto level = [&](int half, const std::string& name, int value) {
+    all.gauge(name).add(value);
+    halves[half].gauge(name).add(value);
+  };
+  const auto sample = [&](int half, const std::string& name,
+                          std::int64_t value) {
+    all.histogram(name).record(value);
+    halves[half].histogram(name).record(value);
+  };
+  count(0, "jobs", 3);
+  count(1, "jobs", 4);
+  count(1, "only.second", 9);
+  level(0, "depth", 2);
+  level(1, "depth", -5);
+  for (std::int64_t v = 0; v < 500; ++v) {
+    sample(static_cast<int>(v % 2), "lat_ns", v * v * 37);
+    sample(v < 100 ? 0 : 1, "skewed_ns", 1000 + v);
+  }
+  sample(1, "tail_ns", std::numeric_limits<std::int64_t>::max() / 4);
+  (void)halves[0].histogram("empty_ns");
+  (void)all.histogram("empty_ns");
+
+  MetricsSnapshot merged = round_trip(halves[0]);
+  merged.merge(round_trip(halves[1]));
+  const MetricsSnapshot expected = all.snapshot();
+  EXPECT_EQ(to_prometheus(merged), to_prometheus(expected));
+  EXPECT_EQ(metrics_to_json(merged).dump_string(),
+            metrics_to_json(expected).dump_string());
+}
+
+TEST(MetricsMerge, SnapshotMergeKeepsNamesSorted) {
+  MetricsSnapshot snapshot;
+  snapshot.merge({{{"b", 1}, {"a", 2}}, {}, {}});
+  snapshot.merge({{{"c", 3}, {"a", 4}}, {{"g", -1}}, {}});
+  ASSERT_EQ(snapshot.counters.size(), 3u);
+  EXPECT_EQ(snapshot.counters[0].name, "a");
+  EXPECT_EQ(snapshot.counters[0].value, 6);
+  EXPECT_EQ(snapshot.counters[1].name, "b");
+  EXPECT_EQ(snapshot.counters[2].name, "c");
+  ASSERT_EQ(snapshot.gauges.size(), 1u);
+  EXPECT_EQ(snapshot.gauges[0].value, -1);
+}
+
+TEST(MetricsMerge, TotalsFromOtherProcessesSaturateInsteadOfOverflowing) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  HistogramData huge;
+  huge.count = kMax;
+  huge.sum = kMax;
+  MetricsSnapshot snapshot{{{"c", kMax}}, {{"g", kMin}}, {{"h", huge}}};
+  const MetricsSnapshot same = snapshot;
+  snapshot.merge(same);
+  EXPECT_EQ(snapshot.counters[0].value, kMax);
+  EXPECT_EQ(snapshot.gauges[0].value, kMin);
+  EXPECT_EQ(snapshot.histograms[0].data.count, kMax);
+  EXPECT_EQ(snapshot.histograms[0].data.sum, kMax);
+}
+
+/// An ack whose one histogram entry is `entry` (JSON object text).
+std::string ack_with_histogram(const std::string& entry) {
+  return R"({"op": "metrics", "counters": {"c": 1}, "gauges": {"g": -2},)"
+         R"( "histograms": {"h": )" + entry + "}}";
+}
+
+TEST(MetricsFromJson, AcceptsAWellFormedAck) {
+  const MetricsSnapshot snapshot = metrics_from_json(api::JsonValue::parse(
+      ack_with_histogram(R"({"count": 3, "sum": 25, "min": 5, "max": 10,)"
+                         R"( "buckets": [[5, 2], [10, 1]]})")));
+  ASSERT_EQ(snapshot.histograms.size(), 1u);
+  const HistogramData& data = snapshot.histograms[0].data;
+  EXPECT_EQ(data.count, 3);
+  EXPECT_EQ(data.buckets.size(), static_cast<std::size_t>(kHistogramBuckets));
+  EXPECT_EQ(data.buckets[5], 2u);
+  EXPECT_EQ(data.buckets[10], 1u);
+  EXPECT_EQ(snapshot.gauges[0].value, -2);
+}
+
+TEST(MetricsFromJson, RejectsMalformedAcks) {
+  const std::vector<std::string> bad_histograms = {
+      // bucket index outside [0, kHistogramBuckets)
+      R"({"count": 1, "sum": 5, "min": 5, "max": 5, "buckets": [[488, 1]]})",
+      R"({"count": 1, "sum": 5, "min": 5, "max": 5, "buckets": [[-1, 1]]})",
+      // negative values
+      R"({"count": 1, "sum": -5, "min": 5, "max": 5, "buckets": [[5, 1]]})",
+      R"({"count": 1, "sum": 5, "min": 5, "max": 5, "buckets": [[5, -1], [6, 2]]})",
+      R"({"count": -1, "sum": 0, "min": 0, "max": 0, "buckets": []})",
+      // entries that are not [index, count] pairs
+      R"({"count": 1, "sum": 5, "min": 5, "max": 5, "buckets": [[5, 1, 0]]})",
+      R"({"count": 1, "sum": 5, "min": 5, "max": 5, "buckets": [[5]]})",
+      R"({"count": 1, "sum": 5, "min": 5, "max": 5, "buckets": [5, 1]})",
+      R"({"count": 1, "sum": 5, "min": 5, "max": 5, "buckets": {"5": 1}})",
+      // bucket counts that do not add up to count, including sums that
+      // would overflow int64
+      R"({"count": 2, "sum": 5, "min": 5, "max": 5, "buckets": [[5, 1]]})",
+      R"({"count": 1, "sum": 5, "min": 5, "max": 5, "buckets": [[5, 1], [6, 1]]})",
+      R"({"count": 2, "sum": 5, "min": 5, "max": 5, "buckets":)"
+      R"( [[5, 9223372036854775807], [6, 9223372036854775807]]})",
+      // indices not ascending (a repeat would desync buckets and count)
+      R"({"count": 2, "sum": 10, "min": 5, "max": 5, "buckets": [[5, 1], [5, 1]]})",
+      // missing or non-integer fields
+      R"({"count": 1, "sum": 5, "max": 5, "buckets": [[5, 1]]})",
+      R"({"count": 1, "sum": 5, "min": 5, "max": 5})",
+      R"({"count": 1.5, "sum": 5, "min": 5, "max": 5, "buckets": [[5, 1]]})",
+      R"({"count": "1", "sum": 5, "min": 5, "max": 5, "buckets": [[5, 1]]})",
+      R"({"count": 1, "sum": 5, "min": 5, "max": 5, "buckets": [[5.0, 1]]})",
+      R"(7)",
+  };
+  for (const std::string& entry : bad_histograms)
+    EXPECT_THROW(
+        (void)metrics_from_json(api::JsonValue::parse(ack_with_histogram(entry))),
+        std::runtime_error)
+        << entry;
+
+  const std::vector<std::string> bad_acks = {
+      R"({"counters": {"c": "7"}, "gauges": {}, "histograms": {}})",
+      R"({"counters": {"c": -1}, "gauges": {}, "histograms": {}})",
+      R"({"counters": {}, "gauges": {"g": 1.5}, "histograms": {}})",
+      R"({"counters": {}, "gauges": {}})",
+      R"({"counters": [], "gauges": {}, "histograms": {}})",
+      R"({"error": "worker 1 unavailable"})",
+  };
+  for (const std::string& ack : bad_acks)
+    EXPECT_THROW((void)metrics_from_json(api::JsonValue::parse(ack)),
+                 std::runtime_error)
+        << ack;
 }
 
 TEST(Prometheus, SanitizesNamesAndTypesSamples) {

@@ -1,9 +1,9 @@
 // Router mechanics against scripted workers (/bin/cat echoes every
-// line, tiny sh scripts fake crashes and slow workers), so routing,
-// id rewriting, op fan-out/merge, shedding, and crash replay are
-// testable without paying for real solves. The full-stack fleet (real
-// wtam_serve workers, byte-identity across fleet sizes, crash replay
-// of real jobs) runs in cmake/cli_checks.cmake.
+// line, tiny sh scripts fake crashes, slow workers and fixed metrics
+// acks), so routing, id rewriting, op fan-out/merge, shedding, and crash
+// replay are testable without paying for real solves. The full-stack
+// fleet (real wtam_serve workers, byte-identity across fleet sizes,
+// crash replay of real jobs) runs in cmake/cli_checks.cmake.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +17,8 @@
 
 #include "api/json_value.hpp"
 #include "common/thread_annotations.hpp"
+#include "obs/metrics.hpp"
+#include "obs/metrics_json.hpp"
 #include "serve/router.hpp"
 
 namespace wtam::serve {
@@ -149,6 +151,103 @@ TEST(Router, OpFanOutMergesAcksAndAddsRouterSections) {
   EXPECT_EQ(merged.find("workers")->as_int(), 2);
   ASSERT_NE(merged.find("router"), nullptr);
   EXPECT_EQ(merged.find("router")->find("routed")->as_int(), 0);
+}
+
+/// A worker that answers every metrics op with the fixed `ack` and
+/// echoes every other line (so jobs come back as with cat).
+WorkerSpec metrics_worker(const std::string& ack) {
+  return WorkerSpec::local(
+      {"/bin/sh", "-c",
+       "while IFS= read -r line; do case \"$line\" in "
+       "*'\"op\": \"metrics\"'*) printf '%s\\n' '" + ack + "' ;; "
+       "*) printf '%s\\n' \"$line\" ;; esac; done"});
+}
+
+/// `registry`'s snapshot as wtam_serve's metrics ack line.
+std::string metrics_ack(const obs::MetricsRegistry& registry) {
+  return obs::metrics_response(registry.snapshot(), /*prometheus=*/false)
+      .dump_compact_string();
+}
+
+TEST(Router, MetricsMergesWorkerSnapshotsExactly) {
+  // Each worker holds half the samples; the fleet scrape must report
+  // what one process holding all of them would, percentiles included.
+  obs::MetricsRegistry halves[2];
+  obs::MetricsRegistry whole;
+  for (std::int64_t v = 1; v <= 41; ++v) {
+    halves[v % 2].histogram("solver.solve_ns").record(v * v * 1000);
+    whole.histogram("solver.solve_ns").record(v * v * 1000);
+  }
+  halves[0].counter("serve.jobs_completed").increment(3);
+  halves[1].counter("serve.jobs_completed").increment(4);
+  RouterOptions options;
+  options.workers = {metrics_worker(metrics_ack(halves[0])),
+                     metrics_worker(metrics_ack(halves[1]))};
+  auto collector = std::make_shared<Collector>();
+  Router router(std::move(options),
+                [collector](const std::string& line) { (*collector)(line); });
+  EXPECT_TRUE(router.handle_line("{\"op\": \"metrics\", \"drain\": true}"));
+  EXPECT_TRUE(router.handle_line(
+      "{\"op\": \"metrics\", \"format\": \"prometheus\"}"));
+  ASSERT_TRUE(collector->wait_for(2));
+
+  const api::JsonValue merged =
+      api::JsonValue::parse(collector->lines().front());
+  EXPECT_EQ(merged.find("op")->as_string(), "metrics");
+  EXPECT_EQ(merged.find("workers")->as_int(), 2);
+  EXPECT_EQ(merged.find("worker_errors"), nullptr);
+  const api::JsonValue* counters = merged.find("counters");
+  EXPECT_EQ(counters->find("serve.jobs_completed")->as_int(), 7);
+  EXPECT_EQ(counters->find("serve.router.routed")->as_int(), 0);
+  EXPECT_EQ(merged.find("histograms")->dump_compact_string(),
+            obs::metrics_to_json(whole.snapshot())
+                .find("histograms")
+                ->dump_compact_string());
+
+  const std::string body =
+      api::JsonValue::parse(collector->lines().back()).find("body")->as_string();
+  EXPECT_NE(body.find("serve_jobs_completed 7"), std::string::npos) << body;
+  for (const char* q : {"0.5", "0.9", "0.95", "0.99"})
+    EXPECT_NE(body.find("solver_solve_ns{quantile=\"" + std::string(q) + "\"}"),
+              std::string::npos)
+        << body;
+}
+
+TEST(Router, MalformedMetricsAckCountsAsAWorkerError) {
+  // Regressions: a histogram without "min" used to crash the router, and
+  // a string counter threw out of handle_line and ended the process.
+  obs::MetricsRegistry good;
+  good.counter("serve.jobs_completed").increment(2);
+  const std::vector<std::string> bad_acks = {
+      R"({"op": "metrics", "counters": {}, "gauges": {}, "histograms":)"
+      R"( {"serve.job_ns": {"count": 1, "sum": 5, "max": 5,)"
+      R"( "buckets": [[5, 1]]}}})",
+      R"({"op": "metrics", "counters": {"serve.jobs_completed": "7"},)"
+      R"( "gauges": {}, "histograms": {}})",
+  };
+  for (const std::string& bad : bad_acks) {
+    RouterOptions options;
+    options.workers = {metrics_worker(metrics_ack(good)),
+                       metrics_worker(bad)};
+    auto collector = std::make_shared<Collector>();
+    Router router(std::move(options),
+                  [collector](const std::string& line) { (*collector)(line); });
+    EXPECT_TRUE(router.handle_line("{\"op\": \"metrics\"}"));
+    ASSERT_TRUE(collector->wait_for(1));
+    const api::JsonValue merged =
+        api::JsonValue::parse(collector->lines().front());
+    ASSERT_NE(merged.find("worker_errors"), nullptr) << bad;
+    EXPECT_EQ(merged.find("worker_errors")->as_int(), 1);
+    EXPECT_EQ(
+        merged.find("counters")->find("serve.jobs_completed")->as_int(), 2);
+    // The router is still up and routing.
+    EXPECT_TRUE(router.handle_line(
+        "{\"id\": \"after\", \"soc\": \"d695\", \"width\": 16}"));
+    ASSERT_TRUE(collector->wait_for(2));
+    std::vector<api::JsonValue> storage;
+    EXPECT_NE(find_line_with_id(collector->lines(), storage, "after"),
+              nullptr);
+  }
 }
 
 TEST(Router, KillWorkerAcksAfterTheRespawnCompletes) {
