@@ -5,7 +5,8 @@
 //   * Design_wrapper is cheap enough to evaluate thousands of times;
 //   * partition enumeration is negligible next to evaluation;
 //   * partition_evaluate at 1/2/4/8 threads returns bit-identical results
-//     while the wall clock drops with available cores.
+//     while the wall clock drops with available cores;
+//   * a rectpack walker repack costs microseconds (per-repack kernels).
 //
 // Results are printed as a table and written to BENCH_micro.json so the
 // performance trajectory is machine-readable across PRs.
@@ -29,6 +30,7 @@
 #include "core/test_time_table.hpp"
 #include "lp/simplex.hpp"
 #include "obs/metrics.hpp"
+#include "pack/rectpack.hpp"
 #include "pack/skyline.hpp"
 #include "partition/partition.hpp"
 #include "soc/benchmarks.hpp"
@@ -282,6 +284,22 @@ int main() {
     m.iterations *= kSpotOps;
     measurements.push_back(m);
   }
+
+  // The rectpack walkers, per repack: one default solve per call, scaled
+  // by its deterministic repack count (initial, every local-search move,
+  // compaction) so the column reads as the average cost of one pack. A
+  // full second each, since one p93791 solve takes tens of milliseconds.
+  const auto per_repack = [&](const std::string& name,
+                              const core::TestTimeTable& table) {
+    int repacks = 0;
+    Measurement m = measure(
+        name, [&] { repacks = pack::rectpack_schedule(table, 32).repacks; },
+        1.0);
+    m.iterations *= repacks;
+    measurements.push_back(m);
+  };
+  per_repack("rectpack_d695_w32", d695_table);
+  per_repack("rectpack_p93791_w32", p93791_table);
 
   // Observability overhead: the price a hot path pays to bump a counter
   // or record a histogram sample (sharded slot, one uncontended mutex

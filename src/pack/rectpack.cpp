@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -160,93 +161,133 @@ std::int64_t start_floor(int core, const ConstraintPlan& plan,
   return floor_cycle;
 }
 
-PackedSchedule greedy_pack(const RectModel& model, const PackState& state,
-                           const ConstraintPlan& plan) {
-  Skyline skyline(model.total_width);
-  PackedSchedule schedule;
-  schedule.total_width = model.total_width;
-  schedule.placements.reserve(state.order.size());
+/// How WalkPacker::resolve settled one trial against the current pack.
+enum class PackVerdict {
+  Unchanged,  ///< no position differs: the trial packs as the current pack
+  Accepted,   ///< packed in full with makespan <= the current one
+  Rejected,   ///< abandoned at a placement finishing past the current makespan
+};
 
-  if (!plan.any) {
-    for (const int core : state.order) {
-      const auto& rects = model.candidates[static_cast<std::size_t>(core)];
-      const int first =
-          std::min(state.min_candidate[static_cast<std::size_t>(core)],
-                   static_cast<int>(rects.size()) - 1);
-      // Among the allowed candidates, take the one that finishes earliest;
-      // break ties toward the smaller footprint (area, then width), which
-      // leaves more skyline for later cores.
-      const Rect* chosen = nullptr;
-      Skyline::Spot chosen_spot{};
-      std::int64_t chosen_finish = 0;
-      for (std::size_t c = static_cast<std::size_t>(first); c < rects.size();
-           ++c) {
-        const Rect& rect = rects[c];
-        const auto spot = skyline.best_spot(rect.width);
-        const std::int64_t finish = spot.start + rect.time;
-        const bool better =
-            chosen == nullptr || finish < chosen_finish ||
-            (finish == chosen_finish &&
-             (rect.area() < chosen->area() ||
-              (rect.area() == chosen->area() && rect.width < chosen->width)));
-        if (better) {
-          chosen = &rect;
-          chosen_spot = spot;
-          chosen_finish = finish;
-        }
-      }
-      skyline.place(chosen_spot.wire, chosen->width, chosen_finish);
-      schedule.placements.push_back({core, chosen->width, chosen_spot.wire,
-                                     chosen_spot.start, chosen_finish});
-      schedule.makespan = std::max(schedule.makespan, chosen_finish);
+/// A walker's greedy bottom-left packer, holding its current pack. Each
+/// core takes, among its candidates from its floor on, the one that
+/// finishes earliest. resolve() packs a trial from the first position
+/// whose (core, floor) input differs from the current pack, replaying the
+/// placements before it, and abandons it at the first placement past the
+/// current makespan (see the header for why that is exact). The walker's
+/// first pack is the same routine with nothing to replay and nothing to
+/// beat.
+class WalkPacker {
+ public:
+  WalkPacker(const RectModel& model, const ConstraintPlan& plan)
+      : model_(model), plan_(plan), skyline_(model.total_width) {}
+
+  /// Packs `trial` against the current pack; an Accepted trial becomes
+  /// the current pack.
+  [[nodiscard]] PackVerdict resolve(const PackState& trial) {
+    const std::vector<int>& order =
+        plan_.any ? (order_ = topo_project(trial.order, plan_)) : trial.order;
+    const auto floor_of = [&trial](int core) {
+      return trial.min_candidate[static_cast<std::size_t>(core)];
+    };
+    // The first position whose core or core floor differs; none at all
+    // means the trial would pack exactly as the current pack.
+    std::size_t resume = 0;
+    while (resume < placed_.size() && order[resume] == placed_[resume].core &&
+           floor_of(order[resume]) == floors_[resume])
+      ++resume;
+    if (!placed_.empty() && resume == order.size())
+      return PackVerdict::Unchanged;
+    const std::int64_t bound = placed_.empty()
+                                   ? std::numeric_limits<std::int64_t>::max()
+                                   : makespan_;
+
+    // Replay the shared prefix, then search the suffix.
+    skyline_.clear();
+    core_end_.assign(order.size(), 0);
+    trial_placed_.clear();
+    trial_floors_.clear();
+    std::int64_t makespan = 0;
+    const auto commit = [&](const PackedPlacement& p, int floor) {
+      skyline_.place(p.wire, p.width, p.start, p.end, plan_.core_power(p.core));
+      core_end_[static_cast<std::size_t>(p.core)] = p.end;
+      trial_placed_.push_back(p);
+      trial_floors_.push_back(floor);
+      makespan = std::max(makespan, p.end);
+    };
+    for (std::size_t i = 0; i < resume; ++i) commit(placed_[i], floors_[i]);
+    for (std::size_t i = resume; i < order.size(); ++i) {
+      const int floor = floor_of(order[i]);
+      const PackedPlacement placement = place_next(order[i], floor);
+      if (placement.end > bound) return PackVerdict::Rejected;
+      commit(placement, floor);
     }
+    placed_.swap(trial_placed_);
+    floors_.swap(trial_floors_);
+    makespan_ = makespan;
+    return PackVerdict::Accepted;
+  }
+
+  /// The current pack in canonical (start, wire) order.
+  [[nodiscard]] PackedSchedule schedule() const {
+    PackedSchedule schedule;
+    schedule.total_width = model_.total_width;
+    schedule.placements = placed_;
     sort_placements(schedule.placements);
+    schedule.makespan = makespan_;
     return schedule;
   }
 
-  // Constrained pack: precedence-projected order, every placement through
-  // the skyline's constrained spot search.
-  std::vector<std::int64_t> core_end(state.order.size(), 0);
-  for (const int core : topo_project(state.order, plan)) {
-    const auto& rects = model.candidates[static_cast<std::size_t>(core)];
-    const int first =
-        std::min(state.min_candidate[static_cast<std::size_t>(core)],
-                 static_cast<int>(rects.size()) - 1);
-    const std::int64_t min_start = start_floor(core, plan, core_end);
-    const std::int64_t power = plan.core_power(core);
-
-    // Everything but the rectangle's own extent is invariant across the
-    // core's candidates — built once, with the plan's precomputed
-    // blocked-wire mask borrowed instead of rebuilt per query.
-    Skyline::SpotQuery query;
-    query.min_start = min_start;
-    query.window = plan.window[static_cast<std::size_t>(core)];
-    query.forbidden = &plan.forbidden[static_cast<std::size_t>(core)];
-    query.power = power;
-    query.power_budget = plan.budget;
-    query.blocked_prefix = plan.core_blocked_prefix(core);
-
+ private:
+  /// Searches `core`'s placement on the skyline as packed so far.
+  [[nodiscard]] PackedPlacement place_next(int core, int floor) const {
+    const auto& rects = model_.candidates[static_cast<std::size_t>(core)];
+    const int first = std::min(floor, static_cast<int>(rects.size()) - 1);
+    // Among the allowed candidates, take the one that finishes earliest;
+    // break ties toward the smaller footprint (area, then width), which
+    // leaves more skyline for later cores.
     const Rect* chosen = nullptr;
     Skyline::Spot chosen_spot{};
     std::int64_t chosen_finish = 0;
+    const auto consider = [&](const Rect& rect, Skyline::Spot spot) {
+      const std::int64_t finish = spot.start + rect.time;
+      const bool better =
+          chosen == nullptr || finish < chosen_finish ||
+          (finish == chosen_finish &&
+           (rect.area() < chosen->area() ||
+            (rect.area() == chosen->area() && rect.width < chosen->width)));
+      if (better) {
+        chosen = &rect;
+        chosen_spot = spot;
+        chosen_finish = finish;
+      }
+    };
+
+    if (!plan_.any) {
+      for (std::size_t c = static_cast<std::size_t>(first); c < rects.size();
+           ++c)
+        consider(rects[c], skyline_.best_spot(rects[c].width));
+      return {core, chosen->width, chosen_spot.wire, chosen_spot.start,
+              chosen_finish};
+    }
+
+    // Constrained placement: every candidate through the skyline's
+    // constrained spot search. Everything but the rectangle's own extent
+    // is invariant across the core's candidates — built once, with the
+    // plan's precomputed blocked-wire mask borrowed instead of rebuilt per
+    // query.
+    Skyline::SpotQuery query;
+    query.min_start = start_floor(core, plan_, core_end_);
+    query.window = plan_.window[static_cast<std::size_t>(core)];
+    query.forbidden = &plan_.forbidden[static_cast<std::size_t>(core)];
+    query.power = plan_.core_power(core);
+    query.power_budget = plan_.budget;
+    query.blocked_prefix = plan_.core_blocked_prefix(core);
     const auto scan = [&](std::size_t from) {
       for (std::size_t c = from; c < rects.size(); ++c) {
-        const Rect& rect = rects[c];
-        query.width = rect.width;
-        query.duration = rect.time;
-        const auto spot = skyline.best_spot(query);
-        if (!spot.has_value()) continue;  // constraint-infeasible candidate
-        const std::int64_t finish = spot->start + rect.time;
-        const bool better =
-            chosen == nullptr || finish < chosen_finish ||
-            (finish == chosen_finish &&
-             (rect.area() < chosen->area() ||
-              (rect.area() == chosen->area() && rect.width < chosen->width)));
-        if (better) {
-          chosen = &rect;
-          chosen_spot = *spot;
-          chosen_finish = finish;
-        }
+        query.width = rects[c].width;
+        query.duration = rects[c].time;
+        const auto spot = skyline_.best_spot(query);
+        if (spot.has_value()) consider(rects[c], *spot);
       }
     };
     scan(static_cast<std::size_t>(first));
@@ -258,18 +299,24 @@ PackedSchedule greedy_pack(const RectModel& model, const PackState& state,
       throw std::logic_error(
           "rectpack: no feasible placement for core " + std::to_string(core) +
           " (constraints should have been validated)");
-
-    skyline.place(chosen_spot.wire, chosen->width, chosen_spot.start,
-                  chosen_finish, power);
-    schedule.placements.push_back({core, chosen->width, chosen_spot.wire,
-                                   chosen_spot.start, chosen_finish});
-    schedule.makespan = std::max(schedule.makespan, chosen_finish);
-    core_end[static_cast<std::size_t>(core)] = chosen_finish;
+    return {core, chosen->width, chosen_spot.wire, chosen_spot.start,
+            chosen_finish};
   }
 
-  sort_placements(schedule.placements);
-  return schedule;
-}
+  const RectModel& model_;
+  const ConstraintPlan& plan_;
+  /// Cleared and refilled per pack; never snapshotted.
+  Skyline skyline_;
+  std::vector<std::int64_t> core_end_;  ///< finish per placed core
+  std::vector<int> order_;  ///< the trial's precedence-projected order
+  /// The current pack in placement order, with the candidate floor each
+  /// placement was searched with.
+  std::vector<PackedPlacement> placed_;
+  std::vector<int> floors_;
+  std::int64_t makespan_ = 0;
+  std::vector<PackedPlacement> trial_placed_;
+  std::vector<int> trial_floors_;
+};
 
 /// Bottom-left packing *with hole filling*: unlike the skyline, a
 /// rectangle may start below previously raised wires, in any hole large
@@ -461,10 +508,16 @@ WalkerOutcome run_walker(const RectModel& model,
   common::Rng rng(rng_seed);
   PackState current{seed_order,
                     std::vector<int>(static_cast<std::size_t>(n), 0)};
-  PackedSchedule walker_schedule = greedy_pack(model, current, plan);
+  WalkPacker packer(model, plan);
+  (void)packer.resolve(current);  // nothing to beat yet: always Accepted
+  PackedSchedule walker_schedule = packer.schedule();
   ++out.repacks;
   offer(walker_schedule);
 
+  std::int64_t noop_moves = 0;
+  std::int64_t accepted_moves = 0;
+  std::int64_t rejected_moves = 0;
+  std::vector<int> critical;
   for (int iter = 0; iter < per_seed; ++iter) {
     // The first greedy pack has already been offered, so the best-so-far
     // schedule is complete whenever the context fires.
@@ -474,7 +527,7 @@ WalkerOutcome run_walker(const RectModel& model,
     }
     PackState trial = current;
 
-    std::vector<int> critical;
+    critical.clear();
     for (const auto& p : walker_schedule.placements)
       if (p.end == walker_schedule.makespan) critical.push_back(p.core);
     const int pick_critical =
@@ -529,14 +582,36 @@ WalkerOutcome run_walker(const RectModel& model,
       }
     }
 
-    PackedSchedule schedule = greedy_pack(model, trial, plan);
+    // Every evaluated move counts as a repack, however it resolves.
     ++out.repacks;
-    if (schedule.makespan <= walker_schedule.makespan) {  // accept sideways
-      current = std::move(trial);
-      walker_schedule = std::move(schedule);
-      offer(walker_schedule);
+    switch (packer.resolve(trial)) {
+      case PackVerdict::Unchanged:
+        // Accepted sideways like any equal pack: distinct orders can
+        // project to the same placement order.
+        ++noop_moves;
+        current = std::move(trial);
+        break;
+      case PackVerdict::Accepted:
+        ++accepted_moves;
+        current = std::move(trial);
+        walker_schedule = packer.schedule();
+        offer(walker_schedule);
+        break;
+      case PackVerdict::Rejected:
+        ++rejected_moves;
+        break;
     }
   }
+  // Once per walker, so the counters' slot locks stay off the walk loop.
+  static obs::Counter& noop_counter =
+      obs::MetricsRegistry::instance().counter("pack.moves_noop");
+  static obs::Counter& accepted_counter =
+      obs::MetricsRegistry::instance().counter("pack.moves_accepted");
+  static obs::Counter& rejected_counter =
+      obs::MetricsRegistry::instance().counter("pack.moves_rejected");
+  noop_counter.increment(noop_moves);
+  accepted_counter.increment(accepted_moves);
+  rejected_counter.increment(rejected_moves);
 
   // Per-walker compaction: repack the walker's final state and its
   // start-time order with hole filling, which can reclaim strip area

@@ -10,8 +10,22 @@
 // finishes earliest, and the best seed is refined by a
 // width-adjust-and-repack local search: cores on the critical path are
 // forced to wider (faster) candidates, promoted to the front of the
-// packing order, or swapped with seeded-random peers, and the whole strip
-// is repacked after every move. Fully deterministic for a fixed seed.
+// packing order, or swapped with seeded-random peers, and the strip is
+// repacked after every move. Fully deterministic for a fixed seed.
+//
+// A greedy bottom-left pack in a fixed order is a prefix function: the
+// placement at position i depends only on the placements before it, the
+// core at i and that core's candidate floor. So a move's repack resumes
+// at the first position whose core (in the precedence-projected order) or
+// whose core's floor differs from the current pack: the placements before
+// it are replayed onto the walker's skyline without searching, and only
+// the suffix is searched. A move with no difference is not packed at all
+// (it is accepted, like any equal pack). A suffix search is abandoned at
+// the first placement that finishes after the current makespan: a
+// makespan only grows, and a move is accepted only when it does not raise
+// the makespan. The answer is the one a from-scratch repack gives. Each
+// walker adds its no-op, accepted and rejected move counts to the process
+// metrics (pack.moves_noop, pack.moves_accepted, pack.moves_rejected).
 //
 // The engine is constraint-complete (core::ScheduleConstraints): packing
 // orders are projected onto the precedence DAG, every placement goes
@@ -39,7 +53,10 @@ namespace wtam::pack {
 
 struct RectPackOptions {
   /// Total local-search repack budget, split evenly across the seed
-  /// orderings' walkers (each walker runs at least 25 iterations).
+  /// orderings' walkers (each walker runs at least 25 iterations when the
+  /// budget is positive). A budget <= 0 runs no local search: every
+  /// walker packs its seed ordering greedily and compacts it (greedy-only
+  /// mode).
   int local_search_iterations = 2000;
   /// Seed for the perturbation stream (results are deterministic per seed).
   std::uint64_t seed = 1;
@@ -61,7 +78,11 @@ struct RectPackResult {
   PackedSchedule schedule;
   std::int64_t makespan = 0;
   std::string seed_ordering;  ///< seed ordering of the walker that found it
-  int repacks = 0;            ///< greedy packs performed in total
+  /// Packs evaluated in total: every walker's first pack, every
+  /// local-search move however it was resolved (resumed, skipped as a
+  /// no-op or abandoned early), and each uninterrupted walker's two
+  /// compaction packs.
+  int repacks = 0;
   double cpu_s = 0.0;
   /// None when the full iteration budget ran; otherwise why the walkers
   /// stopped early (`schedule` is the best found up to that point).

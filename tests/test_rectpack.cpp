@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <string>
+#include <vector>
+
+#include "common/hash.hpp"
 #include "core/lower_bounds.hpp"
 #include "core/test_time_table.hpp"
+#include "obs/metrics.hpp"
 #include "pack/packed_schedule.hpp"
 #include "pack/rectpack.hpp"
 #include "soc/benchmarks.hpp"
+#include "soc/generator.hpp"
 
 namespace wtam::pack {
 namespace {
@@ -172,17 +180,24 @@ TEST(RectPack, PowerBudgetCapsConcurrency) {
   EXPECT_GE(result.makespan, unconstrained.makespan);
 }
 
-TEST(RectPack, HonorsEveryConstraintClassAtOnce) {
-  const soc::Soc soc_data = soc::d695();
-  const core::TestTimeTable table(soc_data, 24);
-  RectPackOptions options;
-  auto& constraints = options.constraints;
+/// One constraint of every class on d695 at W=24.
+core::ScheduleConstraints every_class_constraints() {
+  core::ScheduleConstraints constraints;
   constraints.power.assign(10, 50);
   constraints.power_budget = 160;
   constraints.precedence = {{2, 7}, {0, 7}, {7, 9}};
   constraints.fixed = {{4, {0, 12}}};
   constraints.forbidden = {{5, {0, 6}}, {5, {20, 24}}};
   constraints.earliest = {{3, 4000}};
+  return constraints;
+}
+
+TEST(RectPack, HonorsEveryConstraintClassAtOnce) {
+  const soc::Soc soc_data = soc::d695();
+  const core::TestTimeTable table(soc_data, 24);
+  RectPackOptions options;
+  options.constraints = every_class_constraints();
+  const auto& constraints = options.constraints;
   const auto result = rectpack_schedule(table, 24, options);
   const auto issues =
       validate_packed_schedule(table, result.schedule, constraints);
@@ -214,6 +229,190 @@ TEST(RectPack, RejectsInvalidConstraints) {
   hot.constraints.power_budget = 50;  // a single core exceeds the budget
   EXPECT_THROW((void)rectpack_schedule(table, 16, hot),
                std::invalid_argument);
+}
+
+TEST(RectPack, MoveOutcomeCountersSplitEveryWalkMove) {
+  const soc::Soc soc_data = soc::d695();
+  const core::TestTimeTable table(soc_data, 32);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
+  obs::Counter& noop = registry.counter("pack.moves_noop");
+  obs::Counter& accepted = registry.counter("pack.moves_accepted");
+  obs::Counter& rejected = registry.counter("pack.moves_rejected");
+  const std::int64_t noop_before = noop.value();
+  const std::int64_t accepted_before = accepted.value();
+  const std::int64_t rejected_before = rejected.value();
+  const auto result = rectpack_schedule(table, 32);  // serial
+  const std::int64_t noop_moves = noop.value() - noop_before;
+  const std::int64_t accepted_moves = accepted.value() - accepted_before;
+  const std::int64_t rejected_moves = rejected.value() - rejected_before;
+  // Every repack but the four walkers' first packs and their two
+  // compaction packs each is a walk move.
+  EXPECT_EQ(noop_moves + accepted_moves + rejected_moves,
+            result.repacks - 4 - 8);
+  EXPECT_GT(noop_moves, 0);
+  EXPECT_GT(accepted_moves, 0);
+  EXPECT_GT(rejected_moves, 0);
+}
+
+// ---- whole-result pins ------------------------------------------------------
+//
+// The engine's whole answer for default options, recorded from the
+// from-scratch repack engine: makespan, repacks, the winning seed ordering
+// and one digest over every placement. A walker that resumed or skipped a
+// pack wrongly would move a placement (or the repack count) even where
+// the makespan happens to survive.
+
+struct PinCase {
+  std::string label;
+  soc::Soc soc;
+  int width = 0;
+  core::ScheduleConstraints constraints;
+};
+
+/// A synthetic SOC with a power budget and `edges` precedence pairs.
+soc::ConstrainedScenario pin_scenario(std::uint64_t seed, int logic_cores,
+                                      double budget_fraction, int edges) {
+  soc::ConstrainedScenarioSpec spec;
+  spec.soc.name = "csynth" + std::to_string(seed);
+  spec.soc.seed = seed;
+  spec.soc.logic_cores = logic_cores;
+  spec.soc.logic.patterns = {20, 400};
+  spec.soc.logic.ios = {10, 150};
+  spec.soc.logic.chains = {1, 10};
+  spec.soc.logic.chain_len = {20, 160};
+  spec.soc.memory_cores = logic_cores / 2;
+  spec.soc.memory.patterns = {100, 2000};
+  spec.soc.memory.ios = {8, 40};
+  spec.seed = seed;
+  spec.power_budget_fraction = budget_fraction;
+  spec.precedence_edges = edges;
+  return soc::generate_constrained_scenario(spec);
+}
+
+std::vector<PinCase> pin_cases() {
+  std::vector<PinCase> cases;
+  for (const soc::Soc& soc :
+       {soc::d695(), soc::p21241(), soc::p31108(), soc::p93791()})
+    for (const int width : {16, 40, 64})
+      cases.push_back(
+          {soc.name + "/W" + std::to_string(width), soc, width, {}});
+  struct ScenarioPoint {
+    std::uint64_t seed;
+    int logic_cores;
+    double budget_fraction;
+    int edges;
+    int width;
+  };
+  for (const ScenarioPoint& point : {ScenarioPoint{7, 9, 0.35, 6, 24},
+                                     ScenarioPoint{19, 9, 0.3, 4, 16},
+                                     ScenarioPoint{23, 12, 0.45, 8, 32},
+                                     ScenarioPoint{41, 16, 0.5, 10, 40},
+                                     ScenarioPoint{57, 20, 0.6, 12, 48},
+                                     ScenarioPoint{88, 24, 0.7, 16, 64}}) {
+    const soc::ConstrainedScenario scenario =
+        pin_scenario(point.seed, point.logic_cores, point.budget_fraction,
+                     point.edges);
+    core::ScheduleConstraints power_only;
+    power_only.power = scenario.constraints.power;
+    power_only.power_budget = scenario.constraints.power_budget;
+    const std::string label =
+        scenario.soc.name + "/W" + std::to_string(point.width);
+    cases.push_back({label + "/power", scenario.soc, point.width, power_only});
+    cases.push_back({label + "/power+precedence", scenario.soc, point.width,
+                     scenario.constraints});
+  }
+  cases.push_back({"d695/W24/every-class", soc::d695(), 24,
+                   every_class_constraints()});
+  return cases;
+}
+
+/// The pinned fields of one result on one line, so a mismatch prints the
+/// whole observed row.
+std::string pinned_row(const RectPackResult& result) {
+  std::string placements;
+  for (const PackedPlacement& p : result.schedule.placements)
+    placements += std::to_string(p.core) + ',' + std::to_string(p.width) +
+                  ',' + std::to_string(p.wire) + ',' +
+                  std::to_string(p.start) + ',' + std::to_string(p.end) + ';';
+  return std::to_string(result.makespan) + ' ' +
+         std::to_string(result.repacks) + ' ' + result.seed_ordering + ' ' +
+         common::stable_hash_128(placements).hex();
+}
+
+struct Pin {
+  const char* label;
+  const char* row;  ///< makespan repacks seed_ordering placements-digest
+};
+
+constexpr Pin kPins[] = {
+    {"d695/W16",
+     "42792 2012 time-decreasing dd10406f232efa42643f0734da168065"},
+    {"d695/W40",
+     "18098 2012 diagonal-decreasing 07f96ebc9837645455557b0e2f433238"},
+    {"d695/W64",
+     "11050 2012 time-decreasing 173f18930196f9ce38653ff946d4b8c4"},
+    {"p21241/W16",
+     "382323 2012 area-decreasing 07a595146d07c97f5fd870b6b36d0bc4"},
+    {"p21241/W40",
+     "159442 2012 diagonal-decreasing 4b37fcb4fa752ef5f3c1bf84e2c03370"},
+    {"p21241/W64",
+     "149339 2012 area-decreasing 483bb558b8b0da172bd90768987f187d"},
+    {"p31108/W16",
+     "1088412 2012 area-decreasing 76cef71f8aaccdb033f4f16e220abce5"},
+    {"p31108/W40",
+     "544579 2012 area-decreasing 9aac4fa5da9c66a5604f1f6166526d68"},
+    {"p31108/W64",
+     "544579 2012 area-decreasing ca6825b5cbcd7ecb68dd4e05d44ab10e"},
+    {"p93791/W16",
+     "1661708 2012 time-decreasing 7aa661055ffe2fde64c32540de6b0524"},
+    {"p93791/W40",
+     "665644 2012 time-decreasing 19857e6bd5fdf42833ef8f9f23b6a386"},
+    {"p93791/W64",
+     "447343 2012 area-decreasing 7c48c939a452b2a74788e76e86aad165"},
+    {"csynth7/W24/power",
+     "42906 2012 area-decreasing 0c46d1c29e18031dc4365e7846294587"},
+    {"csynth7/W24/power+precedence",
+     "77663 2012 area-decreasing ad166e6a12f3c45bfbb6b4089b7b74df"},
+    {"csynth19/W16/power",
+     "55337 2012 area-decreasing e7b1448dcc2e7c8fbfe23f083694429f"},
+    {"csynth19/W16/power+precedence",
+     "66552 2012 area-decreasing 459294b47a7977c1c05d776aa164de04"},
+    {"csynth23/W32/power",
+     "63357 2012 area-decreasing 17d19f3d8355c2845efb235c5e3d0bbe"},
+    {"csynth23/W32/power+precedence",
+     "63357 2012 area-decreasing 76bbece958a8c24dba618e075976fa0f"},
+    {"csynth41/W40/power",
+     "58144 2012 area-decreasing 03d5e4ee4e31b1bdb0602877a2d1f6a5"},
+    {"csynth41/W40/power+precedence",
+     "58144 2012 area-decreasing 0b3ffadf782f195abe405eecec5693a1"},
+    {"csynth57/W48/power",
+     "55583 2012 area-decreasing 47881e0b6be346721351820adc8d2abf"},
+    {"csynth57/W48/power+precedence",
+     "57493 2012 area-decreasing 94abab31998c60f8725da960aee1ccef"},
+    {"csynth88/W64/power",
+     "56315 2012 area-decreasing d3130c5e38ba2da5cde2ffd16039a7ef"},
+    {"csynth88/W64/power+precedence",
+     "62173 2012 area-decreasing bb8f44c5abe23f817fde039cc7c307fb"},
+    {"d695/W24/every-class",
+     "29317 2012 area-decreasing e205e36ecc7900a486d92a31b19eb252"},
+};
+
+TEST(RectPack, WholeResultPinnedAtAnyThreadCount) {
+  const std::vector<PinCase> cases = pin_cases();
+  ASSERT_EQ(cases.size(), std::size(kPins));
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const PinCase& pin_case = cases[i];
+    ASSERT_EQ(pin_case.label, kPins[i].label);
+    const core::TestTimeTable table(pin_case.soc, pin_case.width);
+    for (const int threads : {1, 4}) {
+      RectPackOptions options;
+      options.threads = threads;
+      options.constraints = pin_case.constraints;
+      EXPECT_EQ(pinned_row(rectpack_schedule(table, pin_case.width, options)),
+                kPins[i].row)
+          << pin_case.label << " threads=" << threads;
+    }
+  }
 }
 
 }  // namespace
