@@ -11,6 +11,10 @@
 // tables and written to BENCH_backends.json so the backend-quality
 // trajectory is machine-readable across PRs.
 //
+// Exit status: 1 when any job fails, any schedule is invalid, a cache
+// hit differs from its cold result, or a constrained point's cpu_s
+// exceeds kConstrainedCpuCeilingS (skipped under sanitizers); else 0.
+//
 // Environment knobs (see bench_util.hpp): WTAM_BENCH_THREADS — here the
 // number of concurrently executing jobs (each job runs its engine
 // serially, so results are identical at any thread count).
@@ -39,6 +43,11 @@ namespace {
 using namespace wtam;
 
 constexpr int kWidths[] = {16, 24, 32, 40, 48, 56, 64};
+
+/// Per-point CPU ceiling for the constrained scenarios: a cliff detector
+/// for the 2-10x constrained-vs-unconstrained gap the incremental power
+/// timeline removed, loose enough for noisy CI runners.
+constexpr double kConstrainedCpuCeilingS = 2.5;
 
 soc::Soc synthetic(std::uint64_t seed) {
   soc::SyntheticSpec spec;
@@ -298,7 +307,20 @@ int main() {
       constrained_runs.push(std::move(entry));
       continue;
     }
-    all_ok = all_ok && result.schedule_valid;
+    if (!result.schedule_valid) {
+      std::cerr << "error: constrained job " << result.id
+                << " produced an invalid schedule\n";
+      all_ok = false;
+    }
+#if !defined(WTAM_UNDER_SANITIZERS)
+    if (result.outcome->cpu_s > kConstrainedCpuCeilingS) {
+      std::cerr << "error: constrained job " << result.id << " took "
+                << common::format_fixed(result.outcome->cpu_s, 3)
+                << " s CPU, over the " << kConstrainedCpuCeilingS
+                << " s ceiling\n";
+      all_ok = false;
+    }
+#endif
     const std::int64_t time = result.outcome->testing_time;
     const std::string baseline_key = point.soc_label + "/" + point.backend;
     if (point.variant == "none") baselines[baseline_key] = time;
@@ -356,8 +378,8 @@ int main() {
   bench::write_json_file("BENCH_backends.json", document);
   std::cout << "wrote BENCH_backends.json (" << results.size() << " runs)\n";
   if (!all_ok) {
-    std::cerr << "error: at least one job failed or produced an invalid "
-                 "schedule\n";
+    std::cerr << "error: at least one job failed, produced an invalid "
+                 "schedule, or ran over its CPU ceiling\n";
     return 1;
   }
   return 0;

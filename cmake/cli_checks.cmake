@@ -608,11 +608,110 @@ message(STATUS "wtam_router fleet smoke holds (7 jobs over 2 workers, "
                "crash replay byte-identical modulo cache provenance, "
                "merged metrics with percentiles)")
 
+# ---- --queue-limit (admission control in wtam_serve and wtam_router) -------
+# A blocker that always runs to its 1 s deadline (p93791 swept over
+# widths 48..128; one width alone takes ~0.5 s in Release) holds the one
+# slot while two more jobs arrive, then a drained metrics scrape and a
+# stats probe count the sheds.
+#   * wtam_serve --threads 1 --queue-limit 1: whether the blocker has
+#     started when j2 is read is a race, so which job is shed is not
+#     asserted — at least one is, and the counters match the responses.
+#   * wtam_router --workers 1 --queue-limit 1: the blocker is in flight
+#     on the only worker, so both j2 and j3 are shed at the router.
+file(WRITE ${WORK_DIR}/shed_session.ndjson
+"{\"id\": \"blocker\", \"soc\": \"p93791\", \"width\": 48, \"width_max\": 128, \"max_tams\": 16, \"deadline_s\": 1}
+{\"id\": \"j2\", \"soc\": \"d695\", \"width\": 16, \"backend\": \"rectpack\"}
+{\"id\": \"j3\", \"soc\": \"d695\", \"width\": 17, \"backend\": \"rectpack\"}
+{\"op\": \"metrics\", \"drain\": true}
+{\"op\": \"stats\"}
+{\"op\": \"shutdown\"}
+")
+# tier -> command, shed counter in the scrape, shed count in stats, and
+# the fewest overloaded responses it must give.
+set(shed_serve_cmd ${WTAM_SERVE} --quiet --threads 1 --queue-limit 1)
+set(shed_serve_counter serve.jobs_shed)
+set(shed_serve_stats shed)
+set(shed_serve_min 1)
+set(shed_router_cmd ${WTAM_ROUTER} --quiet --workers 1 --queue-limit 1
+                    --serve ${WTAM_SERVE})
+set(shed_router_counter serve.router.shed)
+set(shed_router_stats router shed)
+set(shed_router_min 2)
+foreach(tier serve router)
+  execute_process(COMMAND ${shed_${tier}_cmd}
+                  INPUT_FILE ${WORK_DIR}/shed_session.ndjson
+                  OUTPUT_VARIABLE shed_out
+                  ERROR_VARIABLE shed_err
+                  RESULT_VARIABLE shed_code)
+  if(NOT shed_code EQUAL 0)
+    message(FATAL_ERROR "${tier} --queue-limit run: exit ${shed_code}\n"
+                        "stderr: ${shed_err}")
+  endif()
+  string(REGEX REPLACE "\n+$" "" shed_out "${shed_out}")
+  string(REPLACE ";" "<semi>" shed_escaped "${shed_out}")
+  string(REPLACE "\n" ";" shed_lines "${shed_escaped}")
+  set(shed_ids "")
+  set(shed_overloaded 0)
+  foreach(line IN LISTS shed_lines)
+    string(REPLACE "<semi>" ";" line "${line}")
+    string(JSON op ERROR_VARIABLE no_op GET "${line}" op)
+    if(no_op STREQUAL "NOTFOUND")
+      set(shed_${op} "${line}")  # metrics / stats / shutdown ack
+      continue()
+    endif()
+    string(JSON id GET "${line}" id)
+    string(JSON status GET "${line}" status)
+    list(APPEND shed_ids ${id})
+    if(id STREQUAL "blocker")
+      string(JSON valid GET "${line}" schedule_valid)
+      if(NOT status STREQUAL "deadline_exceeded" OR NOT valid STREQUAL "ON")
+        message(FATAL_ERROR "${tier} --queue-limit run: blocker status "
+                            "'${status}', schedule_valid '${valid}', expected "
+                            "deadline_exceeded with a valid schedule:\n${line}")
+      endif()
+    elseif(status STREQUAL "overloaded")
+      math(EXPR shed_overloaded "${shed_overloaded} + 1")
+    elseif(NOT status STREQUAL "ok")
+      message(FATAL_ERROR "${tier} --queue-limit run: job ${id} status "
+                          "'${status}':\n${line}")
+    endif()
+  endforeach()
+  list(SORT shed_ids)
+  if(NOT shed_ids STREQUAL "blocker;j2;j3")
+    message(FATAL_ERROR "${tier} --queue-limit run: answered ids "
+                        "'${shed_ids}', expected each of blocker/j2/j3 "
+                        "once:\n${shed_out}")
+  endif()
+  if(shed_overloaded LESS shed_${tier}_min)
+    message(FATAL_ERROR "${tier} --queue-limit run: ${shed_overloaded} "
+                        "overloaded responses, expected at least "
+                        "${shed_${tier}_min}:\n${shed_out}")
+  endif()
+  if(NOT DEFINED shed_metrics OR NOT DEFINED shed_stats)
+    message(FATAL_ERROR "${tier} --queue-limit run: missing metrics or "
+                        "stats response:\n${shed_out}")
+  endif()
+  string(JSON scraped GET "${shed_metrics}" counters ${shed_${tier}_counter})
+  string(JSON counted GET "${shed_stats}" ${shed_${tier}_stats})
+  if(NOT scraped EQUAL shed_overloaded OR NOT counted EQUAL shed_overloaded)
+    message(FATAL_ERROR "${tier} --queue-limit run: ${shed_${tier}_counter}="
+                        "${scraped}, stats ${shed_${tier}_stats}=${counted}, "
+                        "expected ${shed_overloaded} (the overloaded "
+                        "responses)")
+  endif()
+  unset(shed_metrics)
+  unset(shed_stats)
+endforeach()
+
+message(STATUS "--queue-limit sheds end to end (wtam_serve and wtam_router; "
+               "scrape and stats count every shed response)")
+
 # ---- multi-host fleet (TCP workers, kill mid-batch, hot resize) ------------
-# Three fleets answer the same five jobs and must agree byte for byte
-# (modulo cache provenance): a single local worker (the baseline), a
-# mixed fleet of one pipe + one TCP worker, and a two-TCP-worker fleet
-# whose worker 0 is killed mid-batch (the sever/reconnect/replay path).
+# Four fleets answer the same five jobs and must agree byte for byte
+# (modulo cache provenance): a single local worker (the baseline), four
+# local workers, a mixed fleet of one pipe + one TCP worker, and a
+# two-TCP-worker fleet whose worker 0 is killed mid-batch (the
+# sever/reconnect/replay path).
 # Then an all-local fleet resizes 2 -> 3 mid-session and must serve the
 # resubmitted jobs from the re-sharded caches — hits, byte-identical.
 
@@ -669,9 +768,10 @@ await_endpoint(w3 mh_ep3)
 
 # phase -> router flags + input + expected fleet size.
 set(mh_baseline_args --workers 1)
+set(mh_local4_args --workers 4)
 set(mh_mixed_args --workers 1 --worker ${mh_ep1})
 set(mh_kill_args --worker ${mh_ep2} --worker ${mh_ep3})
-foreach(phase baseline mixed kill)
+foreach(phase baseline local4 mixed kill)
   if(phase STREQUAL "kill")
     set(mh_input ${WORK_DIR}/mh_kill.ndjson)
   else()
@@ -722,7 +822,7 @@ foreach(phase baseline mixed kill)
 endforeach()
 
 foreach(id m1 m2 m3 m4 m5)
-  foreach(phase mixed kill)
+  foreach(phase local4 mixed kill)
     if(NOT mh_baseline_${id} STREQUAL mh_${phase}_${id})
       message(FATAL_ERROR "multi-host: job ${id} differs between the "
                           "baseline and the ${phase} fleet\nbaseline: "
@@ -730,14 +830,18 @@ foreach(id m1 m2 m3 m4 m5)
     endif()
   endforeach()
 endforeach()
-if(NOT mh_mixed_workers EQUAL 2 OR NOT mh_kill_workers EQUAL 2)
-  message(FATAL_ERROR "multi-host: fleets report ${mh_mixed_workers}/"
-                      "${mh_kill_workers} workers, expected 2/2")
+if(NOT mh_local4_workers EQUAL 4 OR NOT mh_mixed_workers EQUAL 2
+   OR NOT mh_kill_workers EQUAL 2)
+  message(FATAL_ERROR "multi-host: fleets report ${mh_local4_workers}/"
+                      "${mh_mixed_workers}/${mh_kill_workers} workers, "
+                      "expected 4/2/2")
 endif()
-if(NOT mh_mixed_respawns EQUAL 0)
-  message(FATAL_ERROR "multi-host mixed run: ${mh_mixed_respawns} respawns, "
-                      "expected 0")
-endif()
+foreach(phase local4 mixed)
+  if(NOT mh_${phase}_respawns EQUAL 0)
+    message(FATAL_ERROR "multi-host ${phase} run: ${mh_${phase}_respawns} "
+                        "respawns, expected 0")
+  endif()
+endforeach()
 if(NOT mh_kill_respawns GREATER 0)
   message(FATAL_ERROR "multi-host kill run: no reconnect recorded after "
                       "kill_worker severed the TCP worker")
@@ -831,6 +935,6 @@ foreach(id r1 r2 r3 r4)
   endif()
 endforeach()
 
-message(STATUS "multi-host fleet holds (pipe+TCP byte-identical to the "
-               "baseline, kill mid-batch replayed, resize 2->3 re-sharded "
-               "to cache hits)")
+message(STATUS "multi-host fleet holds (4 local workers and pipe+TCP "
+               "byte-identical to the baseline, kill mid-batch replayed, "
+               "resize 2->3 re-sharded to cache hits)")

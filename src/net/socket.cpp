@@ -189,14 +189,6 @@ void Connection::shutdown_both() {
   ::shutdown(fd_, SHUT_RDWR);
 }
 
-Endpoint Connection::peer_endpoint() const {
-  sockaddr_in address{};
-  socklen_t length = sizeof(address);
-  if (::getpeername(fd_, reinterpret_cast<sockaddr*>(&address), &length) != 0)
-    return Endpoint{};
-  return endpoint_from_sockaddr(address);
-}
-
 Listener::Listener(const Endpoint& endpoint) {
   ignore_sigpipe_once();
   addrinfo* addresses = resolve(endpoint, /*for_bind=*/true);

@@ -93,10 +93,6 @@ class Connection {
   /// Idempotent, any thread — this is the "sever a dead worker" path.
   void shutdown_both();
 
-  /// Peer address as reported by the kernel ("ip:port"); best-effort
-  /// (empty host on failure). For diagnostics only.
-  [[nodiscard]] Endpoint peer_endpoint() const;
-
  private:
   [[nodiscard]] bool fill_buffer();  // one recv(); false on EOF/error
 

@@ -271,7 +271,7 @@ Service::Action Service::handle_line(const std::string& line,
 
   if (const api::JsonValue* op = value.find("op")) {
     try {
-      return handle_op(value, op->as_string(), line_number, sink);
+      return handle_op(value, op->as_string(), sink);
     } catch (const std::exception& e) {
       write_error(sink, salvage_id(value),
                   "line " + std::to_string(line_number) + ": " + e.what());
@@ -312,12 +312,11 @@ Service::Action Service::handle_line(const std::string& line,
   }
   registry.counter("serve.jobs_accepted").increment();
   if (request.id.empty()) request.id = "job-" + std::to_string(job_number);
-  submit_job(std::move(request), job_number, sink);
+  submit_job(std::move(request), sink);
   return Action::Continue;
 }
 
-void Service::submit_job(api::SolveRequest request, std::uint64_t /*number*/,
-                         const Sink& sink) {
+void Service::submit_job(api::SolveRequest request, const Sink& sink) {
   pool_->submit([this, request = std::move(request), sink,
                  queued = common::Stopwatch()] {
     accounting_->job_started();
@@ -344,9 +343,7 @@ void Service::submit_job(api::SolveRequest request, std::uint64_t /*number*/,
 
 Service::Action Service::handle_op(const api::JsonValue& value,
                                    const std::string& verb,
-                                   std::uint64_t line_number,
                                    const Sink& sink) {
-  (void)line_number;
   obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
 
   if (verb == "ping") {

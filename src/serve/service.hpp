@@ -102,10 +102,8 @@ class Service {
                    const std::string& message);
   /// Handles a parsed control verb; returns the action for the caller.
   [[nodiscard]] Action handle_op(const api::JsonValue& value,
-                                 const std::string& verb,
-                                 std::uint64_t line_number, const Sink& sink);
-  void submit_job(api::SolveRequest request, std::uint64_t job_number,
-                  const Sink& sink);
+                                 const std::string& verb, const Sink& sink);
+  void submit_job(api::SolveRequest request, const Sink& sink);
 
   ServiceOptions options_;
   Diag diag_;

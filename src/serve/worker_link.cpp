@@ -26,11 +26,6 @@ WorkerSpec WorkerSpec::connect(std::string endpoint) {
   return spec;
 }
 
-std::string WorkerSpec::describe() const {
-  if (remote()) return "tcp:" + endpoint;
-  return "pipe:" + (command.empty() ? std::string("?") : command.front());
-}
-
 namespace {
 
 class SubprocessLink final : public WorkerLink {

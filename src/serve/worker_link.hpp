@@ -46,8 +46,6 @@ struct WorkerSpec {
   [[nodiscard]] static WorkerSpec local(std::vector<std::string> argv,
                                         std::string cache = {});
   [[nodiscard]] static WorkerSpec connect(std::string endpoint);
-  /// "pipe:<argv0>" or "tcp:<endpoint>" — for diagnostics.
-  [[nodiscard]] std::string describe() const;
 };
 
 /// One live channel to a worker. Same threading contract as

@@ -10,8 +10,8 @@ namespace wtam::soc {
 namespace {
 
 /// The single source of truth for the built-in benchmarks: name +
-/// factory, in the paper's order. builtin_soc_names(), is_builtin_soc(),
-/// and load_by_name_or_path() all derive from this table, so adding a
+/// factory, in the paper's order. builtin_soc_names() and
+/// load_by_name_or_path() both derive from this table, so adding a
 /// benchmark here is the whole change.
 struct BuiltinSoc {
   std::string_view name;
@@ -35,12 +35,6 @@ std::span<const std::string_view> builtin_soc_names() noexcept {
     return out;
   }();
   return names;
-}
-
-bool is_builtin_soc(std::string_view name) noexcept {
-  for (const BuiltinSoc& builtin : kBuiltins)
-    if (name == builtin.name) return true;
-  return false;
 }
 
 Soc load_by_name_or_path(const std::string& name_or_path) {

@@ -16,9 +16,6 @@ namespace wtam::soc {
 /// (d695 p21241 p31108 p93791).
 [[nodiscard]] std::span<const std::string_view> builtin_soc_names() noexcept;
 
-/// True when `name` is one of builtin_soc_names().
-[[nodiscard]] bool is_builtin_soc(std::string_view name) noexcept;
-
 /// Returns the built-in SOC when `name_or_path` matches a benchmark name,
 /// otherwise loads it as a .soc file. Throws std::runtime_error on I/O or
 /// parse failure (same messages as load_soc_file).
