@@ -289,17 +289,21 @@ int main() {
   // by its deterministic repack count (initial, every local-search move,
   // compaction) so the column reads as the average cost of one pack. A
   // full second each, since one p93791 solve takes tens of milliseconds.
+  // The spot search is O(W) per placement, so the widest strip `pack`
+  // solves gets a kernel too.
   const auto per_repack = [&](const std::string& name,
-                              const core::TestTimeTable& table) {
+                              const core::TestTimeTable& table, int width) {
     int repacks = 0;
     Measurement m = measure(
-        name, [&] { repacks = pack::rectpack_schedule(table, 32).repacks; },
+        name,
+        [&] { repacks = pack::rectpack_schedule(table, width).repacks; },
         1.0);
     m.iterations *= repacks;
     measurements.push_back(m);
   };
-  per_repack("rectpack_d695_w32", d695_table);
-  per_repack("rectpack_p93791_w32", p93791_table);
+  per_repack("rectpack_d695_w32", d695_table, 32);
+  per_repack("rectpack_p93791_w32", p93791_table, 32);
+  per_repack("rectpack_p93791_w64", p93791_table, 64);
 
   // Observability overhead: the price a hot path pays to bump a counter
   // or record a histogram sample (sharded slot, one uncontended mutex

@@ -34,6 +34,28 @@ expect_run(2 "--soc is required" --width 16)
 expect_run(2 "missing value for --width" --soc d695 --width)
 expect_run(2 "--width must be in" --soc d695 --width 0)
 expect_run(2 "unknown backend" --soc d695 --width 16 --backend annealing)
+# Numeric flag values must parse whole: garbage is not 0, "32x" is not 32,
+# and an out-of-range integer is an error, not undefined behaviour.
+expect_run(2 "invalid value 'abc' for --threads" --threads abc)
+expect_run(2 "invalid value '32x' for --width" --soc d695 --width 32x)
+expect_run(2 "invalid value '99999999999' for --threads"
+             --soc d695 --width 16 --threads 99999999999)
+# wtam_router and wtam_serve share that parser. `--workers x` used to read
+# as 0 workers; the quoted "" reaches the tool as an empty argument.
+execute_process(COMMAND ${WTAM_ROUTER} --workers x
+                INPUT_FILE /dev/null
+                RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT code EQUAL 2 OR NOT err MATCHES "invalid value 'x' for --workers")
+  message(FATAL_ERROR "wtam_router --workers x: exit ${code}, expected 2\n"
+                      "stderr: ${err}")
+endif()
+execute_process(COMMAND ${WTAM_SERVE} --queue-limit ""
+                INPUT_FILE /dev/null
+                RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT code EQUAL 2 OR NOT err MATCHES "invalid value '' for --queue-limit")
+  message(FATAL_ERROR "wtam_serve --queue-limit '': exit ${code}, expected 2\n"
+                      "stderr: ${err}")
+endif()
 
 # Runtime errors exit 1 with a clean "error:" line (no std::terminate).
 expect_run(1 "error: cannot open soc file" --soc ${WORK_DIR}/no_such.soc --width 16)

@@ -239,7 +239,7 @@ class WalkPacker {
 
  private:
   /// Searches `core`'s placement on the skyline as packed so far.
-  [[nodiscard]] PackedPlacement place_next(int core, int floor) const {
+  [[nodiscard]] PackedPlacement place_next(int core, int floor) {
     const auto& rects = model_.candidates[static_cast<std::size_t>(core)];
     const int first = std::min(floor, static_cast<int>(rects.size()) - 1);
     // Among the allowed candidates, take the one that finishes earliest;
@@ -263,9 +263,12 @@ class WalkPacker {
     };
 
     if (!plan_.any) {
+      // One skyline pass answers every candidate's width.
+      skyline_.best_spots(spots_);
       for (std::size_t c = static_cast<std::size_t>(first); c < rects.size();
            ++c)
-        consider(rects[c], skyline_.best_spot(rects[c].width));
+        consider(rects[c],
+                 spots_[static_cast<std::size_t>(rects[c].width) - 1]);
       return {core, chosen->width, chosen_spot.wire, chosen_spot.start,
               chosen_finish};
     }
@@ -307,6 +310,8 @@ class WalkPacker {
   const ConstraintPlan& plan_;
   /// Cleared and refilled per pack; never snapshotted.
   Skyline skyline_;
+  /// skyline_.best_spots table of the placement being searched.
+  std::vector<Skyline::Spot> spots_;
   std::vector<std::int64_t> core_end_;  ///< finish per placed core
   std::vector<int> order_;  ///< the trial's precedence-projected order
   /// The current pack in placement order, with the candidate floor each

@@ -11,7 +11,9 @@
 // width-adjust-and-repack local search: cores on the critical path are
 // forced to wider (faster) candidates, promoted to the front of the
 // packing order, or swapped with seeded-random peers, and the strip is
-// repacked after every move. Fully deterministic for a fixed seed.
+// repacked after every move. Fully deterministic for a fixed seed. An
+// unconstrained placement walks the skyline once: it fills one
+// Skyline::best_spots table and looks up every candidate's spot in it.
 //
 // A greedy bottom-left pack in a fixed order is a prefix function: the
 // placement at position i depends only on the placements before it, the

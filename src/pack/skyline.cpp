@@ -1,6 +1,7 @@
 #include "pack/skyline.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace wtam::pack {
@@ -41,6 +42,43 @@ Skyline::Spot Skyline::best_spot(int width) const {
     }
   }
   return best;
+}
+
+void Skyline::best_spots(std::vector<Spot>& spots) const {
+  const int width = total_width();
+  // spots[len - 1] first collects the lexicographic minimum of (start,
+  // wire) over the runs exactly len wires long (see the class comment).
+  // Some lengths have no run, but the leftmost tallest wire's run spans
+  // the strip, so the suffix minimum at the end fills every slot.
+  spots.assign(static_cast<std::size_t>(width),
+               Spot{0, std::numeric_limits<std::int64_t>::max()});
+  const auto keep = [](Spot& slot, Spot spot) {
+    if (spot.start < slot.start ||
+        (spot.start == slot.start && spot.wire < slot.wire))
+      slot = spot;
+  };
+  // Stack of (wire, free time) with non-increasing free times above a
+  // sentinel that is never popped. A wire is popped by the first wire to
+  // its right with a higher free time (or by the strip's end), which ends
+  // its run; its run starts past the wire below it on the stack, the
+  // nearest to its left with a free time at least as high.
+  run_stack_.resize(static_cast<std::size_t>(width) + 1);
+  run_stack_[0] = {-1, std::numeric_limits<std::int64_t>::max()};
+  std::size_t top = 0;
+  const auto pop = [&](int run_end) {
+    const std::int64_t start = run_stack_[top--].start;
+    const int run_start = run_stack_[top].wire + 1;
+    keep(spots[static_cast<std::size_t>(run_end - run_start) - 1],
+         {run_start, start});
+  };
+  for (int wire = 0; wire < width; ++wire) {
+    const std::int64_t free = free_time_[static_cast<std::size_t>(wire)];
+    while (run_stack_[top].start < free) pop(wire);
+    run_stack_[++top] = {wire, free};
+  }
+  while (top > 0) pop(width);
+  for (std::size_t len = spots.size() - 1; len > 0; --len)
+    keep(spots[len - 1], spots[len]);
 }
 
 std::optional<Skyline::Spot> Skyline::best_spot(const SpotQuery& query) const {

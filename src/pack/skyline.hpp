@@ -9,6 +9,24 @@
 // trade-off). best_spot returns the bottom-left-justified choice: the
 // window with the minimum start time, ties broken to the leftmost wire.
 //
+// best_spots answers best_spot(w) for every width w from one O(W) pass,
+// so a placement that weighs several candidate widths walks the skyline
+// once. Write h_i for wire i's free time. One monotone stack pass gives
+// each wire i a run [L_i, R_i] of neighbouring wires whose free times do
+// not exceed h_i (L_i - 1 is the nearest wire to the left with free time
+// >= h_i, R_i + 1 the nearest to the right with free time > h_i), so every
+// window of width <= R_i - L_i + 1 at L_i starts at most at h_i. Conversely,
+// let [a, a + w) be the leftmost window with the minimal start s, and m the
+// leftmost wire in it with h_m = s: wires a..m-1 are below s, and wire
+// a - 1 (if any) is above s, or [a - 1, a - 1 + w) would be a window
+// further left starting at s; so L_m = a and R_m >= a + w - 1. Hence
+// best_spot(w) is the lexicographic minimum of (h_i, L_i) over the runs
+// at least w long: the pass keeps that minimum per run length, and a
+// suffix minimum over lengths gives the minimal start and the leftmost
+// wire for every w at once — best_spot's tie-break exactly. The table is
+// the caller's and describes the skyline as it was when filled: it is
+// stale after the next place() or clear().
+//
 // The skyline is also the constraint-checking placement engine of the
 // pack subsystem: the SpotQuery form of best_spot restricts the search to
 // an allowed wire window, rejects windows touching forbidden intervals,
@@ -28,7 +46,7 @@
 // base decides the start for every window), the blocked-wire masks can
 // be precomputed once per pack and borrowed through SpotQuery, and the
 // per-query scratch (mask fallback, window bases) is reused across
-// calls. The scratch makes best_spot logically-const-but-mutable:
+// calls. The scratch makes the const queries logically-const-but-mutable:
 // a Skyline is single-owner state (one per packing walker) and is NOT
 // safe for concurrent queries on the same instance.
 
@@ -65,6 +83,11 @@ class Skyline {
   /// Bottom-left spot for a `width`-wide rectangle. Throws
   /// std::invalid_argument when width is outside [1, total_width].
   [[nodiscard]] Spot best_spot(int width) const;
+
+  /// best_spot(w) for every width at once, in one O(total_width) pass:
+  /// resizes `spots` to total_width() with spots[w - 1] == best_spot(w).
+  /// Valid until the next place() or clear() (see the class comment).
+  void best_spots(std::vector<Spot>& spots) const;
 
   /// One constrained placement query: the unconstrained search plus every
   /// restriction the constraint layer can impose on a single rectangle.
@@ -135,6 +158,8 @@ class Skyline {
   // constrained hot path. Logically const (query-local state only); see
   // the class comment for the single-owner threading contract.
   mutable std::vector<int> monotone_window_;  ///< deque storage, both paths
+  /// best_spots' stack of (wire, free time), sentinel first.
+  mutable std::vector<Spot> run_stack_;
   mutable std::vector<char> blocked_scratch_;
   mutable std::vector<int> blocked_prefix_scratch_;
   /// Per-left-position window base starts (-1 = window blocked), filled

@@ -1,9 +1,34 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "pack/skyline.hpp"
 
 namespace wtam::pack {
 namespace {
+
+/// best_spots' table against the one-width reference: wire and start for
+/// every width of the strip.
+::testing::AssertionResult TableMatchesBestSpot(const Skyline& sky) {
+  std::vector<Skyline::Spot> spots;
+  sky.best_spots(spots);
+  if (spots.size() != static_cast<std::size_t>(sky.total_width()))
+    return ::testing::AssertionFailure()
+           << "table size " << spots.size() << " for width "
+           << sky.total_width();
+  for (int width = 1; width <= sky.total_width(); ++width) {
+    const Skyline::Spot table = spots[static_cast<std::size_t>(width) - 1];
+    const Skyline::Spot reference = sky.best_spot(width);
+    if (table.wire != reference.wire || table.start != reference.start)
+      return ::testing::AssertionFailure()
+             << "width " << width << ": table (wire " << table.wire
+             << ", start " << table.start << "), best_spot (wire "
+             << reference.wire << ", start " << reference.start << ")";
+  }
+  return ::testing::AssertionSuccess();
+}
 
 TEST(Skyline, StartsFlatAtZero) {
   const Skyline sky(8);
@@ -12,6 +37,7 @@ TEST(Skyline, StartsFlatAtZero) {
   const auto spot = sky.best_spot(8);
   EXPECT_EQ(spot.wire, 0);
   EXPECT_EQ(spot.start, 0);
+  EXPECT_TRUE(TableMatchesBestSpot(sky));
 }
 
 TEST(Skyline, BottomLeftPrefersLowestThenLeftmost) {
@@ -88,6 +114,7 @@ TEST(Skyline, WidthOneStripDegeneratesToASerialLane) {
   EXPECT_EQ(sky.best_spot(1).start, 7);
   sky.place(0, 1, 7 + 3);
   EXPECT_EQ(sky.makespan(), 10);
+  EXPECT_TRUE(TableMatchesBestSpot(sky));
   // The constrained query agrees on the degenerate strip.
   Skyline::SpotQuery query;
   query.width = 1;
@@ -112,12 +139,41 @@ TEST(Skyline, SlidingWindowMaxOverShrinkingSegments) {
     EXPECT_EQ(spot.wire, 6 - width) << "width=" << width;
     EXPECT_EQ(spot.start, 60 - 10 * (6 - width)) << "width=" << width;
   }
+  EXPECT_TRUE(TableMatchesBestSpot(sky));
   // Shrink the last segment to a single low wire and re-query: windows
   // that include wire 5 are capped by their interior maxima.
   sky.place(5, 1, 55);  // now 60,50,40,30,20,55
   const auto spot = sky.best_spot(2);
   EXPECT_EQ(spot.wire, 3);  // [30,20] — max 30, the lowest 2-window
   EXPECT_EQ(spot.start, 30);
+  EXPECT_TRUE(TableMatchesBestSpot(sky));
+}
+
+TEST(Skyline, BestSpotsMatchesBestSpotOnRandomSkylines) {
+  // Random placements on every strip width 1..128. Durations of 0..3
+  // cycles on top of the window's own start keep the free times within a
+  // few cycles of each other, so equal starts, plateaus and tie-breaks
+  // between far-apart windows are the common case, not the exception.
+  common::Rng rng(1729);
+  for (int total = 1; total <= 128; ++total) {
+    Skyline sky(total);
+    ASSERT_TRUE(TableMatchesBestSpot(sky)) << "W=" << total << " flat";
+    for (int step = 0; step < 40; ++step) {
+      const int width = static_cast<int>(rng.uniform_int(1, total));
+      int wire = static_cast<int>(rng.uniform_int(0, total - width));
+      std::int64_t start = 0;
+      for (int w = wire; w < wire + width; ++w)
+        start = std::max(start, sky.free_time(w));
+      if (rng.uniform_int(0, 1) == 0) {  // where a packer would put it
+        const Skyline::Spot spot = sky.best_spot(width);
+        wire = spot.wire;
+        start = spot.start;
+      }
+      sky.place(wire, width, start + rng.uniform_int(0, 3));
+      ASSERT_TRUE(TableMatchesBestSpot(sky))
+          << "W=" << total << " step " << step;
+    }
+  }
 }
 
 TEST(Skyline, ConstrainedQueryHonorsWindowsAndForbiddenRows) {

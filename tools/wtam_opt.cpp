@@ -72,6 +72,7 @@
 #include <string>
 #include <vector>
 
+#include "flag_value.hpp"
 #include "wtam.hpp"
 
 namespace {
@@ -236,7 +237,7 @@ int main(int argc, char** argv) {
     if (arg == "--soc") {
       soc_name = value();
     } else if (arg == "--width") {
-      width = std::atoi(value());
+      width = cli::parse_flag_value<int>(arg, value(), usage);
     } else if (arg == "--backend") {
       backend = value();
       single_only_flags.push_back(arg);
@@ -249,22 +250,22 @@ int main(int argc, char** argv) {
     } else if (arg == "--timing") {
       timing = true;
     } else if (arg == "--max-tams") {
-      max_tams = std::atoi(value());
+      max_tams = cli::parse_flag_value<int>(arg, value(), usage);
       enumerative_flags.push_back(arg);
       single_only_flags.push_back(arg);
     } else if (arg == "--fixed-tams") {
-      fixed_tams = std::atoi(value());
+      fixed_tams = cli::parse_flag_value<int>(arg, value(), usage);
       enumerative_flags.push_back(arg);
       single_only_flags.push_back(arg);
     } else if (arg == "--threads") {
       // Honored by every backend (partition search, rectpack walkers)
       // and the exhaustive baseline, so no backend-mismatch warning.
-      threads = std::atoi(value());
+      threads = cli::parse_flag_value<int>(arg, value(), usage);
     } else if (arg == "--constraints") {
       constraints_path = value();
       single_only_flags.push_back(arg);
     } else if (arg == "--deadline") {
-      deadline_s = std::atof(value());
+      deadline_s = cli::parse_flag_value<double>(arg, value(), usage);
       single_only_flags.push_back(arg);
     } else if (arg == "--no-final-ilp") {
       final_ilp = false;
@@ -274,7 +275,7 @@ int main(int argc, char** argv) {
       exhaustive = true;
       single_only_flags.push_back(arg);
     } else if (arg == "--budget") {
-      budget = std::atof(value());
+      budget = cli::parse_flag_value<double>(arg, value(), usage);
       single_only_flags.push_back(arg);
     } else if (arg == "--gantt") {
       gantt = true;
@@ -286,7 +287,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--cache") {
       use_cache = true;
     } else if (arg == "--cache-mb") {
-      cache_mb = std::atoi(value());
+      cache_mb = cli::parse_flag_value<int>(arg, value(), usage);
       use_cache = cache_mb > 0;
     } else if (arg == "--quiet") {
       quiet = true;

@@ -64,6 +64,7 @@
 #include <string>
 #include <vector>
 
+#include "flag_value.hpp"
 #include "net/endpoint.hpp"
 #include "serve/router.hpp"
 
@@ -118,7 +119,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--workers") {
-      workers = std::atoi(value());
+      workers = cli::parse_flag_value<int>(arg, value(), usage);
       if (workers < 0) usage("--workers must be >= 0");
     } else if (arg == "--worker") {
       const std::string endpoint = value();
@@ -132,23 +133,23 @@ int main(int argc, char** argv) {
       serve_path = value();
       if (serve_path.empty()) usage("--serve needs a non-empty path");
     } else if (arg == "--queue-limit") {
-      const int limit = std::atoi(value());
+      const int limit = cli::parse_flag_value<int>(arg, value(), usage);
       if (limit < 0) usage("--queue-limit must be >= 0 (0 = never shed)");
       queue_limit = static_cast<std::uint64_t>(limit);
     } else if (arg == "--cache-file") {
       cache_file = value();
       if (cache_file.empty()) usage("--cache-file needs a non-empty path");
     } else if (arg == "--ping-interval") {
-      ping_interval_ms = std::atoi(value());
+      ping_interval_ms = cli::parse_flag_value<int>(arg, value(), usage);
       if (ping_interval_ms < 0) usage("--ping-interval must be >= 0 (0 = off)");
     } else if (arg == "--ping-deadline") {
-      ping_deadline_ms = std::atoi(value());
+      ping_deadline_ms = cli::parse_flag_value<int>(arg, value(), usage);
       if (ping_deadline_ms < 1) usage("--ping-deadline must be >= 1");
     } else if (arg == "--worker-threads") {
-      worker_threads = std::atoi(value());
+      worker_threads = cli::parse_flag_value<int>(arg, value(), usage);
       if (worker_threads < 0) usage("--worker-threads must be >= 0");
     } else if (arg == "--cache-mb") {
-      cache_mb = std::atoi(value());
+      cache_mb = cli::parse_flag_value<int>(arg, value(), usage);
       if (cache_mb < 0) usage("--cache-mb must be >= 0");
     } else if (arg == "--no-cache") {
       no_cache = true;

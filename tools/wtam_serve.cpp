@@ -86,6 +86,7 @@
 #include <unistd.h>
 
 #include "common/thread_annotations.hpp"
+#include "flag_value.hpp"
 #include "net/endpoint.hpp"
 #include "net/socket.hpp"
 #include "serve/service.hpp"
@@ -391,11 +392,11 @@ int main(int argc, char** argv) {
       port_file = value();
       if (port_file.empty()) usage("--port-file needs a non-empty path");
     } else if (arg == "--threads") {
-      options.threads = std::atoi(value());
+      options.threads = cli::parse_flag_value<int>(arg, value(), usage);
       if (options.threads < 0)
         usage("--threads must be >= 0 (0 = hardware threads)");
     } else if (arg == "--cache-mb") {
-      const int mb = std::atoi(value());
+      const int mb = cli::parse_flag_value<int>(arg, value(), usage);
       if (mb < 0) usage("--cache-mb must be >= 0 (0 disables the cache)");
       options.cache_mb = static_cast<std::size_t>(mb);
       options.use_cache = mb > 0;
@@ -406,7 +407,7 @@ int main(int argc, char** argv) {
       if (options.cache_file.empty())
         usage("--cache-file needs a non-empty path");
     } else if (arg == "--queue-limit") {
-      const int limit = std::atoi(value());
+      const int limit = cli::parse_flag_value<int>(arg, value(), usage);
       if (limit < 0) usage("--queue-limit must be >= 0 (0 = never shed)");
       options.queue_limit = static_cast<std::uint64_t>(limit);
     } else if (arg == "--timing") {
