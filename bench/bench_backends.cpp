@@ -208,11 +208,14 @@ int main() {
   // ---- constrained scenarios --------------------------------------------
   // The same points under scenario constraints (ISSUE-5): d695 with
   // scan-activity powers plus two seeded synthetic constrained SOCs,
-  // each at {no constraints, power budget, power + precedence}, W=32.
-  // Records the testing-time inflation each constraint level costs over
-  // the unconstrained baseline of the same (SOC, backend). rectpack runs
-  // every level; enumerative skips power+precedence (it reports
-  // unsupported_constraint for precedence by contract).
+  // each at {no constraints, power budget, power + precedence}, W=32,
+  // and d695 and csynth7 also at power + wires (fixed windows and
+  // forbidden intervals on four cores under the power budget, the masked
+  // spot search). Records the testing-time inflation each constraint
+  // level costs over the unconstrained baseline of the same (SOC,
+  // backend). rectpack runs every level; enumerative skips
+  // power+precedence and power+wires (it reports unsupported_constraint
+  // for both by contract).
   struct ConstrainedPoint {
     std::string soc_label;
     std::string backend;
@@ -252,22 +255,29 @@ int main() {
   const auto add_points = [&points](const std::string& label,
                                     const soc::Soc& soc,
                                     const core::ScheduleConstraints& power,
-                                    const core::ScheduleConstraints& full) {
+                                    const core::ScheduleConstraints& full,
+                                    bool wires) {
     for (const auto& backend : {std::string("enumerative"),
                                 std::string("rectpack")}) {
       points.push_back({label, backend, "none", &soc, {}});
       points.push_back({label, backend, "power", &soc, power});
-      if (backend == "rectpack")  // enumerative: unsupported by contract
-        points.push_back({label, backend, "power+precedence", &soc, full});
+      if (backend != "rectpack") continue;  // unsupported by contract
+      points.push_back({label, backend, "power+precedence", &soc, full});
+      if (!wires) continue;
+      core::ScheduleConstraints masked = power;
+      masked.fixed = {{1, {0, 16}}, {4, {8, 32}}};
+      masked.forbidden = {
+          {1, {4, 6}}, {2, {8, 16}}, {5, {0, 4}}, {5, {28, 32}}};
+      points.push_back({label, backend, "power+wires", &soc, masked});
     }
   };
-  add_points("d695", d695_soc, d695_power, d695_power_prec);
+  add_points("d695", d695_soc, d695_power, d695_power_prec, true);
   for (const auto& scenario : scenarios) {
     core::ScheduleConstraints power_only;
     power_only.power = scenario.constraints.power;
     power_only.power_budget = scenario.constraints.power_budget;
     add_points(scenario.soc.name, scenario.soc, power_only,
-               scenario.constraints);
+               scenario.constraints, scenario.soc.name == "csynth7");
   }
 
   std::vector<api::SolveRequest> constrained_jobs;

@@ -11,6 +11,7 @@
 // Results are printed as a table and written to BENCH_micro.json so the
 // performance trajectory is machine-readable across PRs.
 
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <span>
@@ -290,20 +291,39 @@ int main() {
   // compaction) so the column reads as the average cost of one pack. A
   // full second each, since one p93791 solve takes tens of milliseconds.
   // The spot search is O(W) per placement, so the widest strip `pack`
-  // solves gets a kernel too.
+  // solves gets a kernel too, and `pack-power`'s constrained placements
+  // (a budget probe per candidate, precedence floors) get their own.
   const auto per_repack = [&](const std::string& name,
-                              const core::TestTimeTable& table, int width) {
+                              const core::TestTimeTable& table, int width,
+                              const pack::RectPackOptions& options) {
     int repacks = 0;
     Measurement m = measure(
         name,
-        [&] { repacks = pack::rectpack_schedule(table, width).repacks; },
+        [&] {
+          repacks = pack::rectpack_schedule(table, width, options).repacks;
+        },
         1.0);
     m.iterations *= repacks;
     measurements.push_back(m);
   };
-  per_repack("rectpack_d695_w32", d695_table, 32);
-  per_repack("rectpack_p93791_w32", p93791_table, 32);
-  per_repack("rectpack_p93791_w64", p93791_table, 64);
+  per_repack("rectpack_d695_w32", d695_table, 32, {});
+  per_repack("rectpack_p93791_w32", p93791_table, 32, {});
+  per_repack("rectpack_p93791_w64", p93791_table, 64, {});
+  {
+    // Scan-activity powers under 0.4 of their sum, plus a few edges.
+    pack::RectPackOptions options;
+    options.constraints.power = core::scan_activity_power(p93791);
+    std::int64_t total_power = 0;
+    for (const std::int64_t p : options.constraints.power) {
+      total_power += p;
+      options.constraints.power_budget =
+          std::max(options.constraints.power_budget, p);
+    }
+    options.constraints.power_budget =
+        std::max(options.constraints.power_budget, total_power * 2 / 5);
+    options.constraints.precedence = {{0, 6}, {3, 6}, {6, 17}, {11, 25}};
+    per_repack("rectpack_power_p93791_w32", p93791_table, 32, options);
+  }
 
   // Observability overhead: the price a hot path pays to bump a counter
   // or record a histogram sample (sharded slot, one uncontended mutex

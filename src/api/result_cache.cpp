@@ -15,6 +15,22 @@ struct KeyHash {
   }
 };
 
+/// The LRU index is keyed by the address of its entry's own key, which a
+/// list node keeps in place for its lifetime, so every stored key is held
+/// once; a lookup passes the address of the caller's key. The hash reads
+/// the key itself, so an index entry must be erased before its list node.
+struct KeyPtrHash {
+  std::size_t operator()(const RequestKey* key) const noexcept {
+    return static_cast<std::size_t>(key->hash());
+  }
+};
+
+struct KeyPtrEqual {
+  bool operator()(const RequestKey* a, const RequestKey* b) const noexcept {
+    return *a == *b;
+  }
+};
+
 }  // namespace
 
 std::size_t CachedSolve::approx_bytes() const noexcept {
@@ -46,7 +62,8 @@ struct ResultCache::InFlight {
   CachedSolve value WTAM_GUARDED_BY(mutex);
 };
 
-/// One shard: an LRU list + index of stored entries, the in-flight map
+/// One shard: an LRU list of stored entries + an index into it keyed by
+/// the entries' own keys (KeyPtrHash above), the in-flight map
 /// for the coalescing protocol, and this shard's slice of the stats
 /// counters — all under one mutex, so any multi-field read taken inside
 /// a single critical section is a consistent snapshot. Lock ordering:
@@ -63,8 +80,9 @@ struct ResultCache::Shard {
   mutable common::Mutex mutex;
   /// front = most recently used
   std::list<Entry> lru WTAM_GUARDED_BY(mutex);
-  std::unordered_map<RequestKey, std::list<Entry>::iterator, KeyHash> index
-      WTAM_GUARDED_BY(mutex);
+  std::unordered_map<const RequestKey*, std::list<Entry>::iterator,
+                     KeyPtrHash, KeyPtrEqual>
+      index WTAM_GUARDED_BY(mutex);
   std::unordered_map<RequestKey, std::shared_ptr<InFlight>, KeyHash> inflight
       WTAM_GUARDED_BY(mutex);
   std::size_t bytes WTAM_GUARDED_BY(mutex) = 0;
@@ -100,7 +118,7 @@ ResultCache::Fetch ResultCache::begin_fetch(const RequestKey& key,
     std::shared_ptr<InFlight> flight;
     {
       const common::MutexLock lock(shard.mutex);
-      if (const auto it = shard.index.find(key); it != shard.index.end()) {
+      if (const auto it = shard.index.find(&key); it != shard.index.end()) {
         shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
         ++shard.hits;
         Fetch fetch;
@@ -160,7 +178,7 @@ ResultCache::Fetch ResultCache::begin_fetch(const RequestKey& key,
 std::optional<CachedSolve> ResultCache::lookup(const RequestKey& key) {
   Shard& shard = shard_for(key);
   const common::MutexLock lock(shard.mutex);
-  if (const auto it = shard.index.find(key); it != shard.index.end()) {
+  if (const auto it = shard.index.find(&key); it != shard.index.end()) {
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     ++shard.hits;
     return it->second->value;
@@ -177,22 +195,23 @@ void ResultCache::publish(const Fetch& fetch, CachedSolve value) {
     const common::MutexLock lock(shard.mutex);
     shard.inflight.erase(flight->key);
     const std::size_t bytes = value.approx_bytes();
-    if (const auto it = shard.index.find(flight->key);
+    if (const auto it = shard.index.find(&flight->key);
         it != shard.index.end()) {
       // A clear()+recompute race can re-publish a key; replace in place.
-      shard.bytes -= it->second->bytes;
-      shard.lru.erase(it->second);
+      const auto entry = it->second;
+      shard.bytes -= entry->bytes;
       shard.index.erase(it);
+      shard.lru.erase(entry);
     }
     if (bytes <= shard_budget_) {
       while (shard.bytes + bytes > shard_budget_ && !shard.lru.empty()) {
         shard.bytes -= shard.lru.back().bytes;
-        shard.index.erase(shard.lru.back().key);
+        shard.index.erase(&shard.lru.back().key);
         shard.lru.pop_back();
         ++shard.evictions;
       }
       shard.lru.push_front(Shard::Entry{flight->key, value, bytes});
-      shard.index.emplace(flight->key, shard.lru.begin());
+      shard.index.emplace(&shard.lru.front().key, shard.lru.begin());
       shard.bytes += bytes;
       ++shard.insertions;
     }
@@ -227,8 +246,8 @@ void ResultCache::abandon(const Fetch& fetch) {
 void ResultCache::clear() {
   for (const auto& shard : shards_) {
     const common::MutexLock lock(shard->mutex);
-    shard->lru.clear();
     shard->index.clear();
+    shard->lru.clear();
     shard->bytes = 0;
   }
 }
@@ -248,22 +267,23 @@ void ResultCache::insert(const RequestKey& key, CachedSolve value) {
   Shard& shard = shard_for(key);
   const common::MutexLock lock(shard.mutex);
   const std::size_t bytes = value.approx_bytes();
-  if (const auto it = shard.index.find(key); it != shard.index.end()) {
-    shard.bytes -= it->second->bytes;
-    shard.lru.erase(it->second);
+  if (const auto it = shard.index.find(&key); it != shard.index.end()) {
+    const auto entry = it->second;
+    shard.bytes -= entry->bytes;
     shard.index.erase(it);
+    shard.lru.erase(entry);
   }
   // Same storage rules as publish(): evict LRU tails to fit, and never
   // store an entry bigger than the whole shard budget.
   if (bytes > shard_budget_) return;
   while (shard.bytes + bytes > shard_budget_ && !shard.lru.empty()) {
     shard.bytes -= shard.lru.back().bytes;
-    shard.index.erase(shard.lru.back().key);
+    shard.index.erase(&shard.lru.back().key);
     shard.lru.pop_back();
     ++shard.evictions;
   }
   shard.lru.push_front(Shard::Entry{key, std::move(value), bytes});
-  shard.index.emplace(key, shard.lru.begin());
+  shard.index.emplace(&shard.lru.front().key, shard.lru.begin());
   shard.bytes += bytes;
   ++shard.insertions;
 }

@@ -38,13 +38,10 @@ struct ConstraintPlan {
   std::vector<std::int64_t> earliest;               ///< start floor per core
   std::vector<core::WireInterval> window;           ///< fixed window per core
   std::vector<std::vector<core::WireInterval>> forbidden;  ///< per core
-  /// Per-core wire masks, built once per pack so the spot-search hot path
-  /// never rebuilds them per query: wire_allowed[c][w] = 1 iff core c may
-  /// touch wire w (empty = unconstrained wires for that core), and
-  /// blocked_prefix[c] the matching prefix counts in the form
-  /// Skyline::SpotQuery borrows (empty likewise).
+  /// Per-core wire masks, built once per pack so the spot search never
+  /// rebuilds them: wire_allowed[c][w] = 1 iff core c may touch wire w
+  /// (empty = unconstrained wires for that core).
   std::vector<std::vector<char>> wire_allowed;
-  std::vector<std::vector<int>> blocked_prefix;
   core::PowerVector power;  ///< per-core draw; empty = power-unconstrained
   std::int64_t budget = 0;
 
@@ -52,11 +49,12 @@ struct ConstraintPlan {
     return power.empty() ? 0 : power[static_cast<std::size_t>(core)];
   }
 
-  /// The precomputed mask for SpotQuery, or nullptr when the core's wires
-  /// are unconstrained.
-  [[nodiscard]] const std::vector<int>* core_blocked_prefix(
+  /// The core's mask in the form Skyline::SpotQuery borrows, or nullptr
+  /// when its wires are unconstrained.
+  [[nodiscard]] const std::vector<char>* core_allowed(
       int core) const noexcept {
-    const auto& mask = blocked_prefix[static_cast<std::size_t>(core)];
+    if (wire_allowed.empty()) return nullptr;  // no constraints at all
+    const auto& mask = wire_allowed[static_cast<std::size_t>(core)];
     return mask.empty() ? nullptr : &mask;
   }
 };
@@ -72,7 +70,6 @@ ConstraintPlan build_plan(const core::ScheduleConstraints& constraints,
   plan.window.assign(n, core::WireInterval{0, total_width});
   plan.forbidden.resize(n);
   plan.wire_allowed.resize(n);
-  plan.blocked_prefix.resize(n);
   for (const auto& pair : constraints.precedence)
     plan.preds[static_cast<std::size_t>(pair.after)].push_back(pair.before);
   for (const auto& entry : constraints.earliest) {
@@ -89,8 +86,8 @@ ConstraintPlan build_plan(const core::ScheduleConstraints& constraints,
     plan.budget = constraints.power_budget;
   }
   // Lower each wire-constrained core's window + forbidden intervals to a
-  // bitmap and its blocked-prefix counts, once; cores with free wires
-  // keep empty masks and take the unmasked query path.
+  // bitmap, once; cores with free wires keep empty masks and take the
+  // unmasked path.
   const auto w_total = static_cast<std::size_t>(total_width);
   for (std::size_t c = 0; c < n; ++c) {
     const core::WireInterval window = plan.window[c];
@@ -106,10 +103,6 @@ ConstraintPlan build_plan(const core::ScheduleConstraints& constraints,
       for (int w = std::max(0, interval.lo);
            w < std::min(total_width, interval.hi); ++w)
         allowed[static_cast<std::size_t>(w)] = 0;
-    auto& prefix = plan.blocked_prefix[c];
-    prefix.assign(w_total + 1, 0);
-    for (std::size_t w = 0; w < w_total; ++w)
-      prefix[w + 1] = prefix[w] + (allowed[w] ? 0 : 1);
   }
   return plan;
 }
@@ -238,7 +231,9 @@ class WalkPacker {
   }
 
  private:
-  /// Searches `core`'s placement on the skyline as packed so far.
+  /// Searches `core`'s placement on the skyline as packed so far: one
+  /// skyline pass over the core's allowed wires fills the run table, and
+  /// every candidate's spot is read from it.
   [[nodiscard]] PackedPlacement place_next(int core, int floor) {
     const auto& rects = model_.candidates[static_cast<std::size_t>(core)];
     const int first = std::min(floor, static_cast<int>(rects.size()) - 1);
@@ -262,34 +257,19 @@ class WalkPacker {
       }
     };
 
-    if (!plan_.any) {
-      // One skyline pass answers every candidate's width.
-      skyline_.best_spots(spots_);
-      for (std::size_t c = static_cast<std::size_t>(first); c < rects.size();
-           ++c)
-        consider(rects[c],
-                 spots_[static_cast<std::size_t>(rects[c].width) - 1]);
-      return {core, chosen->width, chosen_spot.wire, chosen_spot.start,
-              chosen_finish};
-    }
-
-    // Constrained placement: every candidate through the skyline's
-    // constrained spot search. Everything but the rectangle's own extent
-    // is invariant across the core's candidates — built once, with the
-    // plan's precomputed blocked-wire mask borrowed instead of rebuilt per
-    // query.
+    // Everything but the rectangle's own extent is invariant across the
+    // core's candidates.
     Skyline::SpotQuery query;
-    query.min_start = start_floor(core, plan_, core_end_);
-    query.window = plan_.window[static_cast<std::size_t>(core)];
-    query.forbidden = &plan_.forbidden[static_cast<std::size_t>(core)];
+    if (plan_.any) query.min_start = start_floor(core, plan_, core_end_);
+    query.allowed = plan_.core_allowed(core);
     query.power = plan_.core_power(core);
     query.power_budget = plan_.budget;
-    query.blocked_prefix = plan_.core_blocked_prefix(core);
+    skyline_.best_spots(spots_, query.allowed);
     const auto scan = [&](std::size_t from) {
       for (std::size_t c = from; c < rects.size(); ++c) {
         query.width = rects[c].width;
         query.duration = rects[c].time;
-        const auto spot = skyline_.best_spot(query);
+        const auto spot = skyline_.spot_from_table(spots_, query);
         if (spot.has_value()) consider(rects[c], *spot);
       }
     };
@@ -347,10 +327,8 @@ PackedSchedule holefill_pack(const RectModel& model, const PackState& state,
                                    int width, int core) {
     // Seed from the plan's precomputed per-core bitmap (built once per
     // pack) instead of re-deriving window + forbidden wires per call.
-    if (plan.any &&
-        !plan.wire_allowed[static_cast<std::size_t>(core)].empty()) {
-      const auto& allowed = plan.wire_allowed[static_cast<std::size_t>(core)];
-      std::copy(allowed.begin(), allowed.end(), wire_free.begin());
+    if (const std::vector<char>* allowed = plan.core_allowed(core)) {
+      std::copy(allowed->begin(), allowed->end(), wire_free.begin());
     } else {
       std::fill(wire_free.begin(), wire_free.end(), char{1});
     }

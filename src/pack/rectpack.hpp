@@ -11,9 +11,11 @@
 // width-adjust-and-repack local search: cores on the critical path are
 // forced to wider (faster) candidates, promoted to the front of the
 // packing order, or swapped with seeded-random peers, and the strip is
-// repacked after every move. Fully deterministic for a fixed seed. An
-// unconstrained placement walks the skyline once: it fills one
-// Skyline::best_spots table and looks up every candidate's spot in it.
+// repacked after every move. Fully deterministic for a fixed seed. A
+// placement walks the skyline once: it fills one Skyline::best_spots
+// table over the core's allowed wires and reads every candidate's spot
+// from it (Skyline::spot_from_table: the start floor, at most one power
+// probe, and a scan only when those lift the start).
 //
 // A greedy bottom-left pack in a fixed order is a prefix function: the
 // placement at position i depends only on the placements before it, the
@@ -30,8 +32,8 @@
 // metrics (pack.moves_noop, pack.moves_accepted, pack.moves_rejected).
 //
 // The engine is constraint-complete (core::ScheduleConstraints): packing
-// orders are projected onto the precedence DAG, every placement goes
-// through the skyline's constrained spot search (power-over-time budget,
+// orders are projected onto the precedence DAG, every placement honours
+// the skyline's constrained spot search (power-over-time budget,
 // fixed/forbidden wire intervals, earliest starts), local-search moves
 // that would violate a constraint are skipped, and the hole-filling
 // compaction re-validates its repack before offering it. The per-seed

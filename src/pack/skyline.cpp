@@ -44,14 +44,29 @@ Skyline::Spot Skyline::best_spot(int width) const {
   return best;
 }
 
-void Skyline::best_spots(std::vector<Spot>& spots) const {
+void Skyline::best_spots(std::vector<Spot>& spots,
+                         const std::vector<char>* allowed) const {
   const int width = total_width();
+  const std::int64_t* free_time = free_time_.data();
+  if (allowed != nullptr) {
+    // A blocked wire is never free: it reads kNoSpot, the sentinel's own
+    // value, so it pops every allowed wire, nothing pops it, and its own
+    // run's kNoSpot start is never kept.
+    if (allowed->size() != free_time_.size())
+      throw std::invalid_argument(
+          "Skyline::best_spots: allowed mask size != total_width");
+    masked_free_.resize(free_time_.size());
+    for (std::size_t wire = 0; wire < free_time_.size(); ++wire)
+      masked_free_[wire] = (*allowed)[wire] != 0 ? free_time_[wire] : kNoSpot;
+    free_time = masked_free_.data();
+  }
   // spots[len - 1] first collects the lexicographic minimum of (start,
   // wire) over the runs exactly len wires long (see the class comment).
-  // Some lengths have no run, but the leftmost tallest wire's run spans
-  // the strip, so the suffix minimum at the end fills every slot.
-  spots.assign(static_cast<std::size_t>(width),
-               Spot{0, std::numeric_limits<std::int64_t>::max()});
+  // Some lengths have no run; the suffix minimum at the end fills every
+  // slot up to the longest run (the whole strip when nothing is blocked:
+  // the leftmost tallest wire's run spans it), and longer slots keep
+  // kNoSpot.
+  spots.assign(static_cast<std::size_t>(width), Spot{0, kNoSpot});
   const auto keep = [](Spot& slot, Spot spot) {
     if (spot.start < slot.start ||
         (spot.start == slot.start && spot.wire < slot.wire))
@@ -63,7 +78,7 @@ void Skyline::best_spots(std::vector<Spot>& spots) const {
   // its run; its run starts past the wire below it on the stack, the
   // nearest to its left with a free time at least as high.
   run_stack_.resize(static_cast<std::size_t>(width) + 1);
-  run_stack_[0] = {-1, std::numeric_limits<std::int64_t>::max()};
+  run_stack_[0] = {-1, kNoSpot};
   std::size_t top = 0;
   const auto pop = [&](int run_end) {
     const std::int64_t start = run_stack_[top--].start;
@@ -72,7 +87,7 @@ void Skyline::best_spots(std::vector<Spot>& spots) const {
          {run_start, start});
   };
   for (int wire = 0; wire < width; ++wire) {
-    const std::int64_t free = free_time_[static_cast<std::size_t>(wire)];
+    const std::int64_t free = free_time[wire];
     while (run_stack_[top].start < free) pop(wire);
     run_stack_[++top] = {wire, free};
   }
@@ -84,50 +99,13 @@ void Skyline::best_spots(std::vector<Spot>& spots) const {
 std::optional<Skyline::Spot> Skyline::best_spot(const SpotQuery& query) const {
   if (query.width < 1 || query.width > total_width())
     throw std::invalid_argument("Skyline::best_spot: width outside strip");
-  const int window_lo = query.window.lo;
-  const int window_hi =
-      query.window.hi < 0 ? total_width() : query.window.hi;
-  if (window_lo < 0 || window_lo >= window_hi || window_hi > total_width())
-    throw std::invalid_argument("Skyline::best_spot: malformed wire window");
   if (query.duration < 1)
     throw std::invalid_argument("Skyline::best_spot: duration must be >= 1");
-  if (query.blocked_prefix != nullptr &&
-      query.blocked_prefix->size() !=
-          static_cast<std::size_t>(total_width()) + 1)
+  if (query.allowed != nullptr && query.allowed->size() != free_time_.size())
     throw std::invalid_argument(
-        "Skyline::best_spot: blocked_prefix size != total_width + 1");
+        "Skyline::best_spot: allowed mask size != total_width");
   if (query.power_budget > 0 && query.power > query.power_budget)
     return std::nullopt;  // this rectangle alone can never fit the budget
-
-  // Wires a window may not touch: outside the allowed range or inside a
-  // forbidden interval. A prefix count turns the per-window check into
-  // O(1). The caller can hand in a mask precomputed once per pack
-  // (query.blocked_prefix); otherwise it is rebuilt here into reusable
-  // scratch. The common power-only query (full window, nothing forbidden)
-  // skips the mask entirely.
-  const bool wires_constrained =
-      query.blocked_prefix != nullptr || window_lo != 0 ||
-      window_hi != total_width() ||
-      (query.forbidden != nullptr && !query.forbidden->empty());
-  const std::vector<int>* blocked_prefix = query.blocked_prefix;
-  if (wires_constrained && blocked_prefix == nullptr) {
-    blocked_prefix_scratch_.assign(
-        static_cast<std::size_t>(total_width()) + 1, 0);
-    blocked_scratch_.assign(static_cast<std::size_t>(total_width()), 0);
-    for (int wire = 0; wire < total_width(); ++wire)
-      if (wire < window_lo || wire >= window_hi)
-        blocked_scratch_[static_cast<std::size_t>(wire)] = 1;
-    if (query.forbidden != nullptr)
-      for (const core::WireInterval& interval : *query.forbidden)
-        for (int wire = std::max(0, interval.lo);
-             wire < std::min(total_width(), interval.hi); ++wire)
-          blocked_scratch_[static_cast<std::size_t>(wire)] = 1;
-    for (int wire = 0; wire < total_width(); ++wire)
-      blocked_prefix_scratch_[static_cast<std::size_t>(wire) + 1] =
-          blocked_prefix_scratch_[static_cast<std::size_t>(wire)] +
-          blocked_scratch_[static_cast<std::size_t>(wire)];
-    blocked_prefix = &blocked_prefix_scratch_;
-  }
 
   // Pass 1: each allowed window's base start (its skyline maximum floored
   // at min_start), into reusable scratch; the minimum base wins the power
@@ -135,14 +113,15 @@ std::optional<Skyline::Spot> Skyline::best_spot(const SpotQuery& query) const {
   // non-decreasing, f(base) >= base, and f's result is itself feasible
   // (f(f(base)) == f(base)), so the best achievable start is
   // s* = f(min base) and f(base) == s* exactly when base <= s*. That
-  // turns the old per-window power evaluation into ONE timeline probe per
-  // query, and the old leftmost tie-break (first window achieving the
+  // turns the per-window power evaluation into ONE timeline probe per
+  // query, and the leftmost tie-break (first window achieving the
   // minimal start, windows scanned left to right) into "leftmost window
-  // with base <= s*" — bit-identical results.
+  // with base <= s*".
   monotone_window_.resize(static_cast<std::size_t>(total_width()));
   window_base_.assign(static_cast<std::size_t>(total_width()), -1);
   std::size_t head = 0;
-  std::size_t tail = 0;  // monotone deque over scratch, as above
+  std::size_t tail = 0;  // monotone deque over scratch, as in best_spot(int)
+  int allowed_run = 0;   // allowed wires ending at `wire`
   std::int64_t min_base = -1;
   for (int wire = 0; wire < total_width(); ++wire) {
     while (head < tail &&
@@ -150,13 +129,14 @@ std::optional<Skyline::Spot> Skyline::best_spot(const SpotQuery& query) const {
                free_time_[static_cast<std::size_t>(wire)])
       --tail;
     monotone_window_[tail++] = wire;
+    if (query.allowed != nullptr)
+      allowed_run = (*query.allowed)[static_cast<std::size_t>(wire)] != 0
+                        ? allowed_run + 1
+                        : 0;
     const int left = wire - query.width + 1;
     if (left < 0) continue;
     if (monotone_window_[head] < left) ++head;
-    if (wires_constrained &&
-        (*blocked_prefix)[static_cast<std::size_t>(wire) + 1] -
-                (*blocked_prefix)[static_cast<std::size_t>(left)] !=
-            0)
+    if (query.allowed != nullptr && allowed_run < query.width)
       continue;  // window touches a blocked wire
     const std::int64_t skyline_start =
         free_time_[static_cast<std::size_t>(monotone_window_[head])];
@@ -177,6 +157,29 @@ std::optional<Skyline::Spot> Skyline::best_spot(const SpotQuery& query) const {
     if (base >= 0 && base <= start) return Spot{left, start};
   }
   return std::nullopt;  // unreachable: the min-base window qualifies
+}
+
+std::optional<Skyline::Spot> Skyline::lifted_spot(
+    Spot table, const SpotQuery& query) const {
+  std::int64_t start = std::max(table.start, query.min_start);
+  if (query.power_budget > 0) {
+    if (query.power > query.power_budget) return std::nullopt;
+    start = power_timeline_.earliest_fit(start, query.duration, query.power,
+                                         query.power_budget);
+  }
+  if (start == table.start) return table;
+  // The floor or the budget lifted the start: the leftmost run of `width`
+  // allowed wires all free by then. The table's own window is one, so the
+  // scan ends on it at the latest.
+  int run = 0;
+  for (int wire = 0; wire < total_width(); ++wire) {
+    const auto w = static_cast<std::size_t>(wire);
+    const bool usable = free_time_[w] <= start &&
+                        (query.allowed == nullptr || (*query.allowed)[w] != 0);
+    run = usable ? run + 1 : 0;
+    if (run == query.width) return Spot{wire - query.width + 1, start};
+  }
+  return std::nullopt;  // unreachable for a current table
 }
 
 void Skyline::place(int wire, int width, std::int64_t end) {

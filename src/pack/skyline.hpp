@@ -28,35 +28,54 @@
 // stale after the next place() or clear().
 //
 // The skyline is also the constraint-checking placement engine of the
-// pack subsystem: the SpotQuery form of best_spot restricts the search to
-// an allowed wire window, rejects windows touching forbidden intervals,
-// floors the start at a precedence/earliest-start bound, and — when a
-// power budget is given — delays the start until the strip-wide
+// pack subsystem: a SpotQuery restricts the search to the wires of an
+// allowed-wire mask (a core's fixed window minus its forbidden
+// intervals), floors the start at a precedence/earliest-start bound, and
+// — when a power budget is given — delays the start until the strip-wide
 // instantaneous power (tracked per placement via the power-aware place
 // overload) admits the rectangle for its whole duration. A constrained
 // placement may therefore float above the skyline; that is safe (nothing
 // below the skyline is ever free) and the hole-filling compaction of the
 // rectpack engine reclaims what it can.
 //
-// The constrained spot search is the engine's single-query hot path, so
-// everything invariant per placement or per pack is kept out of it: the
-// power profile lives in an incremental core::PowerTimeline updated per
-// place() (not rescanned per query) and probed once per query (the
-// earliest-feasible-start function is monotone, so the minimal window
-// base decides the start for every window), the blocked-wire masks can
-// be precomputed once per pack and borrowed through SpotQuery, and the
-// per-query scratch (mask fallback, window bases) is reused across
-// calls. The scratch makes the const queries logically-const-but-mutable:
-// a Skyline is single-owner state (one per packing walker) and is NOT
-// safe for concurrent queries on the same instance.
+// The constrained search is answered from the run table as well, one
+// table per placement. best_spots(spots, allowed) treats a blocked wire
+// as never free, so no run crosses it: the argument above, over allowed
+// wires only, makes spots[w - 1] the lowest, then leftmost, window of w
+// allowed wires (start kNoSpot when there is none). spot_from_table then
+// settles one candidate. Write t for the table's start, b = max(t,
+// min_start) and f(x) for the earliest power-feasible start >= x. Every
+// allowed window's base — its skyline maximum floored at min_start — is
+// at least b, and b is attained. f is non-decreasing, f(x) >= x and
+// f(f(x)) == f(x), so the best start is s* = f(b) (b without a budget;
+// ONE timeline probe per candidate) and a window admits s* exactly when
+// its base is <= s*, i.e. when its skyline maximum is <= s* (min_start
+// <= b <= s*). If s* == t, the admitted windows are those whose maximum
+// is t, and the table's wire is the leftmost of them. Otherwise the
+// answer is the leftmost run of `width` allowed wires all free by s*,
+// found by one scan that ends at the latest on the table's window. The
+// constrained best_spot(const SpotQuery&) — a deque sweep per query for
+// the window bases, the probe at their minimum, then a leftmost scan —
+// is the reference the table answer is tested against, as best_spot(int)
+// is for the table itself; neither is on the packing hot path.
+//
+// Everything invariant per placement or per pack stays out of the
+// per-candidate step: the power profile lives in an incremental
+// core::PowerTimeline updated per place() (not rescanned per query), the
+// allowed-wire masks are built once per pack and borrowed through
+// SpotQuery, and the scratch (run stack, masked free times, deque, window
+// bases) is reused across calls. The scratch makes the const queries
+// logically-const-but-mutable: a Skyline is single-owner state (one per
+// packing walker) and is NOT safe for concurrent queries on the same
+// instance.
 
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
-#include "core/constraints.hpp"
 #include "core/power.hpp"  // core::PowerSpan + the window-feasibility helpers
 
 namespace wtam::pack {
@@ -84,10 +103,18 @@ class Skyline {
   /// std::invalid_argument when width is outside [1, total_width].
   [[nodiscard]] Spot best_spot(int width) const;
 
+  /// A table start meaning "no window of that many allowed wires".
+  static constexpr std::int64_t kNoSpot =
+      std::numeric_limits<std::int64_t>::max();
+
   /// best_spot(w) for every width at once, in one O(total_width) pass:
   /// resizes `spots` to total_width() with spots[w - 1] == best_spot(w).
-  /// Valid until the next place() or clear() (see the class comment).
-  void best_spots(std::vector<Spot>& spots) const;
+  /// With an `allowed` mask (size total_width(); nonzero = usable) only
+  /// windows of allowed wires count, and a width with none gets start
+  /// kNoSpot. Valid until the next place() or clear() (see the class
+  /// comment). Throws std::invalid_argument for a mask of the wrong size.
+  void best_spots(std::vector<Spot>& spots,
+                  const std::vector<char>* allowed = nullptr) const;
 
   /// One constrained placement query: the unconstrained search plus every
   /// restriction the constraint layer can impose on a single rectangle.
@@ -98,23 +125,15 @@ class Skyline {
     /// Earliest allowed start (precedence and earliest-start folded in by
     /// the caller).
     std::int64_t min_start = 0;
-    /// Allowed wire range [lo, hi); hi = -1 means the whole strip.
-    core::WireInterval window{0, -1};
-    /// Wire intervals the rectangle must not touch (non-owning; may be
-    /// null for none — queries are built in hot packing loops, so the
-    /// constraint lists are referenced rather than copied).
-    const std::vector<core::WireInterval>* forbidden = nullptr;
+    /// Wires the rectangle may touch: (*allowed)[w] != 0, size
+    /// total_width(); null = the whole strip. Non-owning — rectpack's
+    /// ConstraintPlan lowers each core's fixed window and forbidden
+    /// intervals to one mask per pack.
+    const std::vector<char>* allowed = nullptr;
     /// This rectangle's power draw and the strip-wide budget; budget 0 =
     /// power-unconstrained.
     std::int64_t power = 0;
     std::int64_t power_budget = 0;
-    /// Optional precomputed blocked-wire mask: prefix counts with
-    /// blocked_prefix[w] = number of blocked wires < w (size
-    /// total_width() + 1). When set, best_spot uses it directly instead
-    /// of rebuilding the mask from `window`/`forbidden` — rectpack's
-    /// ConstraintPlan builds one per wire-constrained core once per pack.
-    /// Non-owning; must be consistent with `window`/`forbidden`.
-    const std::vector<int>* blocked_prefix = nullptr;
   };
 
   /// Constrained bottom-left spot: minimum feasible start, ties to the
@@ -122,9 +141,24 @@ class Skyline {
   /// and min_start at which the power profile stays within budget for the
   /// whole duration. Returns nullopt when no window of `width` allowed
   /// wires exists (or the rectangle's own power exceeds the budget).
-  /// Throws std::invalid_argument for width outside [1, total_width] or a
-  /// malformed window.
+  /// Throws std::invalid_argument for width outside [1, total_width],
+  /// duration < 1 or a mask of the wrong size. The reference for
+  /// spot_from_table (see the class comment).
   [[nodiscard]] std::optional<Spot> best_spot(const SpotQuery& query) const;
+
+  /// best_spot(query), read from `spots` as best_spots(spots,
+  /// query.allowed) filled it on the current skyline: at most one power
+  /// probe, plus one scan of the strip when the floor or the probe lifts
+  /// the start above the table's. Unchecked hot path: the table must be
+  /// current and query.width in [1, total_width].
+  [[nodiscard]] std::optional<Spot> spot_from_table(
+      const std::vector<Spot>& spots, const SpotQuery& query) const {
+    const Spot spot = spots[static_cast<std::size_t>(query.width) - 1];
+    if (spot.start == kNoSpot) return std::nullopt;  // no allowed window
+    // Inline for the unconstrained placements, which read the table as is.
+    if (query.power_budget <= 0 && query.min_start <= spot.start) return spot;
+    return lifted_spot(spot, query);
+  }
 
   /// Marks wires [wire, wire + width) busy until `end`. The caller places
   /// at a spot from best_spot, so free times only ever grow.
@@ -148,6 +182,11 @@ class Skyline {
   void clear() noexcept;
 
  private:
+  /// spot_from_table past the table's own answer: the floor and the
+  /// power probe, then the leftmost run admitting a lifted start.
+  [[nodiscard]] std::optional<Spot> lifted_spot(Spot table,
+                                                const SpotQuery& query) const;
+
   std::vector<std::int64_t> free_time_;
   /// Placed rectangles' contributions to the strip power profile,
   /// maintained incrementally (coalesced breakpoints, O(log n) lookups)
@@ -155,16 +194,16 @@ class Skyline {
   core::PowerTimeline power_timeline_;
 
   // Reusable per-query scratch: zero steady-state allocations on the
-  // constrained hot path. Logically const (query-local state only); see
-  // the class comment for the single-owner threading contract.
-  mutable std::vector<int> monotone_window_;  ///< deque storage, both paths
-  /// best_spots' stack of (wire, free time), sentinel first.
+  // constrained path. Logically const (query-local state only); see the
+  // class comment for the single-owner threading contract.
+  mutable std::vector<int> monotone_window_;  ///< best_spot's deque storage
+  /// best_spots' stack of (wire, free time), sentinel first, and its
+  /// free times with blocked wires at kNoSpot when a mask is given.
   mutable std::vector<Spot> run_stack_;
-  mutable std::vector<char> blocked_scratch_;
-  mutable std::vector<int> blocked_prefix_scratch_;
+  mutable std::vector<std::int64_t> masked_free_;
   /// Per-left-position window base starts (-1 = window blocked), filled
-  /// by the constrained search's first pass so the single power probe and
-  /// the leftmost tie-break run without re-walking the skyline.
+  /// by the constrained best_spot's first pass so the single power probe
+  /// and the leftmost tie-break run without re-walking the skyline.
   mutable std::vector<std::int64_t> window_base_;
 };
 

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -397,22 +397,97 @@ constexpr Pin kPins[] = {
      "29317 2012 area-decreasing e205e36ecc7900a486d92a31b19eb252"},
 };
 
-TEST(RectPack, WholeResultPinnedAtAnyThreadCount) {
-  const std::vector<PinCase> cases = pin_cases();
-  ASSERT_EQ(cases.size(), std::size(kPins));
+/// Every case's whole result at threads 1 and 4 against its pinned row.
+template <std::size_t N>
+void expect_pinned(const std::vector<PinCase>& cases, const Pin (&pins)[N]) {
+  ASSERT_EQ(cases.size(), N);
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const PinCase& pin_case = cases[i];
-    ASSERT_EQ(pin_case.label, kPins[i].label);
+    ASSERT_EQ(pin_case.label, pins[i].label);
     const core::TestTimeTable table(pin_case.soc, pin_case.width);
     for (const int threads : {1, 4}) {
       RectPackOptions options;
       options.threads = threads;
       options.constraints = pin_case.constraints;
       EXPECT_EQ(pinned_row(rectpack_schedule(table, pin_case.width, options)),
-                kPins[i].row)
+                pins[i].row)
           << pin_case.label << " threads=" << threads;
     }
   }
+}
+
+TEST(RectPack, WholeResultPinnedAtAnyThreadCount) {
+  expect_pinned(pin_cases(), kPins);
+}
+
+// ---- wire-constrained pins --------------------------------------------------
+//
+// The masked spot search (fixed windows and forbidden intervals), which no
+// pin above and no benchmark workload reaches beyond a single d695 point:
+// two generated SOCs at W 16/32/64, each under wire constraints plus
+// precedence, without and with a power budget of a fifth of the total
+// draw (tight enough to change the result at every point). Recorded from
+// the per-candidate SpotQuery search.
+
+/// Fixed windows on cores 1 and 4 and forbidden intervals on cores 1, 2
+/// and 5, scaled to the strip: core 1's window is split in two by its
+/// forbidden interval, core 5 may use neither edge of the strip.
+core::ScheduleConstraints with_wire_constraints(
+    core::ScheduleConstraints constraints, int width) {
+  constraints.fixed = {{1, {0, width / 2}}, {4, {width / 4, width}}};
+  constraints.forbidden = {{1, {width / 8, width / 8 + 2}},
+                           {2, {width / 4, width / 2}},
+                           {5, {0, width / 8}},
+                           {5, {width - width / 8, width}}};
+  return constraints;
+}
+
+std::vector<PinCase> wire_pin_cases() {
+  std::vector<PinCase> cases;
+  for (const soc::ConstrainedScenario& scenario :
+       {pin_scenario(23, 12, 0.2, 8), pin_scenario(88, 24, 0.2, 16)})
+    for (const int width : {16, 32, 64}) {
+      core::ScheduleConstraints precedence;
+      precedence.precedence = scenario.constraints.precedence;
+      const std::string label =
+          scenario.soc.name + "/W" + std::to_string(width);
+      cases.push_back({label + "/wires+precedence", scenario.soc, width,
+                       with_wire_constraints(precedence, width)});
+      cases.push_back({label + "/wires+power+precedence", scenario.soc, width,
+                       with_wire_constraints(scenario.constraints, width)});
+    }
+  return cases;
+}
+
+constexpr Pin kWirePins[] = {
+    {"csynth23/W16/wires+precedence",
+     "85750 2012 area-decreasing 23cef281a2f7e5e7f6ad21a182d5215a"},
+    {"csynth23/W16/wires+power+precedence",
+     "90206 2012 time-decreasing 08b3d5987f1bb12a8c3cc31a7e4990b6"},
+    {"csynth23/W32/wires+precedence",
+     "63357 2012 area-decreasing e6b1bba1dc027ad1237efa7a2ac627f2"},
+    {"csynth23/W32/wires+power+precedence",
+     "78057 2012 diagonal-decreasing b9feddf4b321e739a76dee963b030db2"},
+    {"csynth23/W64/wires+precedence",
+     "63357 2012 area-decreasing 57d6c587abb61169b36ef9023ed83f47"},
+    {"csynth23/W64/wires+power+precedence",
+     "78057 2012 area-decreasing bb2d58571a567b0a17eb7fe03ce17428"},
+    {"csynth88/W16/wires+precedence",
+     "126022 2012 area-decreasing d74aa64428ac6fe6fc4e6fa739927c61"},
+    {"csynth88/W16/wires+power+precedence",
+     "127003 2012 width-decreasing 9459c4254eae790f68749abd4252b803"},
+    {"csynth88/W32/wires+precedence",
+     "72477 2012 diagonal-decreasing 2853397ee1ea73a29b4a937d74984b33"},
+    {"csynth88/W32/wires+power+precedence",
+     "77570 2012 area-decreasing a638f4153f6434cf55fdcad5d5c93b5f"},
+    {"csynth88/W64/wires+precedence",
+     "62173 2012 area-decreasing a17939b42d6fd06eb83fd21931c569f5"},
+    {"csynth88/W64/wires+power+precedence",
+     "72052 2012 width-decreasing 4d626d79b12fc6452666c869ee175b45"},
+};
+
+TEST(RectPack, WireConstrainedResultPinnedAtAnyThreadCount) {
+  expect_pinned(wire_pin_cases(), kWirePins);
 }
 
 }  // namespace

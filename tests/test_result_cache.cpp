@@ -262,6 +262,33 @@ TEST(ResultCache, InsertAndExportRoundTrip) {
   EXPECT_EQ(from_copy->outcome.testing_time, 200);
 }
 
+TEST(ResultCache, PublishReplacesAnEntryStoredMeanwhile) {
+  // A key inserted while its leader computes is replaced by the publish:
+  // one entry, the published value, and only its bytes on the gauge.
+  ResultCacheOptions options;
+  options.shards = 1;
+  ResultCache cache(options);
+  const ResultCache::Fetch fetch = cache.begin_fetch(key_for(32));
+  ASSERT_EQ(fetch.outcome, ResultCache::FetchOutcome::Lead);
+  cache.insert(key_for(32), solve_of_size(100, 4096));
+  cache.insert(key_for(33), solve_of_size(200, 64));
+  const CachedSolve published = solve_of_size(300, 64);
+  const std::size_t expected_bytes =
+      published.approx_bytes() + solve_of_size(200, 64).approx_bytes();
+  cache.publish(fetch, published);
+  const ResultCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.bytes, expected_bytes);
+  const auto hit = cache.lookup(key_for(32));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->outcome.testing_time, 300);
+  // The publish made 32 the most recent entry, and the lookup kept it so.
+  const auto entries = cache.export_entries();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].first, key_for(33));
+  EXPECT_EQ(entries[1].first, key_for(32));
+}
+
 TEST(ResultCache, InsertRespectsBudgetAndOversizeRules) {
   ResultCacheOptions options;
   options.shards = 1;

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/constraints.hpp"
 #include "pack/skyline.hpp"
 
 namespace wtam::pack {
@@ -26,6 +29,48 @@ namespace {
              << "width " << width << ": table (wire " << table.wire
              << ", start " << table.start << "), best_spot (wire "
              << reference.wire << ", start " << reference.start << ")";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The wires a fixed window minus forbidden intervals leaves, as the
+/// SpotQuery mask (rectpack's ConstraintPlan lowers its constraints the
+/// same way).
+std::vector<char> allowed_wires(
+    int total, core::WireInterval window,
+    const std::vector<core::WireInterval>& forbidden) {
+  std::vector<char> allowed(static_cast<std::size_t>(total), 0);
+  for (int w = window.lo; w < window.hi; ++w)
+    allowed[static_cast<std::size_t>(w)] = 1;
+  for (const core::WireInterval& interval : forbidden)
+    for (int w = interval.lo; w < interval.hi; ++w)
+      allowed[static_cast<std::size_t>(w)] = 0;
+  return allowed;
+}
+
+/// spot_from_table against the constrained best_spot for every width of
+/// the strip, from one table filled with the query's mask: wire and
+/// start, or both empty.
+::testing::AssertionResult TableAnswersMatchBestSpot(
+    const Skyline& sky, Skyline::SpotQuery query) {
+  std::vector<Skyline::Spot> spots;
+  sky.best_spots(spots, query.allowed);
+  for (int width = 1; width <= sky.total_width(); ++width) {
+    query.width = width;
+    const auto table = sky.spot_from_table(spots, query);
+    const auto reference = sky.best_spot(query);
+    const auto show = [](const std::optional<Skyline::Spot>& spot) {
+      return spot.has_value() ? "(wire " + std::to_string(spot->wire) +
+                                    ", start " + std::to_string(spot->start) +
+                                    ")"
+                              : std::string("none");
+    };
+    if (table.has_value() != reference.has_value() ||
+        (table.has_value() && (table->wire != reference->wire ||
+                               table->start != reference->start)))
+      return ::testing::AssertionFailure()
+             << "width " << width << ": table " << show(table)
+             << ", best_spot " << show(reference);
   }
   return ::testing::AssertionSuccess();
 }
@@ -181,13 +226,16 @@ TEST(Skyline, ConstrainedQueryHonorsWindowsAndForbiddenRows) {
   Skyline::SpotQuery query;
   query.width = 2;
   query.duration = 10;
-  query.window = {4, 8};  // fixed interval: right half only
+  // Fixed interval: right half only.
+  const std::vector<char> right_half = allowed_wires(8, {4, 8}, {});
+  query.allowed = &right_half;
   const auto right = sky.best_spot(query);
   ASSERT_TRUE(right.has_value());
   EXPECT_EQ(right->wire, 4);
+  EXPECT_TRUE(TableAnswersMatchBestSpot(sky, query));
 
-  const std::vector<core::WireInterval> forbidden = {{4, 6}};
-  query.forbidden = &forbidden;
+  const std::vector<char> shifted_mask = allowed_wires(8, {4, 8}, {{4, 6}});
+  query.allowed = &shifted_mask;
   const auto shifted = sky.best_spot(query);
   ASSERT_TRUE(shifted.has_value());
   EXPECT_EQ(shifted->wire, 6);
@@ -200,6 +248,7 @@ TEST(Skyline, ConstrainedQueryHonorsWindowsAndForbiddenRows) {
   const auto floored = sky.best_spot(query);
   ASSERT_TRUE(floored.has_value());
   EXPECT_EQ(floored->start, 123);
+  EXPECT_TRUE(TableAnswersMatchBestSpot(sky, query));
 }
 
 TEST(Skyline, PowerRejectionAtExactlyAtBudgetBoundaries) {
@@ -240,45 +289,105 @@ TEST(Skyline, PowerRejectionAtExactlyAtBudgetBoundaries) {
   EXPECT_EQ(spot->start, 10);
 }
 
-TEST(Skyline, PrecomputedBlockedPrefixMatchesRebuiltMask) {
-  // A caller-provided prefix mask (rectpack's ConstraintPlan path) must
-  // answer exactly like the query that rebuilds the mask from window +
-  // forbidden, on a non-flat skyline.
+TEST(Skyline, MaskedTableSkipsBlockedWiresOnARaisedSkyline) {
   Skyline sky(8);
   sky.place(0, 3, 7);
   sky.place(5, 2, 4);
-
-  Skyline::SpotQuery rebuilt;
-  rebuilt.width = 2;
-  rebuilt.duration = 10;
-  rebuilt.window = {1, 8};
-  const std::vector<core::WireInterval> forbidden = {{3, 5}};
-  rebuilt.forbidden = &forbidden;
-
-  // blocked wires: 0 (window), 3, 4 (forbidden) -> prefix counts.
-  std::vector<int> prefix(9, 0);
-  const std::vector<int> blocked = {1, 0, 0, 1, 1, 0, 0, 0};
-  for (int w = 0; w < 8; ++w)
-    prefix[static_cast<std::size_t>(w) + 1] =
-        prefix[static_cast<std::size_t>(w)] + blocked[static_cast<std::size_t>(w)];
-  Skyline::SpotQuery precomputed = rebuilt;
-  precomputed.blocked_prefix = &prefix;
-
-  const auto a = sky.best_spot(rebuilt);
-  const auto b = sky.best_spot(precomputed);
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(a->wire, b->wire);
-  EXPECT_EQ(a->start, b->start);
+  // Blocked: wire 0 (outside the window) and 3, 4 (forbidden).
+  const std::vector<char> allowed = allowed_wires(8, {1, 8}, {{3, 5}});
+  Skyline::SpotQuery query;
+  query.width = 2;
+  query.duration = 10;
+  query.allowed = &allowed;
   // Wires {1, 2} are free at 7, {5, 6, 7} at 4: the lower window wins.
-  EXPECT_EQ(a->wire, 5);
-  EXPECT_EQ(a->start, 4);
+  const auto spot = sky.best_spot(query);
+  ASSERT_TRUE(spot.has_value());
+  EXPECT_EQ(spot->wire, 5);
+  EXPECT_EQ(spot->start, 4);
+
+  std::vector<Skyline::Spot> spots;
+  sky.best_spots(spots, &allowed);
+  EXPECT_EQ(spots[1].wire, 5);
+  EXPECT_EQ(spots[1].start, 4);
+  EXPECT_EQ(spots[2].wire, 5);  // the only 3-wide allowed run
+  EXPECT_EQ(spots[2].start, 4);
+  EXPECT_EQ(spots[3].start, Skyline::kNoSpot);  // no 4 allowed in a row
+  EXPECT_TRUE(TableAnswersMatchBestSpot(sky, query));
+  // A floor above both runs' free times admits the leftmost run again.
+  query.min_start = 9;
+  EXPECT_TRUE(TableAnswersMatchBestSpot(sky, query));
+  const auto floored = sky.spot_from_table(spots, query);
+  ASSERT_TRUE(floored.has_value());
+  EXPECT_EQ(floored->wire, 1);
+  EXPECT_EQ(floored->start, 9);
 
   // A mask of the wrong size is a caller bug, reported loudly.
-  std::vector<int> short_mask(3, 0);
-  Skyline::SpotQuery bad = rebuilt;
-  bad.blocked_prefix = &short_mask;
-  EXPECT_THROW((void)sky.best_spot(bad), std::invalid_argument);
+  const std::vector<char> short_mask(3, 1);
+  query.allowed = &short_mask;
+  EXPECT_THROW((void)sky.best_spot(query), std::invalid_argument);
+  EXPECT_THROW(sky.best_spots(spots, &short_mask), std::invalid_argument);
+}
+
+TEST(Skyline, SpotFromTableMatchesBestSpotOnRandomSkylines) {
+  // Power-aware placements on every strip width 1..128, each followed by
+  // random queries: a mask from a random fixed window and up to two
+  // forbidden intervals (or none), a random start floor, power draw and
+  // budget (or none). Spans of 1..4 cycles on top of the window's start
+  // keep free times and power breakpoints within a few cycles of each
+  // other, so floors and probes lift starts past the table's often, and
+  // equal starts between far-apart windows are common.
+  common::Rng rng(4099);
+  std::vector<char> allowed;
+  std::vector<core::WireInterval> forbidden;
+  const auto random_query = [&](const Skyline& sky) {
+    const int total = sky.total_width();
+    Skyline::SpotQuery query;
+    query.duration = rng.uniform_int(1, 6);
+    if (rng.uniform_int(0, 2) != 0) {
+      const int lo = static_cast<int>(rng.uniform_int(0, total - 1));
+      const int hi = static_cast<int>(rng.uniform_int(lo + 1, total));
+      forbidden.clear();
+      for (std::int64_t i = rng.uniform_int(0, 2); i > 0; --i) {
+        const int f_lo = static_cast<int>(rng.uniform_int(0, total - 1));
+        forbidden.push_back(
+            {f_lo, static_cast<int>(rng.uniform_int(f_lo + 1, total))});
+      }
+      allowed = allowed_wires(total, {lo, hi}, forbidden);
+      query.allowed = &allowed;
+    }
+    if (rng.uniform_int(0, 1) == 0)
+      query.min_start = rng.uniform_int(0, sky.makespan() + 4);
+    if (rng.uniform_int(0, 2) != 0) {
+      query.power_budget = rng.uniform_int(1, 12);
+      query.power = rng.uniform_int(0, query.power_budget + 1);
+    }
+    return query;
+  };
+  for (int total = 1; total <= 128; ++total) {
+    Skyline sky(total);
+    ASSERT_TRUE(TableAnswersMatchBestSpot(sky, random_query(sky)))
+        << "W=" << total << " flat";
+    for (int step = 0; step < 30; ++step) {
+      const int width = static_cast<int>(rng.uniform_int(1, total));
+      int wire = static_cast<int>(rng.uniform_int(0, total - width));
+      std::int64_t start = 0;
+      for (int w = wire; w < wire + width; ++w)
+        start = std::max(start, sky.free_time(w));
+      if (rng.uniform_int(0, 1) == 0) {  // where a constrained packer would
+        Skyline::SpotQuery query = random_query(sky);
+        query.width = width;
+        if (const auto spot = sky.best_spot(query)) {
+          wire = spot->wire;
+          start = spot->start;
+        }
+      }
+      sky.place(wire, width, start, start + rng.uniform_int(1, 4),
+                rng.uniform_int(0, 4));
+      for (int probe = 0; probe < 2; ++probe)
+        ASSERT_TRUE(TableAnswersMatchBestSpot(sky, random_query(sky)))
+            << "W=" << total << " step " << step << " probe " << probe;
+    }
+  }
 }
 
 TEST(Skyline, ClearResetsPowerTimelineToo) {
