@@ -49,8 +49,7 @@ int bench_threads(int fallback) {
 void write_json_file(const std::string& path, const Json& document) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot write " + path);
-  document.dump(out);
-  out << '\n';
+  out << document.dump_string() << '\n';
   if (!out) throw std::runtime_error("write failed for " + path);
 }
 

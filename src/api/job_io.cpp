@@ -357,6 +357,9 @@ std::string jobs_to_json(const std::vector<SolveRequest>& jobs) {
 JsonValue result_to_json(const SolveResult& result,
                          const ResultsWriteOptions& options) {
   JsonValue entry = JsonValue::object();
+  // "id" stays the first member: the fleet router restores client ids by
+  // splicing over a response's leading {"id": "r<seq>" (test_job_io's
+  // ResultsLeadWithTheirId pins this).
   entry.set("id", JsonValue::string(result.id));
   if (!result.tag.empty()) entry.set("tag", JsonValue::string(result.tag));
   entry.set("status", JsonValue::string(std::string(to_string(result.status))));

@@ -1,47 +1,49 @@
 #include "api/json_value.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <locale>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <system_error>
+#include <unordered_set>
 
 namespace wtam::api {
 
-namespace {
-
-void dump_json_string(std::ostream& out, const std::string& text) {
-  out << '"';
-  for (const char c : text) {
+void append_json_string(std::string& out, std::string_view text) {
+  out += '"';
+  // Plain bytes go out in runs; only the bytes JSON needs escaped stop
+  // a run.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      case '\r': out << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(c));
-          out << buffer;
-        } else {
-          out << c;
-        }
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(escape, sizeof escape);
+      }
     }
   }
-  out << '"';
+  out.append(text.data() + run, text.size() - run);
+  out += '"';
 }
 
 /// Recursive-descent parser over the full JSON grammar. Depth-limited so
 /// adversarial inputs fail cleanly instead of overflowing the stack.
-class Parser {
+/// A friend of JsonValue: objects are filled member by member, with the
+/// duplicate-key check done here rather than through set().
+class JsonParser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit JsonParser(const std::string& text) : text_(text) {}
 
   JsonValue run() {
     JsonValue value = parse_value(0);
@@ -118,12 +120,16 @@ class Parser {
       ++pos_;
       return object;
     }
+    // The duplicate check hashes, so a hostile many-key line parses in
+    // linear time, not quadratic.
+    std::unordered_set<std::string> keys;
     for (;;) {
       if (peek() != '"') fail("expected object key string");
       std::string key = parse_string();
       expect(':');
-      if (object.find(key) != nullptr) fail("duplicate object key '" + key + "'");
-      object.set(key, parse_value(depth + 1));
+      if (!keys.insert(key).second) fail("duplicate object key '" + key + "'");
+      JsonValue value = parse_value(depth + 1);
+      object.members_.emplace_back(std::move(key), std::move(value));
       const char next = peek();
       ++pos_;
       if (next == '}') return object;
@@ -151,14 +157,18 @@ class Parser {
     expect('"');
     std::string out;
     while (pos_ < text_.size()) {
+      // Copy the run of plain bytes up to the next quote, backslash or
+      // control byte in one append.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' &&
+             text_[pos_] != '\\' &&
+             static_cast<unsigned char>(text_[pos_]) >= 0x20)
+        ++pos_;
+      out.append(text_, run, pos_ - run);
+      if (pos_ >= text_.size()) break;
       const char c = text_[pos_++];
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20)
-        fail("unescaped control character in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') fail("unescaped control character in string");
       if (pos_ >= text_.size()) fail("unterminated escape");
       const char escape = text_[pos_++];
       switch (escape) {
@@ -259,8 +269,6 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-}  // namespace
-
 JsonValue JsonValue::boolean(bool value) {
   JsonValue json;
   json.kind_ = Kind::Bool;
@@ -302,7 +310,7 @@ JsonValue JsonValue::array() {
 }
 
 JsonValue JsonValue::parse(const std::string& text) {
-  return Parser(text).run();
+  return JsonParser(text).run();
 }
 
 bool JsonValue::as_bool() const {
@@ -356,122 +364,101 @@ JsonValue& JsonValue::set(const std::string& key, JsonValue value) {
   return *this;
 }
 
+bool JsonValue::erase(const std::string& key) {
+  if (kind_ != Kind::Object)
+    throw std::logic_error("JsonValue::erase on a non-object");
+  const auto it = std::find_if(
+      members_.begin(), members_.end(),
+      [&key](const auto& member) { return member.first == key; });
+  if (it == members_.end()) return false;
+  members_.erase(it);
+  return true;
+}
+
 JsonValue& JsonValue::push(JsonValue value) {
   if (kind_ != Kind::Array) throw std::logic_error("JsonValue::push on a non-array");
   elements_.push_back(std::move(value));
   return *this;
 }
 
-void JsonValue::dump(std::ostream& out, int indent) const {
-  const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
-  const std::string inner_pad(static_cast<std::size_t>(indent + 1) * 2, ' ');
+void JsonValue::append(std::string& out, int indent) const {
+  if (kind_ == Kind::Object || kind_ == Kind::Array) {
+    const bool object = kind_ == Kind::Object;
+    const std::size_t count = object ? members_.size() : elements_.size();
+    if (count == 0) {
+      out += object ? "{}" : "[]";
+      return;
+    }
+    const bool pretty = indent != kCompact;
+    const auto newline = [&out](int level) {
+      out += '\n';
+      out.append(static_cast<std::size_t>(level) * 2, ' ');
+    };
+    out += object ? '{' : '[';
+    for (std::size_t i = 0; i < count; ++i) {
+      if (i > 0) out += pretty ? "," : ", ";
+      if (pretty) newline(indent + 1);
+      if (object) {
+        append_json_string(out, members_[i].first);
+        out += ": ";
+      }
+      (object ? members_[i].second : elements_[i])
+          .append(out, pretty ? indent + 1 : kCompact);
+    }
+    if (pretty) newline(indent);
+    out += object ? '}' : ']';
+    return;
+  }
   switch (kind_) {
     case Kind::Null:
-      out << "null";
+      out += "null";
       break;
     case Kind::Bool:
-      out << (bool_ ? "true" : "false");
+      out += bool_ ? "true" : "false";
       break;
     case Kind::Int: {
-      // to_chars, not operator<<: a grouping locale on the caller's
-      // stream would print 1,234,567.
       char buffer[24];
       const auto [end, ec] = std::to_chars(buffer, buffer + sizeof buffer,
                                            int_);
-      out.write(buffer, end - buffer);
+      out.append(buffer, end);
       break;
     }
     case Kind::Double: {
       // JSON has no inf/nan; degrade to null rather than produce an
       // unparsable file (same policy as bench::Json).
       if (!std::isfinite(double_)) {
-        out << "null";
+        out += "null";
         break;
       }
-      std::ostringstream formatted;
-      // The classic locale keeps '.' as the decimal separator whatever
-      // the host application set globally — the output must stay JSON.
-      formatted.imbue(std::locale::classic());
-      formatted.precision(12);
-      formatted << double_;
-      out << formatted.str();
+      // %.12g in the C locale: to_chars ignores the host application's
+      // global locale, so the decimal separator stays '.'.
+      char buffer[32];
+      const auto [end, ec] =
+          std::to_chars(buffer, buffer + sizeof buffer, double_,
+                        std::chars_format::general, 12);
+      out.append(buffer, end);
       break;
     }
     case Kind::String:
-      dump_json_string(out, string_);
+      // Escaped, so a scalar never breaks the single-line form.
+      append_json_string(out, string_);
       break;
-    case Kind::Object: {
-      if (members_.empty()) {
-        out << "{}";
-        break;
-      }
-      out << "{\n";
-      for (std::size_t i = 0; i < members_.size(); ++i) {
-        out << inner_pad;
-        dump_json_string(out, members_[i].first);
-        out << ": ";
-        members_[i].second.dump(out, indent + 1);
-        out << (i + 1 < members_.size() ? ",\n" : "\n");
-      }
-      out << pad << '}';
-      break;
-    }
-    case Kind::Array: {
-      if (elements_.empty()) {
-        out << "[]";
-        break;
-      }
-      out << "[\n";
-      for (std::size_t i = 0; i < elements_.size(); ++i) {
-        out << inner_pad;
-        elements_[i].dump(out, indent + 1);
-        out << (i + 1 < elements_.size() ? ",\n" : "\n");
-      }
-      out << pad << ']';
-      break;
-    }
+    case Kind::Object:
+    case Kind::Array:
+      break;  // handled above
   }
 }
 
 std::string JsonValue::dump_string() const {
-  std::ostringstream out;
-  dump(out);
-  return out.str();
-}
-
-void JsonValue::dump_compact(std::ostream& out) const {
-  switch (kind_) {
-    case Kind::Object: {
-      out << '{';
-      for (std::size_t i = 0; i < members_.size(); ++i) {
-        if (i > 0) out << ", ";
-        dump_json_string(out, members_[i].first);
-        out << ": ";
-        members_[i].second.dump_compact(out);
-      }
-      out << '}';
-      break;
-    }
-    case Kind::Array: {
-      out << '[';
-      for (std::size_t i = 0; i < elements_.size(); ++i) {
-        if (i > 0) out << ", ";
-        elements_[i].dump_compact(out);
-      }
-      out << ']';
-      break;
-    }
-    default:
-      // Scalars never contain newlines (dump_json_string escapes them),
-      // so the pretty printer's rendering is already single-line.
-      dump(out);
-  }
+  std::string out;
+  append(out, 0);
+  return out;
 }
 
 std::string JsonValue::dump_compact_string() const {
-  std::ostringstream out;
-  dump_compact(out);
-  return out.str();
+  std::string out;
+  append(out, kCompact);
+  return out;
 }
 
 }  // namespace wtam::api

@@ -1,19 +1,25 @@
 // A small JSON document model with both a parser and a writer — the
 // read/write counterpart of the write-only bench::Json the benches emit.
 // Objects preserve insertion order (so serialization is deterministic),
-// numbers distinguish int64 from double, and dump() matches the benches'
-// pretty-printed two-space style so BENCH_*.json and the Solver's
+// numbers distinguish int64 from double, and dump_string() matches the
+// benches' pretty-printed two-space style so BENCH_*.json and the Solver's
 // jobs/results files look like one family.
 
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace wtam::api {
+
+/// Appends `text` to `out` as a JSON string literal, quoted and escaped
+/// exactly as the writer escapes strings (short forms for " \ newline,
+/// tab and CR, \u00XX for the other control bytes, everything else —
+/// UTF-8 included — passed through).
+void append_json_string(std::string& out, std::string_view text);
 
 class JsonValue {
  public:
@@ -30,7 +36,8 @@ class JsonValue {
 
   /// Parses a complete JSON document (one value, trailing whitespace
   /// allowed). Throws std::runtime_error with a line:column position on
-  /// malformed input.
+  /// malformed input, duplicate object keys included. Linear in the
+  /// input, however many keys an object has.
   [[nodiscard]] static JsonValue parse(const std::string& text);
 
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
@@ -57,21 +64,29 @@ class JsonValue {
 
   /// Object access: inserts or overwrites `key` (object kind only).
   JsonValue& set(const std::string& key, JsonValue value);
+  /// Object access: removes `key` if present (object kind only); returns
+  /// whether it was.
+  bool erase(const std::string& key);
   /// Array access: appends (array kind only).
   JsonValue& push(JsonValue value);
 
   /// Pretty-prints in the bench JSON style (two-space indent, ordered
   /// members, non-finite doubles degrade to null).
-  void dump(std::ostream& out, int indent = 0) const;
   [[nodiscard]] std::string dump_string() const;
 
   /// Single-line rendering (no indentation or newlines, one space after
-  /// ':' and ','), same value formatting as dump() — the NDJSON form the
-  /// wtam_serve wire protocol emits one response per line in.
-  void dump_compact(std::ostream& out) const;
+  /// ':' and ','), same value formatting as dump_string() — the NDJSON
+  /// form the wtam_serve wire protocol emits one response per line in.
   [[nodiscard]] std::string dump_compact_string() const;
 
  private:
+  friend class JsonParser;  // json_value.cpp; fills members_ directly
+
+  static constexpr int kCompact = -1;
+  /// The one writer: appends this value to `out`, pretty-printed at
+  /// nesting level `indent`, or single-line for kCompact.
+  void append(std::string& out, int indent) const;
+
   Kind kind_;
   bool bool_ = false;
   std::int64_t int_ = 0;

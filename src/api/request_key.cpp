@@ -131,8 +131,15 @@ std::string canonical_options(const std::string& backend,
 RequestKey make_request_key(const soc::Soc& soc, int width,
                             const std::string& backend,
                             const core::BackendOptions& options) {
+  return make_request_key(common::stable_hash_128(soc::canonical_bytes(soc)),
+                          width, backend, options);
+}
+
+RequestKey make_request_key(const common::Hash128& soc_hash, int width,
+                            const std::string& backend,
+                            const core::BackendOptions& options) {
   RequestKey key;
-  key.soc_hash = common::stable_hash_128(soc::canonical_bytes(soc));
+  key.soc_hash = soc_hash;
   key.width = width;
   key.backend = backend;
   key.options = canonical_options(backend, options);
@@ -142,14 +149,14 @@ RequestKey make_request_key(const soc::Soc& soc, int width,
 std::vector<RequestKey> request_keys(const SolveRequest& request) {
   // The Solver's own resolution rule, shared so the canonical key always
   // identifies exactly the SOC that gets solved.
-  const soc::Soc resolved = resolve_soc(request);
+  const common::Hash128 soc_hash = resolve_soc_identity(request).hash;
 
   const int width_last =
       request.width_max == 0 ? request.width : request.width_max;
   std::vector<RequestKey> keys;
   keys.reserve(static_cast<std::size_t>(width_last - request.width + 1));
   RequestKey base =
-      make_request_key(resolved, request.width, request.backend,
+      make_request_key(soc_hash, request.width, request.backend,
                        request.options);
   for (int w = request.width; w <= width_last; ++w) {
     base.width = w;

@@ -74,11 +74,18 @@ struct RequestKey {
 [[nodiscard]] RequestKey make_request_key(const soc::Soc& soc, int width,
                                           const std::string& backend,
                                           const core::BackendOptions& options);
+/// The same key from the SOC's content hash (SocIdentity::hash), for
+/// callers that already have it.
+[[nodiscard]] RequestKey make_request_key(const common::Hash128& soc_hash,
+                                          int width,
+                                          const std::string& backend,
+                                          const core::BackendOptions& options);
 
 /// Expands a validated request to its per-width keys (one key for a
 /// single-width request, width_max - width + 1 keys for a sweep),
-/// resolving the SOC source exactly as the Solver does. Throws
-/// std::runtime_error on an unreadable/malformed SOC source.
+/// resolving the SOC source exactly as the Solver does
+/// (resolve_soc_identity, memo included). Throws std::runtime_error on an
+/// unreadable/malformed SOC source.
 [[nodiscard]] std::vector<RequestKey> request_keys(const SolveRequest& request);
 
 }  // namespace wtam::api

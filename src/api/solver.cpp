@@ -1,8 +1,11 @@
 #include "api/solver.hpp"
 
 #include <algorithm>
+#include <deque>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 #include "api/request_key.hpp"
@@ -22,6 +25,74 @@ namespace wtam::api {
 namespace {
 
 constexpr int kMaxWidth = 256;  ///< same ceiling the CLI enforces
+
+/// Inline SOC texts the memo keeps; it starts over when full. A miss
+/// costs only the parse and hash every request paid before there was a
+/// memo.
+constexpr std::size_t kSocMemoEntries = 64;
+/// Longer inline texts are resolved afresh, never kept, so the memo stays
+/// small whatever clients send (the benchmark SOCs' texts are under 5 KB).
+constexpr std::size_t kSocMemoMaxTextBytes = 16 * 1024;
+
+SocIdentity identify(soc::Soc soc) {
+  SocIdentity identity;
+  identity.hash = common::stable_hash_128(soc::canonical_bytes(soc));
+  identity.soc = std::make_shared<const soc::Soc>(std::move(soc));
+  return identity;
+}
+
+/// The process-wide memo behind resolve_soc_identity.
+class SocMemo {
+ public:
+  static SocMemo& instance() {
+    static SocMemo memo;
+    return memo;
+  }
+
+  /// A built-in name is loaded and hashed by the first call that names
+  /// it and kept for the process's life; any other name (a file path) is
+  /// loaded afresh, since the file may change between requests.
+  SocIdentity named(const std::string& name) {
+    const auto names = soc::builtin_soc_names();
+    const auto it = std::find(names.begin(), names.end(), name);
+    if (it == names.end()) return identify(soc::load_by_name_or_path(name));
+    Builtin& slot = builtins_[static_cast<std::size_t>(it - names.begin())];
+    std::call_once(slot.once, [&slot, &name] {
+      slot.identity = identify(soc::load_by_name_or_path(name));
+    });
+    return slot.identity;
+  }
+
+  /// Inline text, keyed by all of its bytes. The parse runs outside the
+  /// lock, so two threads missing on one text may both parse it; their
+  /// identities are equal, and either may be kept.
+  SocIdentity inline_text(const std::string& text) {
+    if (text.size() > kSocMemoMaxTextBytes)
+      return identify(soc::parse_soc_string(text));
+    {
+      const common::MutexLock lock(mutex_);
+      if (const auto it = texts_.find(text); it != texts_.end())
+        return it->second;
+    }
+    SocIdentity identity = identify(soc::parse_soc_string(text));
+    const common::MutexLock lock(mutex_);
+    if (texts_.size() == kSocMemoEntries) texts_.clear();
+    texts_.try_emplace(text, identity);
+    return identity;
+  }
+
+ private:
+  struct Builtin {
+    std::once_flag once;
+    SocIdentity identity;  // written once, under `once`
+  };
+
+  SocMemo() : builtins_(soc::builtin_soc_names().size()) {}
+
+  std::deque<Builtin> builtins_;  // one per built-in name, never resized
+  common::Mutex mutex_;
+  std::unordered_map<std::string, SocIdentity> texts_ WTAM_GUARDED_BY(mutex_);
+};
 
 Status status_from_interrupt(SolveInterrupt interrupt) noexcept {
   switch (interrupt) {
@@ -96,16 +167,17 @@ SolveResult execute_impl(const SolveRequest& request, std::size_t index,
     return result;
   }
 
-  soc::Soc soc;
+  SocIdentity identity;
   try {
     obs::SpanTimer span(trace, "soc-resolve");
-    soc = resolve_soc(request);
+    identity = resolve_soc_identity(request);
   } catch (const std::exception& e) {
     result.status = Status::InvalidRequest;
     result.error = e.what();
     result.wall_s = watch.elapsed_s();
     return result;
   }
+  const soc::Soc& soc = *identity.soc;
   result.soc_name = soc.name;
   result.core_count = soc.core_count();
 
@@ -139,7 +211,7 @@ SolveResult execute_impl(const SolveRequest& request, std::size_t index,
         cache != nullptr && !request.deadline_s.has_value();
     RequestKey key;
     if (cacheable)
-      key = make_request_key(soc, request.width, request.backend,
+      key = make_request_key(identity.hash, request.width, request.backend,
                              request.options);
 
     std::optional<WidthSolve> best;
@@ -310,11 +382,15 @@ class ProgressSink {
 
 }  // namespace
 
+SocIdentity resolve_soc_identity(const SolveRequest& request) {
+  if (request.soc_value.has_value()) return identify(*request.soc_value);
+  SocMemo& memo = SocMemo::instance();
+  if (!request.soc_inline.empty()) return memo.inline_text(request.soc_inline);
+  return memo.named(request.soc);
+}
+
 soc::Soc resolve_soc(const SolveRequest& request) {
-  if (request.soc_value.has_value()) return *request.soc_value;
-  if (!request.soc_inline.empty())
-    return soc::parse_soc_string(request.soc_inline);
-  return soc::load_by_name_or_path(request.soc);
+  return *resolve_soc_identity(request).soc;
 }
 
 std::string_view to_string(Status status) noexcept {

@@ -41,6 +41,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "core/backend.hpp"
 #include "core/solve_context.hpp"
 #include "obs/trace.hpp"
@@ -111,11 +112,29 @@ struct SolveRequest {
 /// otherwise the reason (what SolveResult::error would say).
 [[nodiscard]] std::string validate(const SolveRequest& request);
 
+/// A resolved SOC and its content hash: what a request's RequestKeys and
+/// the router's shard choice are built from.
+struct SocIdentity {
+  std::shared_ptr<const soc::Soc> soc;
+  common::Hash128 hash;  ///< stable_hash_128(soc::canonical_bytes(*soc))
+};
+
 /// Resolves the request's SOC source — in-memory value, inline text, or
 /// name/path, in that precedence. The one resolution rule shared by the
 /// Solver and the request-key canonicalizer (they must agree, or keys
-/// would identify a different SOC than the one solved). Throws on
-/// unreadable/malformed sources; the Solver maps that to InvalidRequest.
+/// would identify a different SOC than the one solved).
+///
+/// Built-in names and inline text resolve through a process-wide memo:
+/// each built-in is generated and hashed once, on first use, and inline
+/// texts up to 16 KiB are kept, keyed by their full bytes, so a repeat
+/// costs a lookup instead of a parse and a hash. The memo holds at most
+/// 64 texts and starts over when full. Longer texts, in-memory values
+/// and file paths resolve afresh on every call (a file may change
+/// between requests). Thread-safe. Throws on unreadable/malformed
+/// sources; the Solver maps that to InvalidRequest.
+[[nodiscard]] SocIdentity resolve_soc_identity(const SolveRequest& request);
+
+/// resolve_soc_identity's SOC, copied out.
 [[nodiscard]] soc::Soc resolve_soc(const SolveRequest& request);
 
 struct SolveResult {

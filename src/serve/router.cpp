@@ -1,8 +1,11 @@
 #include "serve/router.hpp"
 
-#include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "api/cache_store.hpp"
@@ -81,6 +84,59 @@ obs::MetricsSnapshot router_metrics(const RouterCounters& counters) {
                                  static_cast<std::int64_t>(count)});
   });
   return snapshot;
+}
+
+/// `answer` led by the client's op id, as wtam_serve leads its op error
+/// objects with it; unchanged for an op sent without one.
+api::JsonValue with_op_id(const std::string& id, const api::JsonValue& answer) {
+  if (id.empty() || !answer.is_object()) return answer;
+  api::JsonValue tagged = api::JsonValue::object();
+  tagged.set("id", api::JsonValue::string(id));
+  for (const auto& [key, value] : answer.members())
+    if (key != "id") tagged.set(key, value);
+  return tagged;
+}
+
+/// The routing seq of a job response, read from its leading internal id
+/// {"id": "r<seq>", ...}; `rest` is set to the offset just past that id's
+/// closing quote. nullopt for any other line.
+std::optional<std::uint64_t> response_seq(std::string_view line,
+                                          std::size_t& rest) {
+  constexpr std::string_view kLead = "{\"id\": \"r";
+  if (!line.starts_with(kLead)) return std::nullopt;
+  const char* const first = line.data() + kLead.size();
+  const char* const last = line.data() + line.size();
+  if (first == last || *first == '0') return std::nullopt;  // seq >= 1
+  std::uint64_t seq = 0;
+  const auto [end, ec] = std::from_chars(first, last, seq);
+  if (ec != std::errc{} || end == last || *end != '"') return std::nullopt;
+  rest = static_cast<std::size_t>(end + 1 - line.data());
+  return seq;
+}
+
+/// True when `line` is one whole JSON object: braces and brackets
+/// balance outside strings and close on its last byte. A worker killed
+/// mid-write leaves a torn final line; it must count as lost, so the
+/// replay answers the job, rather than reach the client.
+bool whole_object(std::string_view line) {
+  int depth = 0;
+  bool in_string = false;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (in_string) {
+      if (c == '\\')
+        ++i;
+      else if (c == '"')
+        in_string = false;
+    } else if (c == '"') {
+      in_string = true;
+    } else if (c == '{' || c == '[') {
+      ++depth;
+    } else if ((c == '}' || c == ']') && --depth == 0) {
+      return i + 1 == line.size();
+    }
+  }
+  return false;
 }
 
 struct ReshardStats {
@@ -216,26 +272,26 @@ void Router::note(const std::string& message) {
   if (diag_) diag_(message);
 }
 
-std::size_t Router::shard_for(const api::JsonValue& value,
-                              const std::string& line) const {
+std::size_t Router::shard_for(const api::JsonValue& value) const {
   // Route by cache identity so resubmissions hit the worker that cached
   // them: the job's first RequestKey (a sweep's lowest width) hashes to
   // a worker. Jobs whose key cannot be computed still route
-  // deterministically, by a stable hash of the raw line, so their error
-  // responses are reproducible too.
+  // deterministically, by a stable hash of the job's compact dump, so
+  // their error responses are reproducible too.
   std::size_t count = 0;
   {
     const common::MutexLock lock(mutex_);
     count = slots_.size();
   }
   try {
-    const api::SolveRequest request = api::job_from_json(value);
-    const std::vector<api::RequestKey> keys = api::request_keys(request);
+    const std::vector<api::RequestKey> keys =
+        api::request_keys(api::job_from_json(value));
     if (!keys.empty())
       return static_cast<std::size_t>(keys.front().hash()) % count;
   } catch (const std::exception&) {
   }
-  return static_cast<std::size_t>(common::stable_hash_128(line).word()) %
+  return static_cast<std::size_t>(
+             common::stable_hash_128(value.dump_compact_string()).word()) %
          count;
 }
 
@@ -260,6 +316,17 @@ bool Router::handle_line(const std::string& line) {
   } catch (const std::exception&) {
     emit(error_object("router: 'op' must be a string"));
     return true;
+  }
+
+  // An op's id is never forwarded: a worker answer that led with an id
+  // like "r<seq>" would be taken for a job response, and the broadcast
+  // would wait for it forever. The fleet's answer gets the id back here.
+  std::string op_id;
+  std::string forward = line;
+  if (const api::JsonValue* id = value.find("id")) {
+    if (id->kind() == api::JsonValue::Kind::String) op_id = id->as_string();
+    (void)value.erase("id");
+    forward = value.dump_compact_string();
   }
 
   if (verb == "ping") {
@@ -335,7 +402,7 @@ bool Router::handle_line(const std::string& line) {
       shutting_down_ = true;
       health_cv_.notify_all();
     }
-    const std::vector<api::JsonValue> acks = broadcast(line);
+    const std::vector<api::JsonValue> acks = broadcast(forward);
     stop_fleet_for_shutdown();
     api::JsonValue merged = api::JsonValue::object();
     for (const api::JsonValue& ack : acks)
@@ -345,7 +412,7 @@ bool Router::handle_line(const std::string& line) {
     merged.set("workers",
                api::JsonValue::number(
                    static_cast<std::int64_t>(slots_.size())));
-    emit(merged);
+    emit(with_op_id(op_id, merged));
     return false;
   }
 
@@ -382,12 +449,12 @@ bool Router::handle_line(const std::string& line) {
     if (errors != 0)
       response.set("worker_errors",
                    api::JsonValue::number(static_cast<std::int64_t>(errors)));
-    emit(response);
+    emit(with_op_id(op_id, response));
     return true;
   }
 
   if (verb == "stats" || verb == "cache_clear" || verb == "cache_save") {
-    const std::vector<api::JsonValue> acks = broadcast(line);
+    const std::vector<api::JsonValue> acks = broadcast(forward);
     api::JsonValue merged;
     std::size_t errors = 0;
     for (const api::JsonValue& ack : acks) {
@@ -400,7 +467,8 @@ bool Router::handle_line(const std::string& line) {
     if (!merged.is_object()) {
       // Every worker errored (e.g. cache_save on a cacheless fleet):
       // surface the first error verbatim.
-      emit(acks.empty() ? error_object("router: no workers") : acks.front());
+      emit(with_op_id(op_id, acks.empty() ? error_object("router: no workers")
+                                          : acks.front()));
       return true;
     }
     merged.set("workers", api::JsonValue::number(static_cast<std::int64_t>(workers())));
@@ -409,21 +477,19 @@ bool Router::handle_line(const std::string& line) {
     if (errors != 0)
       merged.set("worker_errors",
                  api::JsonValue::number(static_cast<std::int64_t>(errors)));
-    emit(merged);
+    emit(with_op_id(op_id, merged));
     return true;
   }
 
   // Unknown verbs still fan out (a newer wtam_serve may know them); the
   // workers' own error responses come back and merge like any ack.
-  const std::vector<api::JsonValue> acks = broadcast(line);
-  emit(acks.empty() ? error_object("router: no workers") : acks.front());
+  const std::vector<api::JsonValue> acks = broadcast(forward);
+  emit(with_op_id(op_id, acks.empty() ? error_object("router: no workers")
+                                      : acks.front()));
   return true;
 }
 
 void Router::route_job(api::JsonValue value) {
-  const std::string raw = value.dump_compact_string();
-  const std::size_t worker = shard_for(value, raw);
-
   std::string client_id;
   if (const api::JsonValue* id = value.find("id")) {
     if (id->kind() != api::JsonValue::Kind::String) {
@@ -432,10 +498,19 @@ void Router::route_job(api::JsonValue value) {
     }
     client_id = id->as_string();
   }
+  const std::size_t worker = shard_for(value);
+
+  // The wire line leads with the internal id, so every job response
+  // leads with it too (result_to_json and the workers' error objects
+  // write "id" first; an echoing worker copies the line), and
+  // handle_worker_line splices the client's id back without a parse.
+  // The job is dumped once, without its id: the order of its members
+  // means nothing to the worker, and its id is always a valid string.
+  (void)value.erase("id");
+  const std::string body = value.dump_compact_string();
 
   std::shared_ptr<WorkerLink> link;
   std::string wire_line;
-  std::string internal_id;
   {
     const common::MutexLock lock(mutex_);
     if (options_.queue_limit != 0 &&
@@ -444,22 +519,27 @@ void Router::route_job(api::JsonValue value) {
     } else {
       const std::uint64_t seq = ++serial_;
       // Built with += : GCC 12's -Wrestrict misfires on operator+ here.
-      internal_id = "r";
-      internal_id += std::to_string(seq);
       if (client_id.empty()) {
         client_id = "job-";
         client_id += std::to_string(seq);
       }
-      value.set("id", api::JsonValue::string(internal_id));
-      wire_line = value.dump_compact_string();
-      pending_.emplace(internal_id,
-                       Pending{client_id, wire_line, worker, seq});
+      wire_line.reserve(body.size() + 32);
+      wire_line += "{\"id\": \"r";
+      wire_line += std::to_string(seq);
+      wire_line += '"';
+      if (body.size() > 2) {
+        wire_line += ", ";
+        wire_line.append(body, 1);
+      } else {
+        wire_line += '}';
+      }
+      pending_.emplace(seq, Pending{client_id, wire_line, worker});
       ++slots_[worker]->inflight;
       ++counters_.routed;
       link = slots_[worker]->link;
     }
   }
-  if (internal_id.empty()) {
+  if (wire_line.empty()) {
     // Shed: answered here, never forwarded. Fixed text keeps shed
     // responses byte-deterministic (mirrors wtam_serve's own shedding).
     api::JsonValue response = api::JsonValue::object();
@@ -538,6 +618,39 @@ void Router::shutdown() {
 }
 
 void Router::handle_worker_line(std::size_t index, const std::string& line) {
+  // Job responses lead with the internal id route_job put first on the
+  // wire: the client's id is spliced in its place, and the rest of the
+  // line goes out as the worker wrote it.
+  std::size_t rest = 0;
+  if (const std::optional<std::uint64_t> seq = response_seq(line, rest)) {
+    const bool whole = whole_object(line);
+    std::string client_id;
+    {
+      const common::MutexLock lock(mutex_);
+      const auto it = whole ? pending_.find(*seq) : pending_.end();
+      if (it == pending_.end()) {
+        // A torn line from a dying worker (its replay answers), a late
+        // duplicate after a replay, or a stray line: at-least-once
+        // delivery means the client gets the one whole first response,
+        // so this one is dropped, counted, never emitted.
+        ++counters_.orphaned;
+        return;
+      }
+      client_id = std::move(it->second.client_id);
+      --slots_[it->second.worker]->inflight;
+      pending_.erase(it);
+      // The resize drain waits for an empty pending set.
+      if (pending_.empty()) op_cv_.notify_all();
+    }
+    std::string response;
+    response.reserve(line.size() + client_id.size() + 16);
+    response += "{\"id\": ";
+    api::append_json_string(response, client_id);
+    response.append(line, rest);
+    emit_raw(response);
+    return;
+  }
+
   api::JsonValue value;
   try {
     value = api::JsonValue::parse(line);
@@ -557,33 +670,8 @@ void Router::handle_worker_line(std::size_t index, const std::string& line) {
       return;
     }
 
-  // Job responses carry the internal id we assigned; everything else
-  // (op acks, op error objects) answers the one in-flight broadcast.
-  if (const api::JsonValue* id = value.find("id")) {
-    if (id->kind() == api::JsonValue::Kind::String) {
-      std::string client_id;
-      {
-        const common::MutexLock lock(mutex_);
-        const auto it = pending_.find(id->as_string());
-        if (it == pending_.end()) {
-          // Late duplicate after a replay, or a stray line: at-least-
-          // once delivery means the first response already answered the
-          // client, so this one is dropped, counted, never emitted.
-          ++counters_.orphaned;
-          return;
-        }
-        client_id = it->second.client_id;
-        --slots_[it->second.worker]->inflight;
-        pending_.erase(it);
-        // The resize drain waits for an empty pending set.
-        if (pending_.empty()) op_cv_.notify_all();
-      }
-      value.set("id", api::JsonValue::string(client_id));
-      emit(value);
-      return;
-    }
-  }
-
+  // Everything else (op acks, op error objects) answers the one
+  // in-flight broadcast.
   {
     const common::MutexLock lock(mutex_);
     if (op_active_ && !op_filled_[index]) {
@@ -635,7 +723,7 @@ void Router::reader_loop(std::size_t index) {
       // Respawn/reconnect failed (binary gone? host down past the
       // backoff budget?): the slot dies for good and its in-flight jobs
       // are answered with errors so no client hangs.
-      std::vector<std::pair<std::string, std::string>> failed;  // id, client
+      std::vector<std::string> failed;  // client ids, in arrival order
       {
         const common::MutexLock lock(mutex_);
         slots_[index]->link.reset();
@@ -643,7 +731,7 @@ void Router::reader_loop(std::size_t index) {
         op_cv_.notify_all();
         for (auto it = pending_.begin(); it != pending_.end();) {
           if (it->second.worker == index) {
-            failed.emplace_back(it->first, it->second.client_id);
+            failed.push_back(std::move(it->second.client_id));
             --slots_[index]->inflight;
             it = pending_.erase(it);
           } else {
@@ -655,7 +743,7 @@ void Router::reader_loop(std::size_t index) {
       note("worker " + std::to_string(index) +
            " died and could not be respawned (" + e.what() + "); " +
            std::to_string(failed.size()) + " in-flight job(s) failed");
-      for (const auto& [internal_id, client_id] : failed) {
+      for (const std::string& client_id : failed) {
         api::JsonValue response = api::JsonValue::object();
         if (!client_id.empty())
           response.set("id", api::JsonValue::string(client_id));
@@ -673,8 +761,7 @@ void Router::reader_loop(std::size_t index) {
     // replay batch or was written to the fresh link directly. A job
     // that gets both is de-duplicated by the pending_ erase on its
     // first response (the orphan path above drops the second).
-    std::vector<const Pending*> replay_refs;
-    std::vector<Pending> replay;
+    std::vector<std::string> replay;  // wire lines, in arrival order
     bool torn_down = false;
     {
       const common::MutexLock lock(mutex_);
@@ -692,14 +779,8 @@ void Router::reader_loop(std::size_t index) {
         ++slots_[index]->incarnation;          // resolved: fresh link live
         op_cv_.notify_all();
         ++counters_.respawns;
-        for (const auto& [internal_id, pending] : pending_)
-          if (pending.worker == index) replay_refs.push_back(&pending);
-        std::sort(replay_refs.begin(), replay_refs.end(),
-                  [](const Pending* a, const Pending* b) {
-                    return a->seq < b->seq;
-                  });
-        replay.reserve(replay_refs.size());
-        for (const Pending* pending : replay_refs) replay.push_back(*pending);
+        for (const auto& [seq, pending] : pending_)
+          if (pending.worker == index) replay.push_back(pending.line);
         counters_.replayed += replay.size();
       }
     }
@@ -710,8 +791,8 @@ void Router::reader_loop(std::size_t index) {
     }
     note("worker " + std::to_string(index) + " died; respawned, replaying " +
          std::to_string(replay.size()) + " in-flight job(s)");
-    for (const Pending& pending : replay)
-      if (!fresh->write_line(pending.line)) break;  // died again: next loop
+    for (const std::string& line : replay)
+      if (!fresh->write_line(line)) break;  // died again: next loop
   }
 }
 

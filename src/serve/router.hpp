@@ -12,13 +12,16 @@
 //     worker, so identical resubmissions always land on the worker that
 //     cached them and the fleet's caches partition instead of
 //     duplicating. Jobs whose key cannot be computed (bad SOC, bad
-//     fields) route by a stable hash of the raw line, so even their
-//     error responses come from a deterministic worker;
-//   * ids are rewritten — each job gets an internal wire id "r<seq>"
-//     (seq = arrival order) and the client's id (or a synthesized
-//     "job-<seq>" for id-less jobs, matching wtam_serve) is restored on
-//     the way out, so responses merge correctly however far out of
-//     submission order the workers complete;
+//     fields) route by a stable hash of the job's compact JSON, so even
+//     their error responses come from a deterministic worker;
+//   * ids are rewritten — each job goes out as {"id": "r<seq>", ...}
+//     (seq = arrival order; the internal id always leads the wire line)
+//     and the client's id (or a synthesized "job-<seq>" for id-less
+//     jobs, matching wtam_serve) is spliced back in place of the leading
+//     internal id on the way out — no parse, no re-serialization, every
+//     other response byte as the worker wrote it — so responses merge
+//     correctly however far out of submission order the workers
+//     complete;
 //   * worker death is survived — a reader thread per worker detects
 //     EOF, brings the slot back (respawn for pipe workers, reconnect
 //     with backoff for remote ones), and replays that worker's
@@ -44,12 +47,14 @@
 //     same obs functions wtam_serve uses, as JSON or, with "format":
 //     "prometheus", as Prometheus text in a "body" field. A worker
 //     whose ack does not parse (an older worker without buckets) is
-//     counted in "worker_errors". Router-specific verbs: {"op":
-//     "ping"} answers from the router itself; {"op": "kill_worker",
-//     "worker": i} severs a worker (crash-recovery test hook; the ack
-//     waits for the slot to come back); {"op": "resize", "workers": M}
-//     re-shards the fleet (below); shutdown drains the fleet before
-//     acking;
+//     counted in "worker_errors". A fanned-out op's "id" is not
+//     forwarded; the merged answer leads with it instead (a worker
+//     answer leading with an id would read as a job response).
+//     Router-specific verbs: {"op": "ping"} answers from the router
+//     itself; {"op": "kill_worker", "worker": i} severs a worker
+//     (crash-recovery test hook; the ack waits for the slot to come
+//     back); {"op": "resize", "workers": M} re-shards the fleet
+//     (below); shutdown drains the fleet before acking;
 //   * the fleet resizes hot — resize drains in-flight work, stops the
 //     old fleet (local workers save their cache files on EOF), re-hashes
 //     every persisted cache entry into per-worker snapshots under the
@@ -68,10 +73,10 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "api/json_value.hpp"
@@ -156,7 +161,6 @@ class Router {
     std::string client_id;
     std::string line;
     std::size_t worker = 0;
-    std::uint64_t seq = 0;
   };
 
   void reader_loop(std::size_t index);
@@ -173,8 +177,7 @@ class Router {
       const std::string& line);
 
   void route_job(api::JsonValue value);
-  [[nodiscard]] std::size_t shard_for(const api::JsonValue& value,
-                                      const std::string& line) const;
+  [[nodiscard]] std::size_t shard_for(const api::JsonValue& value) const;
   void handle_resize(const api::JsonValue& value);
   void stop_fleet_for_shutdown();
 
@@ -186,7 +189,9 @@ class Router {
   common::CondVar op_cv_;
   common::CondVar health_cv_;
   std::vector<std::unique_ptr<Slot>> slots_;
-  std::unordered_map<std::string, Pending> pending_ WTAM_GUARDED_BY(mutex_);
+  /// Routed jobs by seq (the digits of their internal id "r<seq>"), so
+  /// iteration is arrival order — the order a respawn replays in.
+  std::map<std::uint64_t, Pending> pending_ WTAM_GUARDED_BY(mutex_);
   std::uint64_t serial_ WTAM_GUARDED_BY(mutex_) = 0;
   std::uint64_t ping_serial_ WTAM_GUARDED_BY(mutex_) = 0;
   RouterCounters counters_ WTAM_GUARDED_BY(mutex_);

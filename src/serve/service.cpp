@@ -14,6 +14,10 @@ namespace {
 
 using namespace wtam;
 
+/// Like every answer to a job line (result_to_json, the shed object
+/// below), an error leads with the job's id: the fleet router splices
+/// client ids over a response's leading {"id": "r<seq>" (test_serve's
+/// JobAnswersLeadWithTheirId pins this).
 api::JsonValue error_response(const std::string& id,
                               const std::string& message) {
   api::JsonValue response = api::JsonValue::object();
@@ -296,7 +300,8 @@ Service::Action Service::handle_line(const std::string& line,
     // stalling. The response is a result line (status "overloaded"), not
     // an error object: the job was well-formed, the service just
     // declined it right now. Fixed text keeps shed responses
-    // byte-deterministic.
+    // byte-deterministic. The id leads, as in every job answer (see
+    // error_response).
     registry.counter("serve.jobs_shed").increment();
     api::JsonValue response = api::JsonValue::object();
     if (!request.id.empty())

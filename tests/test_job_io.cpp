@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "api/job_io.hpp"
 #include "api/json_value.hpp"
+#include "common/timer.hpp"
 
 namespace wtam::api {
 namespace {
@@ -56,6 +59,54 @@ TEST(JsonValue, ReportsErrorsWithPosition) {
   expect_error("{\n  \"a\": oops\n}", "2:8");
 }
 
+TEST(JsonValue, DuplicateKeyErrorTextIsUnchanged) {
+  const auto error_of = [](const std::string& text) -> std::string {
+    try {
+      (void)JsonValue::parse(text);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(error_of(R"({"a": 1, "a": 2})"),
+            "json parse error at 1:14: duplicate object key 'a'");
+  // A duplicate far into a many-key object reads the same.
+  std::string many = "{";
+  for (int i = 0; i < 40; ++i) many += "\"k" + std::to_string(i) + "\": 0, ";
+  many += "\"k7\": 1}";
+  EXPECT_EQ(error_of(many),
+            "json parse error at 1:" + std::to_string(many.size() - 2) +
+                ": duplicate object key 'k7'");
+  // The same key in different objects is no duplicate.
+  EXPECT_NO_THROW((void)JsonValue::parse(R"({"a": {"a": 1}, "b": {"a": 2}})"));
+}
+
+TEST(JsonValue, ManyKeyObjectParsesInLinearTime) {
+  // One client line with 100k keys: a quadratic duplicate check took
+  // 4.4 s for 32k keys and over 50 s for these 100k, stalling the
+  // router's main thread; linear, both parses below take well under a
+  // second even under the sanitizers.
+  const common::Stopwatch watch;
+  constexpr int kKeys = 100000;
+  std::string text = "{";
+  for (int i = 0; i < kKeys; ++i) {
+    if (i > 0) text += ", ";
+    text += "\"key" + std::to_string(i) + "\": " + std::to_string(i);
+  }
+  text += "}";
+  const JsonValue document = JsonValue::parse(text);
+  ASSERT_EQ(document.members().size(), static_cast<std::size_t>(kKeys));
+  EXPECT_EQ(document.members().back().first, "key99999");
+  EXPECT_EQ(document.find("key99999")->as_int(), kKeys - 1);
+  // A duplicate at the very end is still caught.
+  text.back() = ',';
+  text += " \"key0\": 1}";
+  EXPECT_THROW((void)JsonValue::parse(text), std::runtime_error);
+#if !defined(WTAM_UNDER_SANITIZERS)
+  EXPECT_LT(watch.elapsed_s(), 10.0);
+#endif
+}
+
 TEST(JsonValue, DumpParseRoundTripPreservesStructure) {
   JsonValue document = JsonValue::object();
   document.set("text", JsonValue::string("line1\nline2\t\"quoted\""));
@@ -92,6 +143,110 @@ TEST(JsonValue, CompactDumpIsSingleLineAndReparses) {
   const JsonValue reparsed = JsonValue::parse(line);
   EXPECT_EQ(reparsed.find("id")->as_string(), "a\nb");
   EXPECT_EQ(reparsed.find("n")->as_int(), 42);
+}
+
+// ---- JsonValue: writer bytes ----------------------------------------------
+//
+// Every response, results file and cache-equality check goes through the
+// writer, so its exact bytes are pinned: escapes, raw UTF-8, integer
+// extremes, the %.12g double format, non-finite doubles, containers.
+
+/// One value of every scalar shape the writer distinguishes.
+JsonValue writer_pin_document() {
+  JsonValue document = JsonValue::object();
+  // Short escapes for " \ newline tab CR; \u00XX for the other control
+  // bytes (0x01, backspace, 0x1f); raw UTF-8 and DEL pass through.
+  document.set("escapes", JsonValue::string("q\"b\\s\nn\tt\rr\x01\b\x1f."));
+  document.set("utf8", JsonValue::string("d\xC3\xA9sign \xF0\x9F\x98\x80\x7f"));
+  document.set("key \"quoted\"\n", JsonValue::string(""));
+  document.set("min", JsonValue::number(std::numeric_limits<std::int64_t>::min()));
+  document.set("max", JsonValue::number(std::numeric_limits<std::int64_t>::max()));
+  JsonValue doubles = JsonValue::array();
+  for (const double value :
+       {0.1, 1e300, -0.0, 2.5, 1234567890123.0, 1e-7, -3.0,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()})
+    doubles.push(JsonValue::number(value));
+  document.set("doubles", std::move(doubles));
+  document.set("flags", [] {
+    JsonValue flags = JsonValue::array();
+    flags.push(JsonValue::boolean(true));
+    flags.push(JsonValue::boolean(false));
+    flags.push(JsonValue{});
+    return flags;
+  }());
+  JsonValue nested = JsonValue::object();
+  nested.set("empty_object", JsonValue::object());
+  nested.set("empty_array", JsonValue::array());
+  JsonValue deep = JsonValue::array();
+  JsonValue inner = JsonValue::array();
+  inner.push(JsonValue::number(std::int64_t{1}));
+  inner.push(JsonValue::object());
+  deep.push(std::move(inner));
+  deep.push(JsonValue::array());
+  nested.set("deep", std::move(deep));
+  document.set("nested", std::move(nested));
+  return document;
+}
+
+TEST(JsonValue, CompactWriterBytesArePinned) {
+  EXPECT_EQ(
+      writer_pin_document().dump_compact_string(),
+      R"({"escapes": "q\"b\\s\nn\tt\rr\u0001\u0008\u001f.", )"
+      "\"utf8\": \"d\xC3\xA9sign \xF0\x9F\x98\x80\x7f\", "
+      R"("key \"quoted\"\n": "", )"
+      R"("min": -9223372036854775808, "max": 9223372036854775807, )"
+      R"("doubles": [0.1, 1e+300, -0, 2.5, 1.23456789012e+12, 1e-07, -3, )"
+      R"(null, null, null], "flags": [true, false, null], )"
+      R"("nested": {"empty_object": {}, "empty_array": [], )"
+      R"("deep": [[1, {}], []]}})");
+  EXPECT_EQ(JsonValue::object().dump_compact_string(), "{}");
+  EXPECT_EQ(JsonValue::array().dump_compact_string(), "[]");
+  EXPECT_EQ(JsonValue::string("").dump_compact_string(), "\"\"");
+  EXPECT_EQ(JsonValue{}.dump_compact_string(), "null");
+}
+
+TEST(JsonValue, PrettyWriterBytesArePinned) {
+  EXPECT_EQ(writer_pin_document().dump_string(),
+            "{\n"
+            R"(  "escapes": "q\"b\\s\nn\tt\rr\u0001\u0008\u001f.",)" "\n"
+            "  \"utf8\": \"d\xC3\xA9sign \xF0\x9F\x98\x80\x7f\",\n"
+            R"(  "key \"quoted\"\n": "",)" "\n"
+            "  \"min\": -9223372036854775808,\n"
+            "  \"max\": 9223372036854775807,\n"
+            "  \"doubles\": [\n"
+            "    0.1,\n"
+            "    1e+300,\n"
+            "    -0,\n"
+            "    2.5,\n"
+            "    1.23456789012e+12,\n"
+            "    1e-07,\n"
+            "    -3,\n"
+            "    null,\n"
+            "    null,\n"
+            "    null\n"
+            "  ],\n"
+            "  \"flags\": [\n"
+            "    true,\n"
+            "    false,\n"
+            "    null\n"
+            "  ],\n"
+            "  \"nested\": {\n"
+            "    \"empty_object\": {},\n"
+            "    \"empty_array\": [],\n"
+            "    \"deep\": [\n"
+            "      [\n"
+            "        1,\n"
+            "        {}\n"
+            "      ],\n"
+            "      []\n"
+            "    ]\n"
+            "  }\n"
+            "}");
+  EXPECT_EQ(JsonValue::object().dump_string(), "{}");
+  EXPECT_EQ(JsonValue::array().dump_string(), "[]");
+  EXPECT_EQ(JsonValue::number(std::int64_t{-7}).dump_string(), "-7");
 }
 
 // ---- jobs files -----------------------------------------------------------
@@ -338,6 +493,33 @@ TEST(JobIo, CacheProvenanceIsOptInLikeTiming) {
   hit.cache = CacheOutcome::Bypass;
   EXPECT_NE(results_to_json({hit}, with_cache).find("\"cache\": \"bypass\""),
             std::string::npos);
+}
+
+TEST(JobIo, ResultsLeadWithTheirId) {
+  // The fleet router restores client ids by splicing over the leading
+  // {"id": "r<seq>" of a worker's answer, without parsing it, so "id"
+  // stays first whatever else a result carries.
+  SolveResult ok;
+  ok.status = Status::Ok;
+  ok.id = "r7";
+  ok.tag = "t";
+  ok.soc_name = "d695";
+  ok.backend = "rectpack";
+  ok.outcome.emplace();
+  ok.cache = CacheOutcome::Hit;
+  SolveResult bad;
+  bad.status = Status::InvalidRequest;
+  bad.id = "r8";
+  bad.error = "width must be in 1..256";
+  ResultsWriteOptions everything;
+  everything.include_timing = true;
+  everything.include_cache = true;
+  for (const ResultsWriteOptions& options : {ResultsWriteOptions{}, everything}) {
+    EXPECT_TRUE(result_to_json(ok, options).dump_compact_string().starts_with(
+        "{\"id\": \"r7\", "));
+    EXPECT_TRUE(result_to_json(bad, options).dump_compact_string().starts_with(
+        "{\"id\": \"r8\", "));
+  }
 }
 
 TEST(JobIo, StatusStringsRoundTrip) {

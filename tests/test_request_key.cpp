@@ -7,11 +7,18 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <string_view>
+#include <thread>
+#include <vector>
+
+#include <unistd.h>
 
 #include "api/request_key.hpp"
 #include "api/solver.hpp"
 #include "common/hash.hpp"
 #include "soc/benchmarks.hpp"
+#include "soc/load.hpp"
 #include "soc/soc_io.hpp"
 
 namespace wtam::api {
@@ -253,6 +260,207 @@ TEST(RequestKey, HashIsUsableForBucketing) {
   for (std::size_t i = 1; i < keys.size(); ++i)
     if (keys[i].hash() != keys[0].hash()) ++distinct;
   EXPECT_EQ(distinct, keys.size() - 1);
+}
+
+// ---- the SOC memo (resolve_soc_identity) ---------------------------------
+
+/// The identity resolve_soc_identity must report for `soc`, computed
+/// without the memo.
+common::Hash128 unmemoized_hash(const soc::Soc& soc) {
+  return common::stable_hash_128(soc::canonical_bytes(soc));
+}
+
+SolveRequest inline_request(const std::string& text) {
+  SolveRequest request;
+  request.soc_inline = text;
+  request.width = 16;
+  return request;
+}
+
+/// A small distinct SOC per `n`: the name and one core's data vary.
+std::string numbered_soc_text(int n) {
+  return "soc memo" + std::to_string(n) + "\ncore a patterns=" +
+         std::to_string(n + 1) + " inputs=2 outputs=3 scan=4,5\n" +
+         "core b kind=memory patterns=7 inputs=1 outputs=1 scan=\n";
+}
+
+TEST(SocMemo, BuiltinsMatchTheUnmemoizedHashAndAreBuiltOnce) {
+  for (const std::string_view name : soc::builtin_soc_names()) {
+    SolveRequest request;
+    request.soc = std::string(name);
+    request.width = 16;
+    const SocIdentity first = resolve_soc_identity(request);
+    const SocIdentity again = resolve_soc_identity(request);
+    ASSERT_NE(first.soc, nullptr) << name;
+    EXPECT_EQ(first.soc->name, name);
+    EXPECT_EQ(first.hash,
+              unmemoized_hash(soc::load_by_name_or_path(request.soc)))
+        << name;
+    EXPECT_EQ(again.soc.get(), first.soc.get()) << name;  // the same object
+    EXPECT_EQ(again.hash, first.hash);
+    EXPECT_EQ(resolve_soc(request).name, name);
+  }
+}
+
+TEST(SocMemo, NonCanonicalInlineTextHashesLikeTheCanonicalText) {
+  const soc::Soc d695 = soc::d695();
+  const std::string canonical = soc::canonical_bytes(d695);
+  const common::Hash128 expected = unmemoized_hash(d695);
+
+  std::string crlf;
+  std::string spaced;
+  for (const char c : canonical) {
+    if (c == '\n') {
+      crlf += "\r\n";
+      spaced += "  \t\n";
+    } else {
+      crlf += c;
+      spaced += c;
+    }
+  }
+  const std::vector<std::string> texts = {
+      canonical,
+      crlf,
+      "# exported by hand\n\n" + canonical + "# end\n",
+      "\xEF\xBB\xBF" + canonical,  // UTF-8 BOM
+      spaced,                       // trailing spaces and tabs
+  };
+  SolveRequest by_name;
+  by_name.soc = "d695";
+  by_name.width = 16;
+  const RequestKey reference = request_keys(by_name).front();
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    const SolveRequest request = inline_request(texts[i]);
+    for (int pass = 0; pass < 2; ++pass) {  // the miss, then the hit
+      const SocIdentity identity = resolve_soc_identity(request);
+      EXPECT_EQ(identity.hash, expected) << "text " << i << " pass " << pass;
+      EXPECT_EQ(identity.hash,
+                unmemoized_hash(soc::parse_soc_string(texts[i])));
+      EXPECT_EQ(request_keys(request).front(), reference) << "text " << i;
+    }
+  }
+}
+
+TEST(SocMemo, RewrittenSocFileResolvesToItsNewContent) {
+  // Paths are not memoized: the file may change between requests.
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("soc_memo_rewrite_" + std::to_string(::getpid()) + ".soc");
+  SolveRequest request;
+  request.soc = path.string();
+  request.width = 16;
+  for (const int n : {1, 2, 1}) {
+    {
+      std::ofstream out(path);
+      out << numbered_soc_text(n);
+    }
+    const soc::Soc expected = soc::parse_soc_string(numbered_soc_text(n));
+    const SocIdentity identity = resolve_soc_identity(request);
+    EXPECT_EQ(identity.soc->name, expected.name);
+    EXPECT_EQ(identity.hash, unmemoized_hash(expected)) << n;
+    EXPECT_EQ(request_keys(request).front().soc_hash, identity.hash);
+  }
+  std::remove(path.string().c_str());
+}
+
+TEST(SocMemo, MoreTextsThanTheMemoHoldsStillResolveCorrectly) {
+  // 200 distinct texts, well past the memo's 64 entries, twice over:
+  // the memo starts over each time it fills, so most of the second round
+  // re-parses; every answer must match an unmemoized parse.
+  constexpr int kTexts = 200;
+  std::vector<common::Hash128> expected;
+  for (int n = 0; n < kTexts; ++n)
+    expected.push_back(
+        unmemoized_hash(soc::parse_soc_string(numbered_soc_text(n))));
+  for (int round = 0; round < 2; ++round) {
+    for (int n = 0; n < kTexts; ++n) {
+      const SocIdentity identity =
+          resolve_soc_identity(inline_request(numbered_soc_text(n)));
+      EXPECT_EQ(identity.hash, expected[static_cast<std::size_t>(n)])
+          << "round " << round << " text " << n;
+      EXPECT_EQ(identity.soc->name, "memo" + std::to_string(n));
+    }
+  }
+  // A recently used text is still held: a repeat returns the same SOC.
+  const SolveRequest last = inline_request(numbered_soc_text(kTexts - 1));
+  EXPECT_EQ(resolve_soc_identity(last).soc.get(),
+            resolve_soc_identity(last).soc.get());
+}
+
+TEST(SocMemo, LongInlineTextsResolveButAreNotKept) {
+  // A text past the memo's 16 KiB per-text limit is parsed afresh every
+  // time and never kept, so long client texts cannot pin memory for the
+  // life of the process.
+  std::string text = "soc wide\n";
+  for (int n = 0; text.size() <= 16 * 1024; ++n)
+    text += "core c" + std::to_string(n) + " patterns=" +
+            std::to_string(n % 7 + 1) + " inputs=2 outputs=3 scan=4,5\n";
+  const SolveRequest request = inline_request(text);
+  const SocIdentity first = resolve_soc_identity(request);
+  EXPECT_EQ(first.hash, unmemoized_hash(soc::parse_soc_string(text)));
+  EXPECT_EQ(first.soc->core_count(),
+            soc::parse_soc_string(text).core_count());
+  EXPECT_EQ(first.soc.use_count(), 1);  // the memo holds no reference
+  const SocIdentity again = resolve_soc_identity(request);
+  EXPECT_NE(again.soc.get(), first.soc.get());
+  EXPECT_EQ(again.hash, first.hash);
+  EXPECT_EQ(request_keys(request).front().soc_hash, first.hash);
+  // A short text is kept: the memo holds the second reference.
+  const SocIdentity kept =
+      resolve_soc_identity(inline_request(numbered_soc_text(7)));
+  EXPECT_EQ(kept.soc.use_count(), 2);
+}
+
+TEST(SocMemo, ConcurrentResolutionAgrees) {
+  // 8 threads resolve one shuffled mix of built-ins, inline texts (more
+  // than the memo holds, so entries are evicted while others read) and a
+  // file path; every identity must equal the unmemoized one.
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("soc_memo_threads_" + std::to_string(::getpid()) + ".soc");
+  {
+    std::ofstream out(path);
+    out << numbered_soc_text(999);
+  }
+  std::vector<SolveRequest> requests;
+  std::vector<common::Hash128> expected;
+  for (const std::string_view name : soc::builtin_soc_names()) {
+    SolveRequest request;
+    request.soc = std::string(name);
+    request.width = 16;
+    requests.push_back(request);
+    expected.push_back(
+        unmemoized_hash(soc::load_by_name_or_path(request.soc)));
+  }
+  for (int n = 0; n < 80; ++n) {
+    requests.push_back(inline_request(numbered_soc_text(1000 + n)));
+    expected.push_back(unmemoized_hash(
+        soc::parse_soc_string(numbered_soc_text(1000 + n))));
+  }
+  SolveRequest by_file;
+  by_file.soc = path.string();
+  by_file.width = 16;
+  requests.push_back(by_file);
+  expected.push_back(
+      unmemoized_hash(soc::parse_soc_string(numbered_soc_text(999))));
+
+  constexpr int kThreads = 8;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int step = 0; step < 400; ++step) {
+        // A different stride per thread walks the mix in its own order.
+        const std::size_t i =
+            static_cast<std::size_t>(step * (2 * t + 1) + t) % requests.size();
+        if (resolve_soc_identity(requests[i]).hash != expected[i])
+          ++mismatches[static_cast<std::size_t>(t)];
+      }
+    });
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t)
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
+  std::remove(path.string().c_str());
 }
 
 }  // namespace

@@ -7,15 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "api/json_value.hpp"
+#include "common/subprocess.hpp"
 #include "common/thread_annotations.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_json.hpp"
@@ -122,6 +127,110 @@ TEST(Router, SynthesizesIdsInArrivalOrder) {
   // part of the N=1/2/4 byte-identity story.
   EXPECT_NE(find_line_with_id(lines, storage, "job-1"), nullptr);
   EXPECT_NE(find_line_with_id(lines, storage, "job-2"), nullptr);
+}
+
+TEST(Router, SplicesClientIdsBackEscapedLikeTheWriter) {
+  // The wire line leads with the internal id whatever member order the
+  // client used, so the echo does too; the router swaps the client's id
+  // in, escaped exactly as the JSON writer would, and leaves every other
+  // byte alone. One worker keeps the responses in submission order.
+  auto collector = std::make_shared<Collector>();
+  Router router(cat_fleet(1),
+                [collector](const std::string& line) { (*collector)(line); });
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"({"id": "a\"b\\c", "soc": "d695", "width": 8})",
+       R"({"id": "a\"b\\c", "soc": "d695", "width": 8})"},
+      // A \u escape arrives as UTF-8 and leaves as raw UTF-8.
+      {"{\"width\": 9, \"id\": \"d\\u00e9sign \xE2\x9C\x93\", \"soc\": \"d695\"}",
+       "{\"id\": \"d\xC3\xA9sign \xE2\x9C\x93\", \"width\": 9, \"soc\": \"d695\"}"},
+      {R"({"soc": "d695", "width": 10, "id": "tab\there\u0001"})",
+       R"({"id": "tab\there\u0001", "soc": "d695", "width": 10})"},
+      // Id-less jobs get "job-<seq>", like wtam_serve.
+      {R"({"soc": "d695", "width": 11})",
+       R"({"id": "job-4", "soc": "d695", "width": 11})"},
+      {R"({"id": "", "soc": "d695", "width": 12})",
+       R"({"id": "job-5", "soc": "d695", "width": 12})"},
+  };
+  for (const auto& test_case : cases)
+    EXPECT_TRUE(router.handle_line(test_case.first));
+  ASSERT_TRUE(collector->wait_for(cases.size()));
+  const std::vector<std::string> lines = collector->lines();
+  ASSERT_EQ(lines.size(), cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i)
+    EXPECT_EQ(lines[i], cases[i].second);
+  EXPECT_EQ(api::JsonValue::parse(lines[0]).find("id")->as_string(),
+            "a\"b\\c");
+  EXPECT_EQ(router.counters().orphaned, 0u);
+}
+
+TEST(Router, TornAndLateDuplicateResponsesAreOrphaned) {
+  // Each job is answered three times: a torn prefix (what a worker
+  // killed mid-write leaves behind), the whole line, and a late
+  // duplicate (what a replay can produce). Only the whole line reaches
+  // the client; the other two are counted and dropped.
+  RouterOptions options;
+  options.workers.push_back(WorkerSpec::local(
+      {"/bin/sh", "-c",
+       "while IFS= read -r line; do printf '%s\\n' \"${line%?}\"; "
+       "printf '%s\\n%s\\n' \"$line\" \"$line\"; done"}));
+  auto collector = std::make_shared<Collector>();
+  Router router(std::move(options),
+                [collector](const std::string& line) { (*collector)(line); });
+  for (const char* id : {"one", "two", "three"}) {
+    std::string line = "{\"id\": \"";
+    line += id;
+    line += "\", \"soc\": \"d695\", \"width\": 16}";
+    EXPECT_TRUE(router.handle_line(line));
+  }
+  ASSERT_TRUE(collector->wait_for(3));
+  for (int i = 0; i < 400 && router.counters().orphaned < 6; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(router.counters().orphaned, 6u);
+  const std::vector<std::string> lines = collector->lines();
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[0], R"({"id": "one", "soc": "d695", "width": 16})");
+  EXPECT_EQ(lines[1], R"({"id": "two", "soc": "d695", "width": 16})");
+  EXPECT_EQ(lines[2], R"({"id": "three", "soc": "d695", "width": 16})");
+}
+
+TEST(Router, OpLineCarryingAnIdStillAnswersTheBroadcast) {
+  // An op's id is not forwarded, so no worker answer to an op can lead
+  // with an id like "r1" and pass for job 1's response; the router puts
+  // the id on its own answer instead. The worker echoes ops (as
+  // wtam_serve echoes an op's id into its errors) and holds each job
+  // until the next op, so job 1 is pending while the first op runs.
+  RouterOptions options;
+  options.workers.push_back(WorkerSpec::local(
+      {"/bin/sh", "-c",
+       "held=; while IFS= read -r line; do case \"$line\" in "
+       "*'\"op\"'*) printf '%s\\n' \"$line\"; "
+       "[ -n \"$held\" ] && printf '%s\\n' \"$held\"; held= ;; "
+       "*) held=\"$line\" ;; esac; done"}));
+  auto collector = std::make_shared<Collector>();
+  Router router(std::move(options),
+                [collector](const std::string& line) { (*collector)(line); });
+  EXPECT_TRUE(
+      router.handle_line(R"({"id": "first", "soc": "d695", "width": 16})"));
+  // Job 1 ("r1" on the wire) is pending.
+  EXPECT_TRUE(router.handle_line(R"({"id": "r1", "op": "frob"})"));
+  ASSERT_TRUE(collector->wait_for(2));
+  std::vector<std::string> lines = collector->lines();
+  std::sort(lines.begin(), lines.end());
+  EXPECT_EQ(lines[0], R"({"id": "first", "soc": "d695", "width": 16})");
+  EXPECT_EQ(lines[1], R"({"id": "r1", "op": "frob"})");
+  // Job 1 has been answered.
+  EXPECT_TRUE(router.handle_line(R"({"op": "stats", "id": "r1"})"));
+  EXPECT_TRUE(router.handle_line(R"({"op": "stats", "id": "x"})"));
+  ASSERT_TRUE(collector->wait_for(4));
+  lines = collector->lines();
+  EXPECT_TRUE(
+      lines[2].starts_with(R"({"id": "r1", "op": "stats", "workers": 1, )"))
+      << lines[2];
+  EXPECT_TRUE(
+      lines[3].starts_with(R"({"id": "x", "op": "stats", "workers": 1, )"))
+      << lines[3];
+  EXPECT_EQ(router.counters().orphaned, 0u);
+  EXPECT_EQ(router.counters().routed, 1u);
 }
 
 TEST(Router, MalformedClientLineIsAnsweredDirectly) {
@@ -493,6 +602,80 @@ TEST(Router, ResizeRebootsTheFleetAtTheNewSize) {
   std::vector<api::JsonValue> storage;
   EXPECT_NE(find_line_with_id(collector->lines(), storage, "post-resize"),
             nullptr);
+}
+
+// ---- the wtam_router binary ------------------------------------------------
+
+/// Job `i` of the bulk check: eight shapes in turn, four named d695
+/// points and four inline SOCs, one of those CRLF-saved and commented.
+std::string bulk_job(int i) {
+  static const char* const kSources[] = {
+      R"("soc": "d695", "backend": "rectpack", "width": 12)",
+      R"("soc": "d695", "backend": "rectpack", "width": 13)",
+      R"("soc": "d695", "backend": "rectpack", "width": 14)",
+      R"("soc": "d695", "backend": "rectpack", "width": 15)",
+      R"("soc_inline": "soc bulk_a\ncore a patterns=5 inputs=2 outputs=2 )"
+      R"(scan=3,4\ncore b patterns=9 inputs=4 outputs=1 scan=\n", "width": 4)",
+      R"("soc_inline": "# saved on Windows\r\nsoc bulk_a\r\ncore a )"
+      R"(patterns=5 inputs=2 outputs=2 scan=3,4\r\ncore b patterns=9 )"
+      R"(inputs=4 outputs=1 scan=\r\n", "width": 4)",
+      R"("soc_inline": "soc bulk_b\ncore m kind=memory patterns=40 )"
+      R"(inputs=8 outputs=8 scan=\ncore l patterns=12 inputs=3 outputs=5 )"
+      R"(scan=6,6,2\ncore k patterns=7 inputs=1 outputs=1 scan=9\n", )"
+      R"("width": 5)",
+      R"("soc_inline": "soc bulk_b\ncore m kind=memory patterns=40 )"
+      R"(inputs=8 outputs=8 scan=\ncore l patterns=12 inputs=3 outputs=5 )"
+      R"(scan=6,6,2\ncore k patterns=7 inputs=1 outputs=1 scan=9\n", )"
+      R"("width": 6)",
+  };
+  return "{\"id\": \"b" + std::to_string(i) + "\", " + kSources[i % 8] + "}";
+}
+
+TEST(RouterBinary, BulkStdinAnswersEveryIdExactlyOnce) {
+  // The real wtam_router over two real workers: one thread writes 7200
+  // jobs to its stdin, one line per write, while this thread reads its
+  // stdout, so the router's main thread keeps reading while its reader
+  // threads write responses. With stdio unsynced, a cin still tied to
+  // cout flushes cout before every read, from the main thread and
+  // outside the sink lock; responses then came back duplicated or lost.
+  constexpr int kJobs = 7200;
+  common::Subprocess router({WTAM_ROUTER_BINARY, "--quiet", "--workers", "2",
+                             "--serve", WTAM_SERVE_BINARY});
+  std::thread writer([&router] {
+    for (int i = 0; i < kJobs; ++i)
+      if (!router.write_line(bulk_job(i))) return;
+    (void)router.write_line(R"({"op": "shutdown"})");
+  });
+  std::vector<int> answers(kJobs, 0);
+  int unexpected = 0;
+  std::string first_unexpected;
+  const std::string lead = R"({"id": "b)";
+  const std::string ok = R"(", "status": "ok", )";
+  while (const std::optional<std::string> line = router.read_line()) {
+    if (line->starts_with(R"({"op": "shutdown")")) continue;
+    const std::size_t close = line->find('"', lead.size());
+    int id = -1;
+    if (line->starts_with(lead) && close != std::string::npos &&
+        line->compare(close, ok.size(), ok) == 0)
+      id = std::stoi(line->substr(lead.size(), close - lead.size()));
+    if (id < 0 || id >= kJobs) {
+      if (unexpected++ == 0) first_unexpected = *line;
+      continue;
+    }
+    ++answers[static_cast<std::size_t>(id)];
+  }
+  writer.join();
+  const int status = router.wait();
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+  EXPECT_EQ(unexpected, 0) << first_unexpected.substr(0, 200);
+  int missing = 0;
+  int duplicated = 0;
+  for (const int count : answers) {
+    missing += count == 0 ? 1 : 0;
+    duplicated += count > 1 ? count - 1 : 0;
+  }
+  EXPECT_EQ(missing, 0);
+  EXPECT_EQ(duplicated, 0);
 }
 
 }  // namespace

@@ -64,6 +64,7 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_annotations.hpp"
 #include "flag_value.hpp"
 #include "net/endpoint.hpp"
 #include "serve/router.hpp"
@@ -98,6 +99,14 @@ std::string default_serve_path(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Bulk stdin: with stdio synced, getline reads one byte at a time.
+  // Unsynced, cin must also be untied from cout — a tied cin flushes
+  // cout before every read, from this thread and outside the router's
+  // sink lock, racing the reader threads' response writes (it duplicated
+  // response lines).
+  std::ios::sync_with_stdio(false);
+  std::cin.tie(nullptr);
+
   int workers = -1;  // -1 = default (2 local, or 0 once --worker is given)
   std::vector<std::string> endpoints;
   std::string serve_path;
@@ -221,22 +230,27 @@ int main(int argc, char** argv) {
       fleet_factory(endpoints.size() + static_cast<std::size_t>(workers));
   options.fleet_factory = fleet_factory;
 
-  // The router serializes sink calls, so plain cout is line-safe here.
+  // The router serializes sink calls, and nothing else writes cout (cin
+  // is untied from it above), so each response line goes out whole.
   const auto sink = [](const std::string& line) {
     std::cout << line << '\n' << std::flush;
   };
-  const auto diag = [quiet](const std::string& message) {
-    if (!quiet) std::cerr << "wtam_router: " << message << "\n";
+  // Unsynced streams are not thread-safe: the banner (this thread) and
+  // the router's notices (reader threads) take turns on stderr.
+  // wtam-lint: allow(unannotated-mutex) — serializes std::cerr, no fields
+  common::Mutex stderr_mutex;
+  const auto diag = [quiet, &stderr_mutex](const std::string& message) {
+    if (quiet) return;
+    const common::MutexLock lock(stderr_mutex);
+    std::cerr << "wtam_router: " << message << "\n";
   };
 
   try {
     serve::Router router(std::move(options), sink, diag);
-    if (!quiet)
-      std::cerr << "wtam_router: ready (" << router.workers() << " workers: "
-                << endpoints.size() << " remote, " << workers << " local via "
-                << serve_path
-                << "); one JSON request per line, {\"op\": \"shutdown\"} "
-                   "to stop\n";
+    diag("ready (" + std::to_string(router.workers()) + " workers: " +
+         std::to_string(endpoints.size()) + " remote, " +
+         std::to_string(workers) + " local via " + serve_path +
+         "); one JSON request per line, {\"op\": \"shutdown\"} to stop");
     std::string line;
     while (std::getline(std::cin, line)) {
       if (line.empty()) continue;
