@@ -12,13 +12,11 @@
 //
 // Concurrency contract (matches the router's one-writer/one-reader
 // shape):
-//   * write_line is safe from any thread (serialized by an internal
-//     mutex; EINTR-retried; SIGPIPE is ignored process-wide the first
-//     time a Subprocess is constructed, so a dead child yields a false
-//     return, not a signal);
+//   * write_line is safe from any thread (common::LineWriter: whole
+//     lines, EINTR-retried, and a dead child yields a false return, not
+//     a SIGPIPE);
 //   * read_line must be called by at most ONE thread at a time — it is
-//     the reader thread's blocking loop; the buffer is deliberately
-//     unsynchronized;
+//     the reader thread's blocking loop over a common::LineReader;
 //   * running()/kill()/wait() are safe from any thread (child state is
 //     mutex-guarded; waitpid is only ever called under that mutex, so
 //     the pid is reaped exactly once).
@@ -36,6 +34,7 @@
 #include <sys/types.h>
 #include <vector>
 
+#include "common/line_io.hpp"
 #include "common/thread_annotations.hpp"
 
 namespace wtam::common {
@@ -61,9 +60,10 @@ class Subprocess {
   bool write_line(std::string_view line);
 
   /// Blocking read of the next newline-terminated line (the newline is
-  /// stripped; a final unterminated line is returned as-is). nullopt on
-  /// EOF — the child closed stdout, almost always by exiting. Single
-  /// reader only; see the concurrency contract above.
+  /// stripped; a final unterminated line is returned as-is). A line over
+  /// kDefaultMaxLineBytes comes back empty, its bytes dropped through its
+  /// newline. nullopt on EOF — the child closed stdout, almost always by
+  /// exiting. Single reader only; see the concurrency contract above.
   [[nodiscard]] std::optional<std::string> read_line();
 
   /// Closes the child's stdin — the NDJSON idiom for "no more requests"
@@ -90,14 +90,10 @@ class Subprocess {
   void reap_locked(bool block) WTAM_REQUIRES(state_mutex_);
 
   pid_t pid_ = -1;
-
-  Mutex write_mutex_;
-  int stdin_fd_ WTAM_GUARDED_BY(write_mutex_) = -1;
-
-  // Reader-thread-only state (single reader by contract, so no lock).
   int stdout_fd_ = -1;
-  std::string read_buffer_;
-  bool saw_eof_ = false;
+  // Set once the child runs. The reader is the reader thread's alone.
+  std::optional<LineWriter> stdin_;
+  std::optional<LineReader> stdout_;
 
   mutable Mutex state_mutex_;
   bool reaped_ WTAM_GUARDED_BY(state_mutex_) = false;

@@ -1,22 +1,13 @@
 // TCP transport for the NDJSON serving protocol (the multi-host tier).
 //
 // The serving stack speaks newline-delimited JSON over byte streams;
-// PR 8 carried those frames over subprocess pipes, this module carries
-// them over TCP so a router can front workers on other hosts. It is the
-// ONLY place in the tree allowed to make socket syscalls
-// (tools/wtam_lint.py enforces it, mirroring the raw-subprocess rule):
-// address resolution, SIGPIPE suppression, partial-read reassembly, and
-// shutdown-vs-close subtleties all live here once.
+// this module carries them over TCP so a router can front workers on
+// other hosts. It is the ONLY place in the tree allowed to make socket
+// syscalls (tools/wtam_lint.py enforces it, mirroring the raw-subprocess
+// rule): address resolution and shutdown-vs-close subtleties live here.
 //
-//   * Connection — one connected stream with line framing. Reads
-//     reassemble frames split across arbitrarily many recv() calls (a
-//     byte-at-a-time writer still yields whole lines) and enforce a
-//     bounded line length: an overlong line comes back as
-//     ReadStatus::TooLong and the connection resyncs by discarding
-//     bytes through the next newline, so one hostile/buggy frame does
-//     not poison the stream. Writes are whole-line, any-thread, and a
-//     dead peer yields `false` (SIGPIPE is ignored process-wide), the
-//     same contract as common::Subprocess::write_line.
+//   * Connection — one connected stream, framed by common::LineReader
+//     and common::LineWriter like every other hop (common/line_io.hpp).
 //   * Listener — a bound, listening socket. accept() blocks in poll()
 //     on the listen fd plus an internal wake pipe, so stop() (any
 //     thread) unblocks it deterministically; port 0 binds an ephemeral
@@ -32,28 +23,24 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 
+#include "common/line_io.hpp"
 #include "common/thread_annotations.hpp"
 #include "net/endpoint.hpp"
 
 namespace wtam::net {
 
-/// Outcome of Connection::read_line.
-enum class ReadStatus {
-  Line,     ///< a complete line was produced
-  TooLong,  ///< frame exceeded the length bound; stream resynced past it
-  Eof,      ///< peer closed (or the connection was shut down locally)
-};
+/// Outcome of Connection::read_line (Eof also after a local shutdown).
+using ReadStatus = common::ReadStatus;
 
 class Connection {
  public:
   /// Maximum accepted line length (bytes, excluding the newline) unless
-  /// overridden: 8 MiB comfortably holds the largest result line the
-  /// repo produces (p93791 schedules serialize well under 1 MiB).
-  static constexpr std::size_t kDefaultMaxLineBytes = 8u << 20;
+  /// overridden.
+  static constexpr std::size_t kDefaultMaxLineBytes =
+      common::kDefaultMaxLineBytes;
 
   /// Adopts an already-connected fd (Listener::accept's path).
   explicit Connection(int fd,
@@ -76,11 +63,9 @@ class Connection {
   /// connection was shut down.
   bool write_line(std::string_view line);
 
-  /// Blocking read of the next frame into `line` (newline stripped; a
-  /// final unterminated frame before EOF is returned as a Line). On
-  /// TooLong the overlong frame's bytes are discarded through its
-  /// terminating newline first, so the next call reads the next frame.
-  /// Single reader only; see the concurrency contract above.
+  /// Blocking read of the next frame into `line`, as
+  /// common::LineReader::read_line: TooLong resyncs past an overlong
+  /// frame. Single reader only; see the concurrency contract above.
   [[nodiscard]] ReadStatus read_line(std::string& line);
 
   /// Half-close: no more writes from this side (the socket analogue of
@@ -94,17 +79,9 @@ class Connection {
   void shutdown_both();
 
  private:
-  [[nodiscard]] bool fill_buffer();  // one recv(); false on EOF/error
-
   const int fd_;
-  const std::size_t max_line_bytes_;
-
-  common::Mutex write_mutex_;
-  bool write_open_ WTAM_GUARDED_BY(write_mutex_) = true;
-
-  // Reader-thread-only state (single reader by contract, so no lock).
-  std::string read_buffer_;
-  bool saw_eof_ = false;
+  common::LineWriter writer_;
+  common::LineReader reader_;  // the reader thread's alone
 };
 
 class Listener {

@@ -17,16 +17,11 @@
 #include "common/timer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_json.hpp"
+#include "serve/service.hpp"
 
 namespace wtam::serve {
 
 namespace {
-
-api::JsonValue error_object(const std::string& message) {
-  api::JsonValue value = api::JsonValue::object();
-  value.set("error", api::JsonValue::string(message));
-  return value;
-}
 
 /// Generic fleet fold for op acks: numbers sum, "ok" flags AND, objects
 /// merge key-wise (the first ack fixes the key order), strings/arrays
@@ -259,7 +254,7 @@ int Router::workers() const {
 }
 
 void Router::emit(const api::JsonValue& value) {
-  emit_raw(value.dump_compact_string());
+  emit_raw(bounded_answer(value));
 }
 
 void Router::emit_raw(const std::string& line) {
@@ -300,7 +295,7 @@ bool Router::handle_line(const std::string& line) {
   try {
     value = api::JsonValue::parse(line);
   } catch (const std::exception& e) {
-    emit(error_object(std::string("router: ") + e.what()));
+    emit(error_answer({}, std::string("router: ") + e.what()));
     return true;
   }
 
@@ -314,7 +309,7 @@ bool Router::handle_line(const std::string& line) {
   try {
     verb = op->as_string();
   } catch (const std::exception&) {
-    emit(error_object("router: 'op' must be a string"));
+    emit(error_answer({}, "router: 'op' must be a string"));
     return true;
   }
 
@@ -355,8 +350,8 @@ bool Router::handle_line(const std::string& line) {
     } catch (const std::exception&) {
     }
     if (index < 0 || index >= static_cast<std::int64_t>(slots_.size())) {
-      emit(error_object("kill_worker: 'worker' must be in [0, " +
-                        std::to_string(slots_.size()) + ")"));
+      emit(error_answer({}, "kill_worker: 'worker' must be in [0, " +
+                                std::to_string(slots_.size()) + ")"));
       return true;
     }
     Slot& slot = *slots_[static_cast<std::size_t>(index)];
@@ -422,8 +417,8 @@ bool Router::handle_line(const std::string& line) {
       if (requested->kind() == api::JsonValue::Kind::String)
         format = requested->as_string();
     if (format != "json" && format != "prometheus") {
-      emit(error_object(
-          "router: metrics format must be \"json\" or \"prometheus\""));
+      emit(error_answer(
+          {}, "router: metrics format must be \"json\" or \"prometheus\""));
       return true;
     }
     // Workers are always scraped in JSON, the form that carries buckets.
@@ -467,8 +462,9 @@ bool Router::handle_line(const std::string& line) {
     if (!merged.is_object()) {
       // Every worker errored (e.g. cache_save on a cacheless fleet):
       // surface the first error verbatim.
-      emit(with_op_id(op_id, acks.empty() ? error_object("router: no workers")
-                                          : acks.front()));
+      emit(with_op_id(op_id, acks.empty()
+                                 ? error_answer({}, "router: no workers")
+                                 : acks.front()));
       return true;
     }
     merged.set("workers", api::JsonValue::number(static_cast<std::int64_t>(workers())));
@@ -484,8 +480,9 @@ bool Router::handle_line(const std::string& line) {
   // Unknown verbs still fan out (a newer wtam_serve may know them); the
   // workers' own error responses come back and merge like any ack.
   const std::vector<api::JsonValue> acks = broadcast(forward);
-  emit(with_op_id(op_id, acks.empty() ? error_object("router: no workers")
-                                      : acks.front()));
+  emit(with_op_id(op_id, acks.empty()
+                             ? error_answer({}, "router: no workers")
+                             : acks.front()));
   return true;
 }
 
@@ -493,7 +490,7 @@ void Router::route_job(api::JsonValue value) {
   std::string client_id;
   if (const api::JsonValue* id = value.find("id")) {
     if (id->kind() != api::JsonValue::Kind::String) {
-      emit(error_object("router: 'id' must be a string"));
+      emit(error_answer({}, "router: 'id' must be a string"));
       return;
     }
     client_id = id->as_string();
@@ -533,22 +530,24 @@ void Router::route_job(api::JsonValue value) {
       } else {
         wire_line += '}';
       }
-      pending_.emplace(seq, Pending{client_id, wire_line, worker});
-      ++slots_[worker]->inflight;
-      ++counters_.routed;
-      link = slots_[worker]->link;
+      if (wire_line.size() <= common::kDefaultMaxLineBytes) {
+        pending_.emplace(seq, Pending{client_id, wire_line, worker});
+        ++slots_[worker]->inflight;
+        ++counters_.routed;
+        link = slots_[worker]->link;
+      }
     }
   }
+  // Shed or too long to forward: answered here, never forwarded. The
+  // internal id and the dump's separators can take a client line that
+  // fit the bound past it, and no worker reads such a line.
   if (wire_line.empty()) {
-    // Shed: answered here, never forwarded. Fixed text keeps shed
-    // responses byte-deterministic (mirrors wtam_serve's own shedding).
-    api::JsonValue response = api::JsonValue::object();
-    if (!client_id.empty())
-      response.set("id", api::JsonValue::string(client_id));
-    response.set("status", api::JsonValue::string("overloaded"));
-    response.set("error", api::JsonValue::string(
-                              "queue limit reached; job shed — retry later"));
-    emit(response);
+    emit(shed_answer(client_id));
+    return;
+  }
+  if (wire_line.size() > common::kDefaultMaxLineBytes) {
+    emit(error_answer(client_id, "job exceeds the line-length bound once "
+                                 "routed; not forwarded"));
     return;
   }
   // A failed write means the worker just died: the job stays pending and
@@ -575,7 +574,7 @@ std::vector<api::JsonValue> Router::broadcast(const std::string& line) {
     if (!op_filled_[i]) {
       op_filled_[i] = true;
       op_responses_[i] =
-          error_object("worker " + std::to_string(i) + " unavailable");
+          error_answer({}, "worker " + std::to_string(i) + " unavailable");
       --op_remaining_;
     }
   }
@@ -647,7 +646,7 @@ void Router::handle_worker_line(std::size_t index, const std::string& line) {
     response += "{\"id\": ";
     api::append_json_string(response, client_id);
     response.append(line, rest);
-    emit_raw(response);
+    emit_raw(bounded_answer(std::move(response), client_id));
     return;
   }
 
@@ -708,8 +707,8 @@ void Router::reader_loop(std::size_t index) {
       if (op_active_ && !op_filled_[index]) {
         // An op was outstanding to the dead worker — its ack is gone.
         op_filled_[index] = true;
-        op_responses_[index] = error_object(
-            "worker " + std::to_string(index) + " exited during the op");
+        op_responses_[index] = error_answer(
+            {}, "worker " + std::to_string(index) + " exited during the op");
         --op_remaining_;
         op_cv_.notify_all();
       }
@@ -743,15 +742,9 @@ void Router::reader_loop(std::size_t index) {
       note("worker " + std::to_string(index) +
            " died and could not be respawned (" + e.what() + "); " +
            std::to_string(failed.size()) + " in-flight job(s) failed");
-      for (const std::string& client_id : failed) {
-        api::JsonValue response = api::JsonValue::object();
-        if (!client_id.empty())
-          response.set("id", api::JsonValue::string(client_id));
-        response.set("error",
-                     api::JsonValue::string(
-                         "worker lost and not respawnable; resubmit"));
-        emit(response);
-      }
+      for (const std::string& client_id : failed)
+        emit(error_answer(client_id,
+                          "worker lost and not respawnable; resubmit"));
       return;
     }
 

@@ -14,18 +14,6 @@ namespace {
 
 using namespace wtam;
 
-/// Like every answer to a job line (result_to_json, the shed object
-/// below), an error leads with the job's id: the fleet router splices
-/// client ids over a response's leading {"id": "r<seq>" (test_serve's
-/// JobAnswersLeadWithTheirId pins this).
-api::JsonValue error_response(const std::string& id,
-                              const std::string& message) {
-  api::JsonValue response = api::JsonValue::object();
-  if (!id.empty()) response.set("id", api::JsonValue::string(id));
-  response.set("error", api::JsonValue::string(message));
-  return response;
-}
-
 /// Best-effort id extraction from a parsed request that failed later
 /// validation, so the client can still correlate the error response.
 std::string salvage_id(const api::JsonValue& value) {
@@ -74,6 +62,38 @@ obs::MetricsSnapshot cache_metrics(const api::ResultCacheStats& stats) {
 }
 
 }  // namespace
+
+api::JsonValue error_answer(const std::string& id,
+                            const std::string& message) {
+  api::JsonValue answer = api::JsonValue::object();
+  if (!id.empty()) answer.set("id", api::JsonValue::string(id));
+  answer.set("error", api::JsonValue::string(message));
+  return answer;
+}
+
+api::JsonValue shed_answer(const std::string& id) {
+  api::JsonValue answer = api::JsonValue::object();
+  if (!id.empty()) answer.set("id", api::JsonValue::string(id));
+  answer.set("status", api::JsonValue::string(std::string(
+                           api::to_string(api::Status::Overloaded))));
+  answer.set("error", api::JsonValue::string(
+                          "queue limit reached; job shed — retry later"));
+  return answer;
+}
+
+std::string bounded_answer(std::string line, const std::string& id) {
+  constexpr const char* kOverBound = "answer exceeds the line-length bound";
+  if (line.size() <= common::kDefaultMaxLineBytes) return line;
+  line = error_answer(id, kOverBound).dump_compact_string();
+  if (line.size() <= common::kDefaultMaxLineBytes) return line;
+  return error_answer({}, kOverBound).dump_compact_string();
+}
+
+std::string bounded_answer(const api::JsonValue& answer) {
+  std::string line = answer.dump_compact_string();
+  if (line.size() <= common::kDefaultMaxLineBytes) return line;
+  return bounded_answer(std::move(line), salvage_id(answer));
+}
 
 /// Job accounting shared between transport threads and the worker pool.
 /// Every field sits under one mutex so `stats` reads one consistent
@@ -174,7 +194,7 @@ class Service::Accounting {
 
 Service::Service(ServiceOptions options, Diag diag)
     : options_(std::move(options)), diag_(std::move(diag)) {
-  if (options_.use_cache && options_.cache_mb > 0) {
+  if (options_.cache_mb > 0) {
     api::ResultCacheOptions cache_options;
     cache_options.max_bytes = options_.cache_mb << 20;
     cache_ = std::make_shared<api::ResultCache>(cache_options);
@@ -253,7 +273,7 @@ void Service::write_error(const Sink& sink, const std::string& id,
                           const std::string& message) {
   accounting_->error_recorded();
   obs::MetricsRegistry::instance().counter("serve.errors").increment();
-  sink(error_response(id, message).dump_compact_string());
+  sink(bounded_answer(error_answer(id, message)));
 }
 
 Service::Action Service::handle_line(const std::string& line,
@@ -297,22 +317,10 @@ Service::Action Service::handle_line(const std::string& line,
       accounting_->try_accept(options_.queue_limit);
   if (job_number == 0) {
     // Admission control: the queue is at its limit — shed instead of
-    // stalling. The response is a result line (status "overloaded"), not
-    // an error object: the job was well-formed, the service just
-    // declined it right now. Fixed text keeps shed responses
-    // byte-deterministic. The id leads, as in every job answer (see
-    // error_response).
+    // stalling. The job was well-formed, the service just declined it
+    // right now.
     registry.counter("serve.jobs_shed").increment();
-    api::JsonValue response = api::JsonValue::object();
-    if (!request.id.empty())
-      response.set("id", api::JsonValue::string(request.id));
-    response.set("status",
-                 api::JsonValue::string(
-                     std::string(api::to_string(api::Status::Overloaded))));
-    response.set("error",
-                 api::JsonValue::string(
-                     "queue limit reached; job shed — retry later"));
-    sink(response.dump_compact_string());
+    sink(bounded_answer(shed_answer(request.id)));
     return Action::Continue;
   }
   registry.counter("serve.jobs_accepted").increment();
@@ -338,7 +346,7 @@ void Service::submit_job(api::SolveRequest request, const Sink& sink) {
           break;
         }
     }
-    sink(api::result_to_json(result, write_options_).dump_compact_string());
+    sink(bounded_answer(api::result_to_json(result, write_options_)));
     obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
     registry.histogram("serve.job_ns").record_ns(queued.elapsed_ns());
     registry.counter("serve.jobs_completed").increment();
@@ -361,7 +369,7 @@ Service::Action Service::handle_op(const api::JsonValue& value,
     if (const api::JsonValue* seq = value.find("seq"))
       if (seq->kind() == api::JsonValue::Kind::Int)
         response.set("seq", api::JsonValue::number(seq->as_int()));
-    sink(response.dump_compact_string());
+    sink(bounded_answer(response));
     return Action::Continue;
   }
 
@@ -373,7 +381,7 @@ Service::Action Service::handle_op(const api::JsonValue& value,
     response.set("ok", api::JsonValue::boolean(true));
     response.set("jobs", api::JsonValue::number(
                              static_cast<std::int64_t>(drained.completed)));
-    sink(response.dump_compact_string());
+    sink(bounded_answer(response));
     return Action::Shutdown;
   }
 
@@ -391,7 +399,7 @@ Service::Action Service::handle_op(const api::JsonValue& value,
     if (cache_)
       response.set("cache",
                    cache_stats_json(cache_->stats(), /*include_max_bytes=*/true));
-    sink(response.dump_compact_string());
+    sink(bounded_answer(response));
     return Action::Continue;
   }
 
@@ -421,8 +429,8 @@ Service::Action Service::handle_op(const api::JsonValue& value,
         .set(static_cast<std::int64_t>(now.queue_depth()));
     obs::MetricsSnapshot snapshot = registry.snapshot();
     if (cache_) snapshot.merge(cache_metrics(cache_->stats()));
-    sink(obs::metrics_response(snapshot, format == "prometheus")
-             .dump_compact_string());
+    sink(bounded_answer(
+        obs::metrics_response(snapshot, format == "prometheus")));
     return Action::Continue;
   }
 
@@ -439,7 +447,7 @@ Service::Action Service::handle_op(const api::JsonValue& value,
       cache_->clear();
       cache_->reset_stats();
     }
-    sink(response.dump_compact_string());
+    sink(bounded_answer(response));
     return Action::Continue;
   }
 
@@ -466,7 +474,7 @@ Service::Action Service::handle_op(const api::JsonValue& value,
       response.set("path", api::JsonValue::string(path));
       set_count(response, "entries", saved.entries);
       set_count(response, "bytes", saved.bytes);
-      sink(response.dump_compact_string());
+      sink(bounded_answer(response));
     } catch (const std::exception& e) {
       registry.counter("serve.persist.save_failures").increment();
       write_error(sink, salvage_id(value),

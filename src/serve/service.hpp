@@ -1,16 +1,12 @@
 // The wtam_serve request service, factored out of the tool so one
-// implementation answers every transport.
-//
-// PR 8's server was a stdin/stdout loop with the protocol logic inlined;
-// the multi-host tier needs the same verbs and the same admission
-// control on TCP connections too (`wtam_serve --listen`), where many
-// clients talk concurrently. Service is that shared core: it owns the
-// solver, worker pool, result cache (with --cache-file warm boot /
-// save), and job accounting, and processes one request line at a time
-// against a caller-supplied sink. The tool keeps what is genuinely
-// per-transport: reading lines, building a sink per client, and deciding
-// what EOF means (stdin EOF drains the service; a socket client's EOF
-// just ends that client).
+// implementation answers every transport: stdin/stdout and each TCP
+// client of `wtam_serve --listen`. Service owns the solver, worker pool,
+// result cache (with --cache-file warm boot / save) and job accounting,
+// and answers one request line at a time through a caller-supplied
+// sink; serve_lines below is the read loop every stream shares. The tool
+// keeps what is per-transport: a sink per client, and what EOF means
+// (stdin EOF drains the service; a socket client's EOF just ends that
+// client).
 //
 // Threading: handle_line may be called concurrently from multiple
 // transport threads (one per socket client). Verbs run inline on the
@@ -32,14 +28,32 @@
 #include "api/json_value.hpp"
 #include "api/result_cache.hpp"
 #include "api/solver.hpp"
+#include "common/line_io.hpp"
 #include "common/thread_pool.hpp"
 
 namespace wtam::serve {
 
+/// The fixed answers every tier gives a job line, wtam_serve and the
+/// fleet router alike. Each leads with the job's id (left out when
+/// empty): the router splices client ids over a response's leading
+/// {"id": "r<seq>" (test_serve's JobAnswersLeadWithTheirId pins this).
+[[nodiscard]] api::JsonValue error_answer(const std::string& id,
+                                          const std::string& message);
+/// A job declined by admission control: a result line with status
+/// "overloaded" and fixed text, so shed answers are byte-deterministic.
+[[nodiscard]] api::JsonValue shed_answer(const std::string& id);
+/// `line` when it fits the line-length bound that every reader enforces;
+/// otherwise a fixed error answer for `id`, or one without the id when
+/// even that would not fit. Every answer line a tier writes passes here,
+/// so none is lost to its reader's bound.
+[[nodiscard]] std::string bounded_answer(std::string line,
+                                         const std::string& id);
+/// bounded_answer of `answer`'s compact dump, for the answer's own "id".
+[[nodiscard]] std::string bounded_answer(const api::JsonValue& answer);
+
 struct ServiceOptions {
   int threads = 0;  ///< worker pool size; 0 = one per hardware thread
-  std::size_t cache_mb = 64;
-  bool use_cache = true;
+  std::size_t cache_mb = 64;  ///< cache byte budget in MiB; 0 = no cache
   /// Warm-boot persistence: loaded in the constructor (missing file =
   /// cold start, wrong version = refused loudly via diag), saved by
   /// drain_and_save and the shutdown verb.
@@ -86,9 +100,7 @@ class Service {
   void drain_and_save();
 
   [[nodiscard]] int workers() const noexcept { return workers_; }
-  [[nodiscard]] bool cache_enabled() const noexcept {
-    return cache_ != nullptr;
-  }
+  /// The cache's budget in MiB; 0 when the cache is off.
   [[nodiscard]] std::size_t cache_mb() const noexcept {
     return options_.cache_mb;
   }
@@ -116,5 +128,31 @@ class Service {
   // state its workers reference is torn down.
   std::unique_ptr<common::ThreadPool> pool_;
 };
+
+/// Reads request lines from one client stream — a common::LineReader or
+/// a net::Connection — and passes each to `handle(line, line_number)`,
+/// which returns false to stop. A line over the framing bound is
+/// answered through `sink` with a fixed error, and reading resumes at the
+/// next newline. Returns true when `handle` stopped the loop, false when
+/// the stream ended.
+template <class Stream, class Handle>
+bool serve_lines(Stream& in, const Service::Sink& sink, Handle handle) {
+  std::string line;
+  for (std::uint64_t line_number = 1;; ++line_number) {
+    switch (in.read_line(line)) {
+      case common::ReadStatus::Line:
+        if (!handle(line, line_number)) return true;
+        break;
+      case common::ReadStatus::TooLong:
+        sink(bounded_answer(
+            error_answer({}, "line " + std::to_string(line_number) +
+                                 ": frame exceeds the line-length bound; "
+                                 "resynced at the next newline")));
+        break;
+      case common::ReadStatus::Eof:
+        return false;
+    }
+  }
+}
 
 }  // namespace wtam::serve

@@ -56,20 +56,10 @@ class SocketLink final : public WorkerLink {
     return connection_->write_line(line);
   }
   std::optional<std::string> read_line() override {
-    // Oversized frames from a worker are a protocol violation, not data;
-    // skipping them keeps the stream aligned and the router's orphan
-    // accounting treats the missing response like a lost write.
-    std::string line;
-    for (;;) {
-      switch (connection_->read_line(line)) {
-        case net::ReadStatus::Line:
-          return line;
-        case net::ReadStatus::TooLong:
-          continue;
-        case net::ReadStatus::Eof:
-          return std::nullopt;
-      }
-    }
+    std::string line;  // left empty by a TooLong frame, as a pipe's is
+    if (connection_->read_line(line) == net::ReadStatus::Eof)
+      return std::nullopt;
+    return line;
   }
   void close_input() override { connection_->shutdown_write(); }
   void sever() override { connection_->shutdown_both(); }

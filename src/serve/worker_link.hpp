@@ -59,7 +59,8 @@ class WorkerLink {
   /// Sends one frame; false when the worker is gone.
   virtual bool write_line(std::string_view line) = 0;
   /// Next frame from the worker; nullopt on EOF (worker exited or
-  /// connection severed).
+  /// connection severed). A frame over common::kDefaultMaxLineBytes
+  /// comes back empty, a line the router counts as orphaned.
   [[nodiscard]] virtual std::optional<std::string> read_line() = 0;
   /// Half-close: signals EOF to the worker (a local wtam_serve drains,
   /// saves its cache file, and exits silently). Idempotent.

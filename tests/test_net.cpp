@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +18,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/subprocess.hpp"
+#include "common/timer.hpp"
 #include "net/endpoint.hpp"
 #include "net/socket.hpp"
 
@@ -228,6 +231,53 @@ TEST(Framing, ShutdownBothUnblocksABlockedReader) {
   EXPECT_TRUE(unblocked.load());
   // Writes after the shutdown fail cleanly instead of crashing.
   EXPECT_FALSE(pair.connection->write_line("late"));
+}
+
+TEST(Framing, LinesJustUnderTheBoundFrameInLinearTime) {
+  // Framers that searched their whole buffer for '\n' after every 4 KiB
+  // read spent time quadratic in the line length: ~0.35 s for each of
+  // these frames through a pipe or a socket in a Release build, so over
+  // 3 s per transport. A linear framer needs a few milliseconds each.
+  constexpr int kFrames = 10;
+  [[maybe_unused]] constexpr double kLimitS = 0.5;
+  const std::string frame(Connection::kDefaultMaxLineBytes - 1, 'x');
+
+  // A pipe: /bin/cat echoes the frames back through common::Subprocess.
+  const common::Stopwatch pipe_watch;
+  {
+    common::Subprocess cat({"/bin/cat"});
+    std::thread writer([&cat, &frame] {
+      for (int i = 0; i < kFrames; ++i) EXPECT_TRUE(cat.write_line(frame));
+      cat.close_stdin();
+    });
+    int lines = 0;
+    while (const std::optional<std::string> line = cat.read_line())
+      if (line->size() == frame.size()) ++lines;
+    writer.join();
+    EXPECT_EQ(lines, kFrames);
+  }
+  [[maybe_unused]] const double pipe_s = pipe_watch.elapsed_s();
+
+  // A socketpair, read through net::Connection.
+  const common::Stopwatch socket_watch;
+  {
+    FramedPair pair(Connection::kDefaultMaxLineBytes);
+    std::thread writer([&pair, &frame] {
+      for (int i = 0; i < kFrames; ++i) pair.send_raw(frame + "\n");
+      pair.hang_up();
+    });
+    int lines = 0;
+    std::string line;
+    while (pair.connection->read_line(line) == ReadStatus::Line)
+      if (line.size() == frame.size()) ++lines;
+    writer.join();
+    EXPECT_EQ(lines, kFrames);
+  }
+  [[maybe_unused]] const double socket_s = socket_watch.elapsed_s();
+#if !defined(WTAM_UNDER_SANITIZERS)
+  EXPECT_LT(pipe_s, kLimitS);
+  EXPECT_LT(socket_s, kLimitS);
+#endif
 }
 
 // ---- listener + real TCP ---------------------------------------------------

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -22,8 +24,10 @@
 #include "api/json_value.hpp"
 #include "common/subprocess.hpp"
 #include "common/thread_annotations.hpp"
+#include "net/socket.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_json.hpp"
+#include "port_file.hpp"
 #include "serve/router.hpp"
 
 namespace wtam::serve {
@@ -604,6 +608,74 @@ TEST(Router, ResizeRebootsTheFleetAtTheNewSize) {
             nullptr);
 }
 
+// ---- real wtam_serve workers -----------------------------------------------
+
+TEST(RouterFleet, LinesOverTheBoundAreAnsweredOnceOnPipesAndTcp) {
+  // No reader takes a line over the 8 MiB framing bound, so a fleet that
+  // sent one on would leave its job unanswered. "big" fits the bound but
+  // its tag, echoed into the answer, does not: the worker answers with an
+  // error instead. "routed" fills the bound with compact separators; the
+  // router's internal id and spaces take its wire line past it, so the
+  // router answers it. Every id gets exactly one answer, over pipes and
+  // over TCP alike.
+  const auto sized = [](std::string head, std::size_t size) {
+    head.append(size - head.size() - 2, 't');
+    return head + "\"}";
+  };
+  const std::string big = sized(
+      R"({"id": "big", "soc": "d695", "width": 16, "tag": ")", 8388574);
+  const std::string routed =
+      sized(R"({"id":"routed","soc":"d695","width":16,"tag":")",
+            net::Connection::kDefaultMaxLineBytes);
+  const std::string small = R"({"id": "small", "soc": "d695", "width": 16})";
+
+  const std::string port_file = testing::TempDir() + "wtam_router_bound_" +
+                                std::to_string(::getpid());
+  std::remove(port_file.c_str());
+  common::Subprocess remote({WTAM_SERVE_BINARY, "--listen", "127.0.0.1:0",
+                             "--port-file", port_file, "--quiet",
+                             "--threads", "1"});
+  const std::string endpoint = test_support::read_port_file(port_file);
+  ASSERT_FALSE(endpoint.empty());
+  std::remove(port_file.c_str());
+
+  for (const WorkerSpec& spec :
+       {WorkerSpec::local({WTAM_SERVE_BINARY, "--quiet", "--threads", "1"}),
+        WorkerSpec::connect(endpoint)}) {
+    SCOPED_TRACE(spec.remote() ? "tcp fleet" : "pipe fleet");
+    RouterOptions options;
+    options.workers = {spec};
+    auto collector = std::make_shared<Collector>();
+    Router router(std::move(options),
+                  [collector](const std::string& line) { (*collector)(line); });
+    for (const std::string* line : {&big, &routed, &small})
+      EXPECT_TRUE(router.handle_line(*line));
+    // Bounded: a lost answer fails the test instead of hanging it.
+    EXPECT_TRUE(collector->wait_for(3));
+    router.shutdown();
+
+    std::map<std::string, std::vector<std::string>> answers;  // cut short
+    for (const std::string& line : collector->lines()) {
+      const api::JsonValue value = api::JsonValue::parse(line);
+      const api::JsonValue* id = value.find("id");
+      answers[id != nullptr ? id->as_string() : ""].push_back(
+          line.substr(0, 120));
+    }
+    EXPECT_EQ(answers.size(), 3u);
+    EXPECT_EQ(answers["big"],
+              std::vector<std::string>{
+                  R"({"id": "big", "error": "answer exceeds the )"
+                  R"(line-length bound"})"});
+    EXPECT_EQ(answers["routed"],
+              std::vector<std::string>{
+                  R"({"id": "routed", "error": "job exceeds the )"
+                  R"(line-length bound once routed; not forwarded"})"});
+    ASSERT_EQ(answers["small"].size(), 1u);
+    EXPECT_TRUE(answers["small"].front().starts_with(
+        R"({"id": "small", "status": "ok", )"));
+  }
+}
+
 // ---- the wtam_router binary ------------------------------------------------
 
 /// Job `i` of the bulk check: eight shapes in turn, four named d695
@@ -676,6 +748,69 @@ TEST(RouterBinary, BulkStdinAnswersEveryIdExactlyOnce) {
   }
   EXPECT_EQ(missing, 0);
   EXPECT_EQ(duplicated, 0);
+}
+
+TEST(RouterBinary, StdinLineOverTheBoundIsAnsweredAndReadingGoesOn) {
+  // Router stdin is bounded like every other hop: the 9 MiB line is
+  // answered with the framing error and never forwarded, and the next
+  // line is served.
+  common::Subprocess router({WTAM_ROUTER_BINARY, "--quiet", "--workers", "1",
+                             "--serve", WTAM_SERVE_BINARY});
+  EXPECT_TRUE(router.write_line(std::string(9u << 20, 'x')));
+  EXPECT_TRUE(router.write_line(R"({"op": "ping", "seq": 7})"));
+  router.close_stdin();
+  std::vector<std::string> lines;
+  while (const std::optional<std::string> line = router.read_line())
+    lines.push_back(*line);
+  const int status = router.wait();
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+  EXPECT_EQ(lines,
+            (std::vector<std::string>{
+                R"({"error": "line 1: frame exceeds the line-length )"
+                R"(bound; resynced at the next newline"})",
+                R"({"op": "ping", "ok": true, "seq": 7, "workers": 1})"}));
+}
+
+TEST(RouterBinary, WorkerErrorsOverTheBoundAreAnsweredOnce) {
+  // A worker's error can echo its input with extra text. Here that text
+  // would take two errors past the bound: for an unknown op whose line
+  // is at the bound, and for an unknown field whose routed line
+  // {"id": "r1", "<key>": 0} is at the bound. The worker answers each
+  // with the fixed over-bound error instead, so the op's broadcast ends,
+  // the job is answered, and the ping after them is served.
+  const std::size_t bound = common::kDefaultMaxLineBytes;
+  const std::string op = R"({"op":")" + std::string(bound - 9, 'v') + "\"}";
+  const std::string job = "{\"" + std::string(bound - 19, 'k') + "\":0}";
+  common::Subprocess router({WTAM_ROUTER_BINARY, "--quiet", "--workers", "1",
+                             "--serve", WTAM_SERVE_BINARY});
+  // A lost answer leaves the router waiting for it forever, no longer
+  // reading stdin: the watchdog then kills it, so the test fails on the
+  // missing lines instead of hanging.
+  std::atomic<bool> done{false};
+  std::thread watchdog([&router, &done] {
+    for (int i = 0; i < 1200 && !done.load(); ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    if (!done.load()) router.kill();
+  });
+  EXPECT_TRUE(router.write_line(op));
+  EXPECT_TRUE(router.write_line(job));
+  EXPECT_TRUE(router.write_line(R"({"op": "ping", "seq": 7})"));
+  router.close_stdin();
+  std::vector<std::string> lines;
+  while (const std::optional<std::string> line = router.read_line())
+    lines.push_back(line->substr(0, 120));  // cut short
+  done.store(true);
+  watchdog.join();
+  const int status = router.wait();
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+  // The job is answered from a reader thread, so it may follow the ping.
+  std::sort(lines.begin(), lines.end());
+  EXPECT_EQ(lines,
+            (std::vector<std::string>{
+                R"({"error": "answer exceeds the line-length bound"})",
+                R"({"id": "job-1", "error": "answer exceeds the )"
+                R"(line-length bound"})",
+                R"({"op": "ping", "ok": true, "seq": 7, "workers": 1})"}));
 }
 
 }  // namespace

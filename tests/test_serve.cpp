@@ -1,12 +1,27 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <csignal>
 #include <cstdint>
+#include <cstdio>
+#include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include "api/cache_store.hpp"
+#include "api/request_key.hpp"
+#include "common/subprocess.hpp"
 #include "common/thread_annotations.hpp"
+#include "net/endpoint.hpp"
+#include "net/socket.hpp"
+#include "port_file.hpp"
 #include "serve/service.hpp"
 
 namespace wtam::serve {
@@ -89,6 +104,143 @@ TEST(Service, JobAnswersLeadWithTheirId) {
   EXPECT_NE(answer_of("r5").find("\"status\": \"invalid_request\""),
             std::string::npos);
   EXPECT_NE(answer_of("r6").find("\"status\": \"ok\""), std::string::npos);
+}
+
+TEST(Service, AnswersOverTheBoundBecomeTheFixedError) {
+  // No reader takes a line over the bound. An answer that would exceed it
+  // is replaced by one fixed error, led by the id when that still fits:
+  // here errors that echo an unknown op, an unknown field, and an id.
+  Service service(ServiceOptions{});
+  Lines lines;
+  const Service::Sink sink = [&lines](const std::string& line) {
+    lines.add(line);
+  };
+  const std::size_t bound = common::kDefaultMaxLineBytes;
+  const std::string huge(bound - 32, 'x');
+  std::uint64_t line_number = 0;
+  for (const std::string& line :
+       {R"({"op":")" + huge + "\"}", R"({"id":"k",")" + huge + R"(":0})",
+        R"({"id":")" + huge + R"(","width":"w"})"}) {
+    ASSERT_LE(line.size(), bound);
+    EXPECT_EQ(service.handle_line(line, ++line_number, sink),
+              Service::Action::Continue);
+  }
+  std::vector<std::string> answers = lines.take();
+  for (std::string& answer : answers)  // a wrong one is huge: cut short
+    answer.resize(std::min<std::size_t>(answer.size(), 120));
+  EXPECT_EQ(answers,
+            (std::vector<std::string>{
+                R"({"error": "answer exceeds the line-length bound"})",
+                R"({"id": "k", "error": "answer exceeds the line-length )"
+                R"(bound"})",
+                R"({"error": "answer exceeds the line-length bound"})"}));
+}
+
+// ---- the wtam_serve binary -------------------------------------------------
+
+TEST(ServeBinary, StdinLineOverTheBoundIsAnsweredAndReadingGoesOn) {
+  // stdin is bounded like a TCP client: the 9 MiB line gets the framing
+  // error and the next line is served.
+  common::Subprocess serve({WTAM_SERVE_BINARY, "--quiet", "--threads", "1"});
+  EXPECT_TRUE(serve.write_line(std::string(9u << 20, 'x')));
+  EXPECT_TRUE(serve.write_line(R"({"op": "ping", "seq": 7})"));
+  serve.close_stdin();
+  std::vector<std::string> lines;
+  while (const std::optional<std::string> line = serve.read_line())
+    lines.push_back(*line);
+  const int status = serve.wait();
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+  EXPECT_EQ(lines, (std::vector<std::string>{
+                       R"({"error": "line 1: frame exceeds the line-length )"
+                       R"(bound; resynced at the next newline"})",
+                       R"({"op": "ping", "ok": true, "seq": 7})"}));
+}
+
+TEST(ServeBinary, ClosedStdoutEndsTheStdinLoop) {
+  // Once `head` has its one line, nobody reads the answers: the first
+  // answer that fails to go out ends the stdin loop, so wtam_serve exits
+  // (and the pipeline with it) instead of serving stdin to its end.
+  common::Subprocess pipeline(
+      {"/bin/sh", "-c",
+       std::string(WTAM_SERVE_BINARY) + " --quiet --threads 1 | head -n 1"});
+  ASSERT_TRUE(pipeline.write_line(R"({"op": "ping", "seq": 1})"));
+  EXPECT_EQ(pipeline.read_line(), R"({"op": "ping", "ok": true, "seq": 1})");
+  int written = 0;
+  while (written < 100 && pipeline.write_line(R"({"op": "ping"})")) {
+    ++written;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_LT(written, 100);
+  pipeline.close_stdin();  // ends a loop that would not end by itself
+  EXPECT_EQ(pipeline.read_line(), std::nullopt);
+  const int status = pipeline.wait();
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+}
+
+/// A temporary path unique to this process; removed when destroyed.
+class TempFile {
+ public:
+  explicit TempFile(const std::string& name)
+      : path_(testing::TempDir() + name + "." + std::to_string(::getpid())) {
+    std::remove(path_.c_str());
+  }
+  ~TempFile() { std::remove(path_.c_str()); }
+  TempFile(const TempFile&) = delete;
+  TempFile& operator=(const TempFile&) = delete;
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+constexpr const char* kSignalJob = R"({"id": "j", "soc": "d695", "width": 16})";
+
+/// SIGTERMs `serve`, expects a clean exit, and checks that the
+/// --cache-file snapshot holds exactly the entry of kSignalJob.
+void expect_signal_drains_and_saves(common::Subprocess& serve,
+                                    const std::string& snapshot) {
+  ASSERT_EQ(::kill(serve.pid(), SIGTERM), 0);
+  const int status = serve.wait();
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+  api::ResultCache cache;
+  const api::CacheLoadStats loaded = api::load_cache_file(cache, snapshot);
+  EXPECT_TRUE(loaded.found);
+  const auto entries = cache.export_entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_TRUE(entries.front().first ==
+              api::request_keys(api::job_from_json(
+                                    api::JsonValue::parse(kSignalJob)))
+                  .front());
+}
+
+TEST(ServeBinary, SigtermOnStdinDrainsAndSavesTheCache) {
+  const TempFile snapshot("wtam_serve_sigterm_stdin");
+  common::Subprocess serve({WTAM_SERVE_BINARY, "--quiet", "--threads", "1",
+                            "--cache-file", snapshot.path()});
+  ASSERT_TRUE(serve.write_line(kSignalJob));
+  const std::optional<std::string> answer = serve.read_line();
+  ASSERT_TRUE(answer.has_value());
+  EXPECT_TRUE(answer->starts_with(R"({"id": "j", "status": "ok", )"));
+  expect_signal_drains_and_saves(serve, snapshot.path());
+}
+
+TEST(ServeBinary, SigtermWhileListeningDrainsAndSavesTheCache) {
+  const TempFile snapshot("wtam_serve_sigterm_listen");
+  const TempFile port_file("wtam_serve_sigterm_port");
+  common::Subprocess serve({WTAM_SERVE_BINARY, "--quiet", "--threads", "1",
+                            "--listen", "127.0.0.1:0", "--port-file",
+                            port_file.path(), "--cache-file",
+                            snapshot.path()});
+  const std::string endpoint = test_support::read_port_file(port_file.path());
+  ASSERT_FALSE(endpoint.empty());
+  const std::unique_ptr<net::Connection> client =
+      net::Connection::connect(net::parse_endpoint(endpoint));
+  ASSERT_TRUE(client->write_line(kSignalJob));
+  std::string answer;
+  ASSERT_EQ(client->read_line(answer), net::ReadStatus::Line);
+  EXPECT_TRUE(answer.starts_with(R"({"id": "j", "status": "ok", )"));
+  expect_signal_drains_and_saves(serve, snapshot.path());
 }
 
 }  // namespace

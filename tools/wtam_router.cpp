@@ -49,9 +49,12 @@
 //   --ping-deadline MS missed-pong threshold (default 2000)
 //   --worker-threads N forwarded to each local worker as --threads
 //   --cache-mb M       forwarded to each local worker
-//   --no-cache         forwarded to each local worker
+//   --no-cache         same as --cache-mb 0
 //   --timing / --trace forwarded to each local worker
 //   --quiet            no banner, no respawn notices on stderr
+//
+// A client line over the 8 MiB framing bound is answered with an error
+// and never forwarded; so is a job whose routed line would exceed it.
 //
 // Exit status: 0 on clean shutdown/EOF, 1 when the fleet cannot boot,
 // 2 on usage errors.
@@ -64,10 +67,14 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
+#include "common/line_io.hpp"
 #include "common/thread_annotations.hpp"
 #include "flag_value.hpp"
 #include "net/endpoint.hpp"
 #include "serve/router.hpp"
+#include "serve/service.hpp"
 
 namespace {
 
@@ -99,14 +106,6 @@ std::string default_serve_path(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Bulk stdin: with stdio synced, getline reads one byte at a time.
-  // Unsynced, cin must also be untied from cout — a tied cin flushes
-  // cout before every read, from this thread and outside the router's
-  // sink lock, racing the reader threads' response writes (it duplicated
-  // response lines).
-  std::ios::sync_with_stdio(false);
-  std::cin.tie(nullptr);
-
   int workers = -1;  // -1 = default (2 local, or 0 once --worker is given)
   std::vector<std::string> endpoints;
   std::string serve_path;
@@ -116,7 +115,6 @@ int main(int argc, char** argv) {
   int ping_deadline_ms = 2000;
   int worker_threads = 0;
   int cache_mb = -1;  // -1 = worker default
-  bool no_cache = false;
   bool timing = false;
   bool trace = false;
   bool quiet = false;
@@ -161,7 +159,7 @@ int main(int argc, char** argv) {
       cache_mb = cli::parse_flag_value<int>(arg, value(), usage);
       if (cache_mb < 0) usage("--cache-mb must be >= 0");
     } else if (arg == "--no-cache") {
-      no_cache = true;
+      cache_mb = 0;
     } else if (arg == "--timing") {
       timing = true;
     } else if (arg == "--trace") {
@@ -187,8 +185,8 @@ int main(int argc, char** argv) {
   // to one worker, so the P.w* files partition the fleet's cache and
   // resize can re-deal them.
   const auto fleet_factory =
-      [endpoints, serve_path, worker_threads, cache_mb, no_cache, cache_file,
-       timing, trace](std::size_t count) {
+      [endpoints, serve_path, worker_threads, cache_mb, cache_file, timing,
+       trace](std::size_t count) {
         if (count < endpoints.size())
           throw std::runtime_error(
               "cannot shrink below the " + std::to_string(endpoints.size()) +
@@ -207,7 +205,6 @@ int main(int argc, char** argv) {
             command.push_back("--cache-mb");
             command.push_back(std::to_string(cache_mb));
           }
-          if (no_cache) command.push_back("--no-cache");
           std::string snapshot;
           if (!cache_file.empty()) {
             snapshot = cache_file + ".w" + std::to_string(w);
@@ -230,13 +227,12 @@ int main(int argc, char** argv) {
       fleet_factory(endpoints.size() + static_cast<std::size_t>(workers));
   options.fleet_factory = fleet_factory;
 
-  // The router serializes sink calls, and nothing else writes cout (cin
-  // is untied from it above), so each response line goes out whole.
-  const auto sink = [](const std::string& line) {
-    std::cout << line << '\n' << std::flush;
+  common::LineWriter out(STDOUT_FILENO);
+  const serve::Router::Sink sink = [&out](const std::string& line) {
+    (void)out.write_line(line);
   };
-  // Unsynced streams are not thread-safe: the banner (this thread) and
-  // the router's notices (reader threads) take turns on stderr.
+  // The banner (this thread) and the router's notices (reader threads)
+  // take turns on stderr, so each notice stays one line.
   // wtam-lint: allow(unannotated-mutex) — serializes std::cerr, no fields
   common::Mutex stderr_mutex;
   const auto diag = [quiet, &stderr_mutex](const std::string& message) {
@@ -251,12 +247,12 @@ int main(int argc, char** argv) {
          std::to_string(endpoints.size()) + " remote, " +
          std::to_string(workers) + " local via " + serve_path +
          "); one JSON request per line, {\"op\": \"shutdown\"} to stop");
-    std::string line;
-    while (std::getline(std::cin, line)) {
-      if (line.empty()) continue;
-      if (!router.handle_line(line)) return 0;
-    }
-    router.shutdown();  // EOF: drain the fleet silently
+    common::LineReader in(STDIN_FILENO);
+    if (!serve::serve_lines(in, sink, [&router](const std::string& line,
+                                                std::uint64_t) {
+          return line.empty() || router.handle_line(line);
+        }))
+      router.shutdown();  // EOF: drain the fleet silently
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "wtam_router: fleet failed to start: " << e.what() << "\n";

@@ -34,9 +34,10 @@
 //   shutdown     — stop reading, drain in-flight jobs, save the cache
 //                  (when --cache-file is set), ack, exit 0. Over TCP
 //                  this stops the whole server, not just the client.
-// EOF on stdin behaves like shutdown (without the ack line); EOF from a
-// TCP client just ends that client. SIGTERM/SIGINT drain and save the
-// cache before exiting, so kill-based orchestration keeps the warmth.
+// EOF on stdin behaves like shutdown (without the ack line), and so does
+// a closed stdout once an answer fails to go out; EOF from a TCP client
+// just ends that client. SIGTERM/SIGINT drain and save the cache before
+// exiting, so kill-based orchestration keeps the warmth.
 //
 // Options:
 //   --listen H:P     serve TCP clients on H:P instead of stdin/stdout
@@ -45,7 +46,7 @@
 //                    listening (how scripts use --listen 127.0.0.1:0)
 //   --threads N      concurrent jobs (default 0 = one per hardware thread)
 //   --cache-mb M     cache byte budget in MiB (default 64; 0 disables)
-//   --no-cache       disable the result cache
+//   --no-cache       disable the result cache (same as --cache-mb 0)
 //   --cache-file P   warm-boot persistence: load the snapshot at P on
 //                    start (missing file = cold start; torn tail = load
 //                    the valid prefix; wrong version = refuse the file
@@ -65,8 +66,10 @@
 // bind, 2 on usage errors. Malformed request lines are answered with an
 // {"error": ...} object (the id is echoed when one can be salvaged) and
 // the server keeps serving — a bad client must not take the service
-// down. An oversized line (beyond the framing bound) is answered with a
-// clean error and the stream resyncs at the next newline.
+// down. A line over the 8 MiB framing bound, on stdin as over TCP, is
+// answered with a clean error and the stream resyncs at the next
+// newline; any answer over the bound is replaced by a fixed error that
+// leads with the job's id.
 
 #include <atomic>
 #include <cerrno>
@@ -82,9 +85,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include <poll.h>
 #include <unistd.h>
 
+#include "common/line_io.hpp"
 #include "common/thread_annotations.hpp"
 #include "flag_value.hpp"
 #include "net/endpoint.hpp"
@@ -106,26 +109,13 @@ using namespace wtam;
   std::exit(2);
 }
 
-/// Serializes stdout response lines: results may complete on any pool
-/// worker, but each NDJSON line must hit stdout whole and be flushed
-/// (callers block on our output).
-class StdoutWriter {
- public:
-  void write(const std::string& line) {
-    const common::MutexLock lock(mutex_);
-    std::cout << line << '\n' << std::flush;
-  }
-
- private:
-  common::Mutex mutex_;
-};
-
 // SIGTERM/SIGINT land here: the self-pipe trick. The handler does the
-// only async-signal-safe thing — writes one byte — and the transport
-// loops treat that byte as "stop accepting, drain, save, exit", so a
+// only async-signal-safe thing — writes one byte — and the transports
+// treat that byte as "stop accepting, drain, save, exit", so a
 // kill-based orchestrator gets the same warm cache a clean shutdown
-// leaves behind. Installed WITHOUT SA_RESTART so a blocked stdin read
-// returns instead of silently resuming.
+// leaves behind: the stdin reader polls the pipe as its wake
+// descriptor, the TCP accept loop has a watcher thread. Installed
+// WITHOUT SA_RESTART so a blocked poll returns instead of resuming.
 int g_signal_pipe[2] = {-1, -1};
 
 extern "C" void handle_stop_signal(int) {
@@ -146,6 +136,14 @@ void install_signal_handlers() {
   action.sa_flags = 0;  // no SA_RESTART: interrupted reads must return
   ::sigaction(SIGTERM, &action, nullptr);
   ::sigaction(SIGINT, &action, nullptr);
+}
+
+/// The banners' "(N workers, cache M MiB)", or "cache off".
+std::string capacity(const serve::Service& service) {
+  return "(" + std::to_string(service.workers()) + " workers, cache " +
+         (service.cache_mb() > 0 ? std::to_string(service.cache_mb()) + " MiB"
+                                 : "off") +
+         ")";
 }
 
 /// Tracks live TCP connections so shutdown (verb or signal) can sever
@@ -180,67 +178,29 @@ class ConnectionRegistry {
       connections_ WTAM_GUARDED_BY(mutex_);
 };
 
-/// The stdin/stdout transport. Polls stdin alongside the signal pipe so
-/// SIGTERM/SIGINT break the read loop; lines are reassembled from raw
-/// chunks (the poll wakeup granularity), and a final unterminated line
-/// still counts. Returns the process exit status.
+/// The stdin/stdout transport. The signal pipe wakes the stdin reader,
+/// so SIGTERM/SIGINT end the stream like EOF, less any partial line; so
+/// does a closed stdout, once a write has failed, since nobody reads the
+/// answers. Returns the process exit status.
 int run_stdio(serve::Service& service) {
-  StdoutWriter out;
-  const serve::Service::Sink sink = [&out](const std::string& line) {
-    out.write(line);
+  common::LineWriter out(STDOUT_FILENO);
+  std::atomic<bool> listening{true};
+  const serve::Service::Sink sink = [&out,
+                                     &listening](const std::string& line) {
+    if (!out.write_line(line)) listening.store(false);
   };
-
-  std::string buffer;
-  std::uint64_t line_number = 0;
-  bool eof = false;
-  bool signaled = false;
-  while (!eof && !signaled) {
-    pollfd fds[2] = {{STDIN_FILENO, POLLIN, 0}, {g_signal_pipe[0], POLLIN, 0}};
-    const nfds_t count = g_signal_pipe[0] >= 0 ? 2 : 1;
-    const int ready = ::poll(fds, count, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (count == 2 && (fds[1].revents & POLLIN) != 0) {
-      signaled = true;
-      break;
-    }
-    if ((fds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-    char chunk[4096];
-    const ssize_t n = ::read(STDIN_FILENO, chunk, sizeof(chunk));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      eof = true;
-      break;
-    }
-    if (n == 0) {
-      eof = true;
-      break;
-    }
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (std::size_t newline = buffer.find('\n', start);
-         newline != std::string::npos;
-         newline = buffer.find('\n', start)) {
-      const std::string line = buffer.substr(start, newline - start);
-      start = newline + 1;
-      if (service.handle_line(line, ++line_number, sink) ==
-          serve::Service::Action::Shutdown) {
-        return 0;  // drained, saved, acked inside the verb
-      }
-    }
-    buffer.erase(0, start);
-  }
-  // EOF: a final unterminated line still counts (matches getline).
-  if (eof && !buffer.empty()) {
-    if (service.handle_line(buffer, ++line_number, sink) ==
-        serve::Service::Action::Shutdown)
-      return 0;
-  }
-  // EOF or signal: drain and exit like a silent shutdown (cache saved
-  // the same).
-  service.drain_and_save();
+  common::LineReader in(STDIN_FILENO, common::kDefaultMaxLineBytes,
+                        g_signal_pipe[0]);
+  bool shut_down = false;
+  (void)serve::serve_lines(
+      in, sink, [&](const std::string& line, std::uint64_t line_number) {
+        shut_down = service.handle_line(line, line_number, sink) ==
+                    serve::Service::Action::Shutdown;
+        return !shut_down && listening.load();
+      });
+  // EOF, signal or closed stdout: drain and exit like a silent shutdown
+  // (cache saved the same).
+  if (!shut_down) service.drain_and_save();
   return 0;
 }
 
@@ -272,12 +232,8 @@ int run_listen(serve::Service& service, const net::Endpoint& endpoint,
   }
   if (!quiet)
     std::cerr << "wtam_serve: listening on "
-              << listener->local_endpoint().to_string() << " ("
-              << service.workers() << " workers, cache "
-              << (service.cache_enabled()
-                      ? std::to_string(service.cache_mb()) + " MiB"
-                      : std::string("off"))
-              << ")\n";
+              << listener->local_endpoint().to_string() << " "
+              << capacity(service) << "\n";
 
   ConnectionRegistry registry;
   std::atomic<bool> stopping{false};
@@ -311,44 +267,22 @@ int run_listen(serve::Service& service, const net::Endpoint& endpoint,
           [connection](const std::string& line) {
             (void)connection->write_line(line);
           };
-      std::string line;
-      std::uint64_t line_number = 0;
-      for (;;) {
-        switch (connection->read_line(line)) {
-          case net::ReadStatus::Line: {
-            ++line_number;
-            if (line.empty()) continue;
-            if (service.handle_line(line, line_number, sink) ==
-                serve::Service::Action::Shutdown) {
-              // Drained and saved; now stop the world. The ack already
-              // reached this client.
-              stopping.store(true);
-              listener->stop();
-              registry.sever_all();
-              return;
-            }
-            continue;
-          }
-          case net::ReadStatus::TooLong: {
-            ++line_number;
-            api::JsonValue response = api::JsonValue::object();
-            response.set(
-                "error",
-                api::JsonValue::string(
-                    "line " + std::to_string(line_number) +
-                    ": frame exceeds the line-length bound; resynced at "
-                    "the next newline"));
-            sink(response.dump_compact_string());
-            continue;
-          }
-          case net::ReadStatus::Eof:
-            // Client hung up: just this client ends. In-flight jobs
-            // still complete (their writes land on the dead socket and
-            // are dropped).
-            registry.remove(id);
-            return;
-        }
+      if (serve::serve_lines(
+              *connection, sink,
+              [&](const std::string& line, std::uint64_t line_number) {
+                return service.handle_line(line, line_number, sink) !=
+                       serve::Service::Action::Shutdown;
+              })) {
+        // A shutdown verb drained and saved; now stop the world. The ack
+        // already reached this client.
+        stopping.store(true);
+        listener->stop();
+        registry.sever_all();
+        return;
       }
+      // Client hung up: just this client ends. In-flight jobs still
+      // complete (their writes land on the dead socket and are dropped).
+      registry.remove(id);
     }));
   }
 
@@ -399,9 +333,8 @@ int main(int argc, char** argv) {
       const int mb = cli::parse_flag_value<int>(arg, value(), usage);
       if (mb < 0) usage("--cache-mb must be >= 0 (0 disables the cache)");
       options.cache_mb = static_cast<std::size_t>(mb);
-      options.use_cache = mb > 0;
     } else if (arg == "--no-cache") {
-      options.use_cache = false;
+      options.cache_mb = 0;
     } else if (arg == "--cache-file") {
       options.cache_file = value();
       if (options.cache_file.empty())
@@ -422,7 +355,7 @@ int main(int argc, char** argv) {
       usage(("unknown option " + arg).c_str());
     }
   }
-  if (!options.use_cache && !options.cache_file.empty())
+  if (options.cache_mb == 0 && !options.cache_file.empty())
     usage("--cache-file needs the cache (drop --no-cache / --cache-mb 0)");
   if (listen.empty() && !port_file.empty())
     usage("--port-file only makes sense with --listen");
@@ -439,12 +372,8 @@ int main(int argc, char** argv) {
     return run_listen(service, net::parse_endpoint(listen), port_file, quiet);
 
   if (!quiet)
-    std::cerr << "wtam_serve: ready (" << service.workers()
-              << " workers, cache "
-              << (service.cache_enabled()
-                      ? std::to_string(service.cache_mb()) + " MiB"
-                      : std::string("off"))
-              << "); one JSON request per line, {\"op\": \"shutdown\"} to "
+    std::cerr << "wtam_serve: ready " << capacity(service)
+              << "; one JSON request per line, {\"op\": \"shutdown\"} to "
                  "stop\n";
   return run_stdio(service);
 }
