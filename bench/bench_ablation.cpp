@@ -1,4 +1,5 @@
-// Ablation studies for the design choices DESIGN.md calls out:
+// Ablation studies for the design choices behind the paper's flow and
+// this reconstruction of it (README, "What is reconstructed, and why"):
 //   A. Core_assign tie-break rules (Figure 1, Lines 11-16) on/off;
 //   B. tau early-abort (Lines 18-20) on/off — CPU and pruning counts;
 //   C. partition enumeration strategies: clean unique enumeration vs the

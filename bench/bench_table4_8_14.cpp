@@ -1,6 +1,7 @@
 // Tables 4, 8, 14: core test-data ranges of the three Philips SOCs.
 // Our synthetic reconstructions pin every published range endpoint, so
-// these tables must match the paper cell for cell (see DESIGN.md §3).
+// these tables must match the paper cell for cell (see README, "What
+// is reconstructed, and why").
 
 #include <iostream>
 
@@ -21,6 +22,7 @@ int main() {
   for (const soc::Soc& soc : {soc::p21241(), soc::p31108(), soc::p93791()})
     std::cout << "  " << soc.name << ": " << soc::test_complexity(soc) << "\n";
   std::cout << "(The paper's name-number formula from [8] is not public; see"
-               " DESIGN.md for the volume-calibration rationale.)\n";
+               " README.md, \"What is reconstructed, and why\", for the"
+               " volume-calibration rationale.)\n";
   return 0;
 }

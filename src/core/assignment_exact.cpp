@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -14,47 +15,34 @@ namespace wtam::core {
 
 namespace {
 
-/// Testing times of every core on every TAM, plus per-core minima.
-struct TimeMatrix {
-  std::vector<std::vector<std::int64_t>> t;  ///< [core][tam]
-  std::vector<std::int64_t> row_min;         ///< min over TAMs per core
-
-  TimeMatrix(const TestTimeProvider& table, std::span<const int> widths) {
-    const int n = table.core_count();
-    const int b = static_cast<int>(widths.size());
-    t.resize(static_cast<std::size_t>(n));
-    row_min.resize(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      auto& row = t[static_cast<std::size_t>(i)];
-      row.resize(static_cast<std::size_t>(b));
-      std::int64_t lo = std::numeric_limits<std::int64_t>::max();
-      for (int j = 0; j < b; ++j) {
-        row[static_cast<std::size_t>(j)] =
-            table.time(i, widths[static_cast<std::size_t>(j)]);
-        lo = std::min(lo, row[static_cast<std::size_t>(j)]);
-      }
-      row_min[static_cast<std::size_t>(i)] = lo;
-    }
-  }
-};
-
 /// Depth-first branch & bound for min-makespan assignment.
 class CombinatorialSearch {
  public:
-  CombinatorialSearch(const TimeMatrix& times, std::span<const int> widths,
+  CombinatorialSearch(const TestTimeTable& table, std::span<const int> widths,
                       const ExactOptions& options)
-      : times_(times), widths_(widths.begin(), widths.end()), options_(options) {
-    const auto n = times_.t.size();
+      : table_(table), options_(options) {
+    for (const int w : widths)
+      columns_.push_back(static_cast<std::size_t>(w - 1));
+    const auto n = static_cast<std::size_t>(table_.core_count());
+    // Best-case (minimum over the TAMs) time of every core.
+    std::vector<std::int64_t> row_min(n,
+                                      std::numeric_limits<std::int64_t>::max());
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto row = table_.row(static_cast<int>(i));
+      for (const std::size_t column : columns_)
+        row_min[i] = std::min(row_min[i], row[column]);
+    }
     order_.resize(n);
     std::iota(order_.begin(), order_.end(), 0);
     // Hardest cores first: by decreasing best-case (minimum) time.
-    std::stable_sort(order_.begin(), order_.end(), [this](std::size_t a, std::size_t b) {
-      return times_.row_min[a] > times_.row_min[b];
-    });
+    std::stable_sort(order_.begin(), order_.end(),
+                     [&row_min](std::size_t a, std::size_t b) {
+                       return row_min[a] > row_min[b];
+                     });
     // Suffix sums of best-case times for the work-based lower bound.
     suffix_min_.assign(n + 1, 0);
     for (std::size_t k = n; k-- > 0;)
-      suffix_min_[k] = suffix_min_[k + 1] + times_.row_min[order_[k]];
+      suffix_min_[k] = suffix_min_[k + 1] + row_min[order_[k]];
   }
 
   /// `incumbent` holds the heuristic assignment on entry; it is replaced
@@ -64,8 +52,8 @@ class CombinatorialSearch {
            std::int64_t& nodes) {
     best_ = &incumbent;
     best_time_ = prune_bound;
-    loads_.assign(widths_.size(), 0);
-    current_.assign(times_.t.size(), -1);
+    loads_.assign(columns_.size(), 0);
+    current_.assign(order_.size(), -1);
     limit_hit_ = false;
     dfs(0, nodes);
     return !limit_hit_;
@@ -82,17 +70,20 @@ class CombinatorialSearch {
       limit_hit_ = true;
       return;
     }
-    if (depth == times_.t.size()) return;  // all pruning happened at edges
+    if (depth == order_.size()) return;  // all pruning happened at edges
 
     const std::size_t core = order_[depth];
-    const auto& row = times_.t[core];
+    // The core's time on TAM j is row[columns_[j]].
+    const auto row = table_.row(static_cast<int>(core));
 
     // Try TAMs in ascending resulting-load order for good incumbents early.
-    std::vector<int> tams(widths_.size());
+    std::vector<int> tams(columns_.size());
     std::iota(tams.begin(), tams.end(), 0);
     std::sort(tams.begin(), tams.end(), [&](int a, int b) {
-      return loads_[static_cast<std::size_t>(a)] + row[static_cast<std::size_t>(a)] <
-             loads_[static_cast<std::size_t>(b)] + row[static_cast<std::size_t>(b)];
+      return loads_[static_cast<std::size_t>(a)] +
+                 row[columns_[static_cast<std::size_t>(a)]] <
+             loads_[static_cast<std::size_t>(b)] +
+                 row[columns_[static_cast<std::size_t>(b)]];
     });
 
     for (std::size_t pick = 0; pick < tams.size(); ++pick) {
@@ -102,7 +93,8 @@ class CombinatorialSearch {
       bool duplicate = false;
       for (std::size_t prev = 0; prev < pick; ++prev) {
         const int k = tams[prev];
-        if (widths_[static_cast<std::size_t>(k)] == widths_[static_cast<std::size_t>(j)] &&
+        if (columns_[static_cast<std::size_t>(k)] ==
+                columns_[static_cast<std::size_t>(j)] &&
             loads_[static_cast<std::size_t>(k)] == loads_[static_cast<std::size_t>(j)]) {
           duplicate = true;
           break;
@@ -110,14 +102,13 @@ class CombinatorialSearch {
       }
       if (duplicate) continue;
 
-      const std::int64_t new_load =
-          loads_[static_cast<std::size_t>(j)] + row[static_cast<std::size_t>(j)];
-      if (new_load >= best_time_) continue;
+      const std::int64_t time = row[columns_[static_cast<std::size_t>(j)]];
+      if (loads_[static_cast<std::size_t>(j)] + time >= best_time_) continue;
 
-      loads_[static_cast<std::size_t>(j)] += row[static_cast<std::size_t>(j)];
+      loads_[static_cast<std::size_t>(j)] += time;
       current_[core] = j;
 
-      if (depth + 1 == times_.t.size()) {
+      if (depth + 1 == order_.size()) {
         const std::int64_t makespan =
             *std::max_element(loads_.begin(), loads_.end());
         if (makespan < best_time_) {
@@ -128,7 +119,7 @@ class CombinatorialSearch {
         dfs(depth + 1, nodes);
       }
 
-      loads_[static_cast<std::size_t>(j)] -= row[static_cast<std::size_t>(j)];
+      loads_[static_cast<std::size_t>(j)] -= time;
       current_[core] = -1;
       if (limit_hit_) return;
     }
@@ -146,8 +137,9 @@ class CombinatorialSearch {
     return std::max(current_max, spread);
   }
 
-  const TimeMatrix& times_;
-  std::vector<int> widths_;
+  const TestTimeTable& table_;
+  /// Table column (width - 1) of each TAM; equal columns, equal widths.
+  std::vector<std::size_t> columns_;
   const ExactOptions& options_;
   common::Stopwatch watch_;
   std::vector<std::size_t> order_;
@@ -159,7 +151,7 @@ class CombinatorialSearch {
   bool limit_hit_ = false;
 };
 
-ExactResult finish_result(const TestTimeProvider& table, std::span<const int> widths,
+ExactResult finish_result(const TestTimeTable& table, std::span<const int> widths,
                           std::vector<int> assignment) {
   ExactResult out;
   auto& arch = out.architecture;
@@ -178,11 +170,11 @@ ExactResult finish_result(const TestTimeProvider& table, std::span<const int> wi
 
 }  // namespace
 
-ilp::Problem build_assignment_ilp(const TestTimeProvider& table,
+ilp::Problem build_assignment_ilp(const TestTimeTable& table,
                                   std::span<const int> widths) {
+  table.require_widths(widths, "build_assignment_ilp");
   const int n = table.core_count();
   const int b = static_cast<int>(widths.size());
-  if (b < 1) throw std::invalid_argument("build_assignment_ilp: no TAMs");
 
   const int tau = n * b;  // makespan variable index
   ilp::Problem problem;
@@ -200,10 +192,11 @@ ilp::Problem build_assignment_ilp(const TestTimeProvider& table,
     lp::Row row;
     row.sense = lp::RowSense::LessEqual;
     row.rhs = 0.0;
+    const auto column =
+        static_cast<std::size_t>(widths[static_cast<std::size_t>(j)] - 1);
     for (int i = 0; i < n; ++i)
-      row.coeffs.emplace_back(
-          i * b + j,
-          static_cast<double>(table.time(i, widths[static_cast<std::size_t>(j)])));
+      row.coeffs.emplace_back(i * b + j,
+                              static_cast<double>(table.row(i)[column]));
     row.coeffs.emplace_back(tau, -1.0);
     problem.lp.rows.push_back(std::move(row));
   }
@@ -218,7 +211,7 @@ ilp::Problem build_assignment_ilp(const TestTimeProvider& table,
   return problem;
 }
 
-ExactResult solve_assignment_exact(const TestTimeProvider& table,
+ExactResult solve_assignment_exact(const TestTimeTable& table,
                                    std::span<const int> widths,
                                    const ExactOptions& options) {
   // Exact-step cost is both reported per call (cpu_s) and recorded
@@ -234,12 +227,11 @@ ExactResult solve_assignment_exact(const TestTimeProvider& table,
   const CoreAssignResult heuristic = core_assign(table, widths);
 
   if (options.engine == ExactEngine::BranchAndBound) {
-    const TimeMatrix times(table, widths);
     std::vector<int> assignment = heuristic.architecture.assignment;
     std::int64_t prune_bound = heuristic.architecture.testing_time;
     if (options.upper_bound_hint)
       prune_bound = std::min(prune_bound, *options.upper_bound_hint);
-    CombinatorialSearch search(times, widths, options);
+    CombinatorialSearch search(table, widths, options);
     std::int64_t nodes = 0;
     const bool complete = search.run(assignment, prune_bound, nodes);
     ExactResult out = finish_result(table, widths, std::move(assignment));

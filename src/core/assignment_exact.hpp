@@ -26,7 +26,7 @@
 #include "core/core_assign.hpp"
 #include "core/solve_context.hpp"
 #include "core/tam_types.hpp"
-#include "core/time_provider.hpp"
+#include "core/test_time_table.hpp"
 #include "ilp/branch_and_bound.hpp"
 
 namespace wtam::core {
@@ -60,12 +60,12 @@ struct ExactResult {
 /// result seeds the incumbent, so the returned testing time is never worse
 /// than the heuristic's even when a limit fires.
 [[nodiscard]] ExactResult solve_assignment_exact(
-    const TestTimeProvider& table, std::span<const int> widths,
+    const TestTimeTable& table, std::span<const int> widths,
     const ExactOptions& options = {});
 
 /// Builds the paper's ILP model (exposed for tests and the micro bench).
 /// Variable layout: x_ij at index i*B + j, tau at index N*B.
-[[nodiscard]] ilp::Problem build_assignment_ilp(const TestTimeProvider& table,
+[[nodiscard]] ilp::Problem build_assignment_ilp(const TestTimeTable& table,
                                                 std::span<const int> widths);
 
 }  // namespace wtam::core

@@ -6,7 +6,7 @@
 
 namespace wtam::core {
 
-CoOptimizeResult co_optimize(const TestTimeProvider& table, int total_width,
+CoOptimizeResult co_optimize(const TestTimeTable& table, int total_width,
                              const CoOptimizeOptions& options) {
   const SolveContext* context = options.search.context;
   obs::SolveTrace* trace = context != nullptr ? context->trace : nullptr;
@@ -41,7 +41,7 @@ CoOptimizeResult co_optimize(const TestTimeProvider& table, int total_width,
   return result;
 }
 
-CoOptimizeResult co_optimize_fixed_b(const TestTimeProvider& table,
+CoOptimizeResult co_optimize_fixed_b(const TestTimeTable& table,
                                      int total_width, int tams,
                                      const CoOptimizeOptions& options) {
   CoOptimizeOptions pinned = options;

@@ -44,14 +44,14 @@ struct CoOptimizeResult {
 };
 
 /// P_NPAW: free number of TAMs in [options.search.min_tams, max_tams].
-[[nodiscard]] CoOptimizeResult co_optimize(const TestTimeProvider& table,
+[[nodiscard]] CoOptimizeResult co_optimize(const TestTimeTable& table,
                                            int total_width,
                                            const CoOptimizeOptions& options = {});
 
 /// P_PAW: fixed number of TAMs (convenience wrapper that pins
 /// min_tams = max_tams = tams).
 [[nodiscard]] CoOptimizeResult co_optimize_fixed_b(
-    const TestTimeProvider& table, int total_width, int tams,
+    const TestTimeTable& table, int total_width, int tams,
     const CoOptimizeOptions& options = {});
 
 }  // namespace wtam::core

@@ -1,32 +1,15 @@
 #include "core/core_assign.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <vector>
 
 namespace wtam::core {
 
-CoreAssignResult core_assign(const TestTimeProvider& table,
+CoreAssignResult core_assign(const TestTimeTable& table,
                              std::span<const int> widths,
                              const CoreAssignOptions& options) {
+  table.require_widths(widths, "core_assign");
   const int num_tams = static_cast<int>(widths.size());
-  if (num_tams < 1)
-    throw std::invalid_argument("core_assign: need at least one TAM");
-  for (const int w : widths)
-    if (w < 1 || w > table.max_width())
-      throw std::invalid_argument("core_assign: TAM width outside table range");
-
   const int num_cores = table.core_count();
-
-  // Lines 4-6: testing time of every core on every TAM (shared widths hit
-  // the memoized table, so this is a cheap lookup pass).
-  std::vector<std::vector<std::int64_t>> time(
-      static_cast<std::size_t>(num_cores),
-      std::vector<std::int64_t>(static_cast<std::size_t>(num_tams)));
-  for (int i = 0; i < num_cores; ++i)
-    for (int j = 0; j < num_tams; ++j)
-      time[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-          table.time(i, widths[static_cast<std::size_t>(j)]);
 
   CoreAssignResult result;
   auto& arch = result.architecture;
@@ -34,8 +17,11 @@ CoreAssignResult core_assign(const TestTimeProvider& table,
   arch.assignment.assign(static_cast<std::size_t>(num_cores), -1);
   arch.tam_times.assign(static_cast<std::size_t>(num_tams), 0);
 
-  std::vector<int> unassigned(static_cast<std::size_t>(num_cores));
-  for (int i = 0; i < num_cores; ++i) unassigned[static_cast<std::size_t>(i)] = i;
+  // Lines 4-6: the testing time of core i on TAM j, read off its row.
+  const auto time_on = [&table, widths](int core, int tam) {
+    return table.row(core)[static_cast<std::size_t>(
+        widths[static_cast<std::size_t>(tam)] - 1)];
+  };
 
   // For the core tie-break: the widest TAM strictly narrower than a given
   // TAM (Line 15). -1 when none exists.
@@ -53,7 +39,7 @@ CoreAssignResult core_assign(const TestTimeProvider& table,
     return best;
   };
 
-  while (!unassigned.empty()) {
+  for (int step = 0; step < num_cores; ++step) {
     // Lines 10-12: minimally loaded TAM; ties go to the widest.
     int tam = 0;
     for (int j = 1; j < num_tams; ++j) {
@@ -68,42 +54,36 @@ CoreAssignResult core_assign(const TestTimeProvider& table,
       }
     }
 
-    // Lines 13-16: unassigned core with the largest time on `tam`; ties
-    // are broken by the time on the next-narrower TAM.
-    std::vector<int> tied;
+    // Lines 13-16: the first unassigned core, in index order, with the
+    // largest time on `tam`; ties are broken by the time on the
+    // next-narrower TAM (the same first-largest rule on the pair).
+    const int ref_tam =
+        options.next_tam_core_tiebreak ? next_narrower_tam(tam) : -1;
+    int core = -1;
     std::int64_t max_time = -1;
-    for (const int i : unassigned) {
-      const auto t = time[static_cast<std::size_t>(i)][static_cast<std::size_t>(tam)];
-      if (t > max_time) {
+    std::int64_t max_ref = -1;
+    for (int i = 0; i < num_cores; ++i) {
+      if (arch.assignment[static_cast<std::size_t>(i)] >= 0) continue;
+      const std::int64_t t = time_on(i, tam);
+      if (t < max_time) continue;
+      const std::int64_t ref = ref_tam >= 0 ? time_on(i, ref_tam) : 0;
+      if (t > max_time || ref > max_ref) {
+        core = i;
         max_time = t;
-        tied.assign(1, i);
-      } else if (t == max_time) {
-        tied.push_back(i);
-      }
-    }
-    int core = tied.front();
-    if (tied.size() > 1 && options.next_tam_core_tiebreak) {
-      const int ref_tam = next_narrower_tam(tam);
-      if (ref_tam >= 0) {
-        for (const int i : tied) {
-          if (time[static_cast<std::size_t>(i)][static_cast<std::size_t>(ref_tam)] >
-              time[static_cast<std::size_t>(core)][static_cast<std::size_t>(ref_tam)])
-            core = i;
-        }
+        max_ref = ref;
       }
     }
 
     // Line 17: assign.
     arch.assignment[static_cast<std::size_t>(core)] = tam;
-    arch.tam_times[static_cast<std::size_t>(tam)] +=
-        time[static_cast<std::size_t>(core)][static_cast<std::size_t>(tam)];
-    std::erase(unassigned, core);
+    auto& load = arch.tam_times[static_cast<std::size_t>(tam)];
+    load += max_time;
 
-    // Lines 18-20: abort once any TAM reaches the best-known time.
-    const auto worst =
-        *std::max_element(arch.tam_times.begin(), arch.tam_times.end());
-    if (worst >= options.best_known) {
-      arch.testing_time = worst;
+    // Lines 18-20: abort once any TAM reaches the best-known time. Only
+    // `tam` grew and every other TAM is still below tau, so `tam` holds
+    // the maximum whenever this fires.
+    if (load >= options.best_known) {
+      arch.testing_time = load;
       result.aborted = true;
       return result;
     }

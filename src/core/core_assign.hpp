@@ -20,7 +20,7 @@
 #include <span>
 
 #include "core/tam_types.hpp"
-#include "core/time_provider.hpp"
+#include "core/test_time_table.hpp"
 
 namespace wtam::core {
 
@@ -42,9 +42,9 @@ struct CoreAssignResult {
   TamArchitecture architecture;
 };
 
-/// Runs Core_assign for the given TAM widths. Widths must be within the
-/// table's precomputed range. O(N^2 + N*B) for N cores and B TAMs.
-[[nodiscard]] CoreAssignResult core_assign(const TestTimeProvider& table,
+/// Runs Core_assign for the given TAM widths. Widths must have times in
+/// the table. O(N^2 + N*B) for N cores and B TAMs.
+[[nodiscard]] CoreAssignResult core_assign(const TestTimeTable& table,
                                            std::span<const int> widths,
                                            const CoreAssignOptions& options = {});
 

@@ -39,7 +39,7 @@ double remaining_budget_s(const common::Stopwatch& watch,
   return remaining;
 }
 
-void solve_all_partitions_serial(const TestTimeProvider& table,
+void solve_all_partitions_serial(const TestTimeTable& table,
                                  int total_width, int tams,
                                  const ExhaustiveOptions& options,
                                  const common::Stopwatch& watch,
@@ -78,7 +78,7 @@ struct SolveOutcome {
   std::vector<ExactResult> solved;  ///< one per partition, chunk order
 };
 
-void solve_all_partitions_parallel(const TestTimeProvider& table,
+void solve_all_partitions_parallel(const TestTimeTable& table,
                                    int total_width, int tams,
                                    const ExhaustiveOptions& options,
                                    const common::Stopwatch& watch,
@@ -161,7 +161,7 @@ void solve_all_partitions_parallel(const TestTimeProvider& table,
   pipeline.finish();
 }
 
-void solve_all_partitions(const TestTimeProvider& table, int total_width,
+void solve_all_partitions(const TestTimeTable& table, int total_width,
                           int tams, const ExhaustiveOptions& options,
                           const common::Stopwatch& watch,
                           common::ThreadPool* pool, ExhaustiveResult& result) {
@@ -190,7 +190,7 @@ std::unique_ptr<common::ThreadPool> make_pool(const ExhaustiveOptions& options,
 
 }  // namespace
 
-ExhaustiveResult exhaustive_paw(const TestTimeProvider& table, int total_width,
+ExhaustiveResult exhaustive_paw(const TestTimeTable& table, int total_width,
                                 int tams, const ExhaustiveOptions& options) {
   if (tams < 1) throw std::invalid_argument("exhaustive_paw: tams must be >= 1");
   const auto pool = make_pool(options, "exhaustive_paw");
@@ -203,7 +203,7 @@ ExhaustiveResult exhaustive_paw(const TestTimeProvider& table, int total_width,
   return result;
 }
 
-ExhaustiveResult exhaustive_pnpaw(const TestTimeProvider& table, int total_width,
+ExhaustiveResult exhaustive_pnpaw(const TestTimeTable& table, int total_width,
                                   int max_tams,
                                   const ExhaustiveOptions& options) {
   if (max_tams < 1)

@@ -14,7 +14,7 @@
 #include "core/assignment_exact.hpp"
 #include "core/solve_context.hpp"
 #include "core/tam_types.hpp"
-#include "core/time_provider.hpp"
+#include "core/test_time_table.hpp"
 
 namespace wtam::core {
 
@@ -55,13 +55,13 @@ struct ExhaustiveResult {
 };
 
 /// P_PAW by exhaustive enumeration: fixed number of TAMs.
-[[nodiscard]] ExhaustiveResult exhaustive_paw(const TestTimeProvider& table,
+[[nodiscard]] ExhaustiveResult exhaustive_paw(const TestTimeTable& table,
                                               int total_width, int tams,
                                               const ExhaustiveOptions& options = {});
 
 /// P_NPAW by exhaustive enumeration over B in [1, max_tams].
 [[nodiscard]] ExhaustiveResult exhaustive_pnpaw(
-    const TestTimeProvider& table, int total_width, int max_tams,
+    const TestTimeTable& table, int total_width, int max_tams,
     const ExhaustiveOptions& options = {});
 
 }  // namespace wtam::core

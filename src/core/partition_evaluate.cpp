@@ -42,7 +42,7 @@ struct ChunkOutcome {
 /// Serial search over one B — the reference implementation the parallel
 /// engine must reproduce bit for bit. Returns the stats and updates the
 /// global incumbent/result exactly as Figure 3 does.
-void search_b_serial(const TestTimeProvider& table, int total_width, int b,
+void search_b_serial(const TestTimeTable& table, int total_width, int b,
                      const PartitionEvaluateOptions& options,
                      std::int64_t& global_best,
                      PartitionEvaluateResult& result) {
@@ -103,7 +103,7 @@ void search_b_serial(const TestTimeProvider& table, int total_width, int b,
 /// possible because a partition aborts serially iff its full evaluation
 /// time is >= the serial tau at its position (TAM loads only grow during
 /// Core_assign, so the final makespan bounds every intermediate load).
-void search_b_parallel(const TestTimeProvider& table, int total_width, int b,
+void search_b_parallel(const TestTimeTable& table, int total_width, int b,
                        const PartitionEvaluateOptions& options,
                        common::ThreadPool& pool, std::int64_t& global_best,
                        PartitionEvaluateResult& result) {
@@ -240,7 +240,7 @@ void search_b_parallel(const TestTimeProvider& table, int total_width, int b,
 }  // namespace
 
 PartitionEvaluateResult partition_evaluate(
-    const TestTimeProvider& table, int total_width,
+    const TestTimeTable& table, int total_width,
     const PartitionEvaluateOptions& options) {
   if (total_width < 1 || total_width > table.max_width())
     throw std::invalid_argument(

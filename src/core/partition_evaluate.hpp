@@ -21,7 +21,7 @@
 #include "core/core_assign.hpp"
 #include "core/solve_context.hpp"
 #include "core/tam_types.hpp"
-#include "core/time_provider.hpp"
+#include "core/test_time_table.hpp"
 
 namespace wtam::core {
 
@@ -88,7 +88,7 @@ struct PartitionEvaluateResult {
 
 /// Runs the search. total_width must be within the table's range.
 [[nodiscard]] PartitionEvaluateResult partition_evaluate(
-    const TestTimeProvider& table, int total_width,
+    const TestTimeTable& table, int total_width,
     const PartitionEvaluateOptions& options = {});
 
 }  // namespace wtam::core

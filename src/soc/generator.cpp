@@ -246,7 +246,8 @@ SyntheticSpec p21241_spec() {
   spec.memory_cores = 6;
   spec.memory.patterns = {222, 12324};
   spec.memory.ios = {52, 148};
-  // Volume calibrated to the paper's testing-time scale (see DESIGN.md §3):
+  // Volume calibrated to the paper's testing-time scale (README, "What is
+  // reconstructed, and why"):
   // ~462k cycles at W=16 implies roughly 16 * 462k / 0.85 bit-cycles.
   spec.target_volume = 7'000'000;
   spec.core_floor_time_cap = 150'000;

@@ -27,7 +27,6 @@
 #include "core/solve_context.hpp"       // IWYU pragma: export
 #include "core/tam_types.hpp"           // IWYU pragma: export
 #include "core/test_time_table.hpp"     // IWYU pragma: export
-#include "core/time_provider.hpp"       // IWYU pragma: export
 #include "ilp/branch_and_bound.hpp"     // IWYU pragma: export
 #include "lp/simplex.hpp"               // IWYU pragma: export
 #include "obs/metrics.hpp"              // IWYU pragma: export

@@ -6,14 +6,14 @@
 #include "core/assignment_exact.hpp"
 #include "core/core_assign.hpp"
 #include "core/test_time_table.hpp"
-#include "core/time_provider.hpp"
 #include "soc/benchmarks.hpp"
+#include "soc/generator.hpp"
 
 namespace wtam::core {
 namespace {
 
 /// Brute-force optimal makespan for an explicit matrix (n <= ~10).
-std::int64_t brute_force(const TestTimeProvider& table,
+std::int64_t brute_force(const TestTimeTable& table,
                          const std::vector<int>& widths) {
   const int n = table.core_count();
   const int b = static_cast<int>(widths.size());
@@ -35,20 +35,22 @@ std::int64_t brute_force(const TestTimeProvider& table,
   return best;
 }
 
-ExplicitTimeMatrix figure2_matrix() {
-  return ExplicitTimeMatrix({32, 16, 8}, {
-                                             {50, 100, 200},
-                                             {75, 95, 200},
-                                             {90, 100, 150},
-                                             {60, 75, 80},
-                                             {120, 120, 125},
-                                         });
+TestTimeTable figure2_matrix() {
+  return TestTimeTable({32, 16, 8}, {
+                                        {50, 100, 200},
+                                        {75, 95, 200},
+                                        {90, 100, 150},
+                                        {60, 75, 80},
+                                        {120, 120, 125},
+                                    });
 }
 
 TEST(AssignmentExact, Figure2Optimum) {
-  const ExplicitTimeMatrix matrix = figure2_matrix();
+  const TestTimeTable matrix = figure2_matrix();
   const std::vector<int> widths = {32, 16, 8};
   const std::int64_t expected = brute_force(matrix, widths);
+  // The exact step improves Core_assign's 200 cycles (Figure 2(b)).
+  EXPECT_EQ(expected, 170);
   for (const auto engine : {ExactEngine::BranchAndBound, ExactEngine::Ilp}) {
     ExactOptions options;
     options.engine = engine;
@@ -88,7 +90,7 @@ TEST(AssignmentExact, TamTimesConsistent) {
 }
 
 TEST(AssignmentExact, UpperBoundHintBelowOptimumKeepsHeuristic) {
-  const ExplicitTimeMatrix matrix = figure2_matrix();
+  const TestTimeTable matrix = figure2_matrix();
   const std::vector<int> widths = {32, 16, 8};
   const std::int64_t optimum = brute_force(matrix, widths);
   ExactOptions options;
@@ -101,7 +103,7 @@ TEST(AssignmentExact, UpperBoundHintBelowOptimumKeepsHeuristic) {
 }
 
 TEST(AssignmentExact, UpperBoundHintAboveOptimumStillFindsOptimum) {
-  const ExplicitTimeMatrix matrix = figure2_matrix();
+  const TestTimeTable matrix = figure2_matrix();
   const std::vector<int> widths = {32, 16, 8};
   const std::int64_t optimum = brute_force(matrix, widths);
   ExactOptions options;
@@ -116,11 +118,11 @@ TEST(AssignmentExact, NodeLimitReportsNotProven) {
   // {3,3,2,2,2}-on-2-machines miss: heuristic 7, optimum 6), so the search
   // must recurse — and a 2-node limit cuts it off before it can prove
   // anything.
-  const ExplicitTimeMatrix matrix({8, 9}, {{3, 3},
-                                           {3, 3},
-                                           {2, 2},
-                                           {2, 2},
-                                           {2, 2}});
+  const TestTimeTable matrix({8, 9}, {{3, 3},
+                                      {3, 3},
+                                      {2, 2},
+                                      {2, 2},
+                                      {2, 2}});
   ExactOptions options;
   options.max_nodes = 2;
   const auto result =
@@ -154,6 +156,20 @@ TEST(BuildAssignmentIlp, RejectsEmptyWidths) {
                std::invalid_argument);
 }
 
+/// Both engines prove the brute-force optimum of `table` at `widths`.
+void expect_engines_match_brute_force(const TestTimeTable& table,
+                                      const std::vector<int>& widths) {
+  const std::int64_t expected = brute_force(table, widths);
+  for (const auto engine : {ExactEngine::BranchAndBound, ExactEngine::Ilp}) {
+    ExactOptions options;
+    options.engine = engine;
+    const ExactResult result = solve_assignment_exact(table, widths, options);
+    EXPECT_TRUE(result.proven_optimal);
+    EXPECT_EQ(result.architecture.testing_time, expected)
+        << "engine=" << static_cast<int>(engine);
+  }
+}
+
 /// Property sweep: both engines match brute force on random instances.
 class ExactRandomTest : public ::testing::TestWithParam<int> {};
 
@@ -175,17 +191,30 @@ TEST_P(ExactRandomTest, EnginesMatchBruteForce) {
       t += rng.uniform_int(0, 150);
     }
   }
+  expect_engines_match_brute_force(TestTimeTable(widths, rows), widths);
+}
 
-  const ExplicitTimeMatrix matrix(widths, rows);
-  const std::int64_t expected = brute_force(matrix, widths);
-  for (const auto engine : {ExactEngine::BranchAndBound, ExactEngine::Ilp}) {
-    ExactOptions options;
-    options.engine = engine;
-    const ExactResult result = solve_assignment_exact(matrix, widths, options);
-    EXPECT_TRUE(result.proven_optimal);
-    EXPECT_EQ(result.architecture.testing_time, expected)
-        << "engine=" << static_cast<int>(engine);
-  }
+TEST_P(ExactRandomTest, EnginesMatchBruteForceOnGeneratedSocs) {
+  // Real T(w) staircases from a generated SOC of 5-8 cores, read at TAM
+  // widths that all differ.
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  common::Rng rng(seed * 2654435761u + 7);
+  soc::SyntheticSpec spec;
+  spec.name = "exact" + std::to_string(seed);
+  spec.seed = seed;
+  spec.memory_cores = static_cast<int>(rng.uniform_int(0, 2));
+  spec.logic_cores =
+      static_cast<int>(rng.uniform_int(5, 8)) - spec.memory_cores;
+  spec.logic.patterns = {5, 300};
+  spec.logic.ios = {4, 120};
+  spec.logic.chains = {1, 8};
+  spec.logic.chain_len = {5, 120};
+  spec.memory.patterns = {100, 2000};
+  spec.memory.ios = {4, 40};
+  const soc::Soc chip = soc::generate_soc(spec);
+  const TestTimeTable table(chip, 14);
+  for (const auto& widths : {std::vector<int>{3, 7, 14}, {5, 9}, {2, 4, 6}})
+    expect_engines_match_brute_force(table, widths);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExactRandomTest, ::testing::Range(1, 26));

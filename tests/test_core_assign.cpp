@@ -2,25 +2,24 @@
 
 #include "core/core_assign.hpp"
 #include "core/test_time_table.hpp"
-#include "core/time_provider.hpp"
 #include "soc/benchmarks.hpp"
 
 namespace wtam::core {
 namespace {
 
 /// The worked example of Figure 2(a): five cores, TAMs of width 32/16/8.
-ExplicitTimeMatrix figure2_matrix() {
-  return ExplicitTimeMatrix({32, 16, 8}, {
-                                             {50, 100, 200},   // core 1
-                                             {75, 95, 200},    // core 2
-                                             {90, 100, 150},   // core 3
-                                             {60, 75, 80},     // core 4
-                                             {120, 120, 125},  // core 5
-                                         });
+TestTimeTable figure2_matrix() {
+  return TestTimeTable({32, 16, 8}, {
+                                        {50, 100, 200},   // core 1
+                                        {75, 95, 200},    // core 2
+                                        {90, 100, 150},   // core 3
+                                        {60, 75, 80},     // core 4
+                                        {120, 120, 125},  // core 5
+                                    });
 }
 
 TEST(CoreAssign, Figure2FinalAssignment) {
-  const ExplicitTimeMatrix matrix = figure2_matrix();
+  const TestTimeTable matrix = figure2_matrix();
   const std::vector<int> widths = {32, 16, 8};
   const CoreAssignResult result = core_assign(matrix, widths);
   ASSERT_FALSE(result.aborted);
@@ -35,10 +34,10 @@ TEST(CoreAssign, Figure2CoreTieBreakUsesNextNarrowerTam) {
   // Disabling the rule flips the Core-1-vs-Core-3 choice on TAM 2: the tie
   // then resolves to the lowest index (core 1 as well) — so instead verify
   // the rule on a matrix where it changes the outcome.
-  const ExplicitTimeMatrix matrix({16, 8}, {
-                                               {100, 150},  // core 0
-                                               {100, 200},  // core 1
-                                           });
+  const TestTimeTable matrix({16, 8}, {
+                                          {100, 150},  // core 0
+                                          {100, 200},  // core 1
+                                      });
   const std::vector<int> widths = {16, 8};
   CoreAssignOptions with_rule;
   const auto a = core_assign(matrix, widths, with_rule);
@@ -56,7 +55,7 @@ TEST(CoreAssign, Figure2CoreTieBreakUsesNextNarrowerTam) {
 
 TEST(CoreAssign, WidestTamTieBreak) {
   // Both TAMs empty; the wider one must be seeded first.
-  const ExplicitTimeMatrix matrix({16, 8}, {{10, 30}});
+  const TestTimeTable matrix({16, 8}, {{10, 30}});
   const std::vector<int> widths = {8, 16};  // deliberately narrow-first
   const auto result = core_assign(matrix, widths);
   EXPECT_EQ(result.architecture.assignment, (std::vector<int>{1}));
@@ -71,7 +70,7 @@ TEST(CoreAssign, SingleTamAccumulatesAll) {
 }
 
 TEST(CoreAssign, EarlyAbortWhenBestKnownReached) {
-  const ExplicitTimeMatrix matrix = figure2_matrix();
+  const TestTimeTable matrix = figure2_matrix();
   const std::vector<int> widths = {32, 16, 8};
   CoreAssignOptions options;
   options.best_known = 150;  // below the achievable 200
@@ -81,7 +80,7 @@ TEST(CoreAssign, EarlyAbortWhenBestKnownReached) {
 }
 
 TEST(CoreAssign, NoAbortWhenBestKnownHigh) {
-  const ExplicitTimeMatrix matrix = figure2_matrix();
+  const TestTimeTable matrix = figure2_matrix();
   const std::vector<int> widths = {32, 16, 8};
   CoreAssignOptions options;
   options.best_known = 201;
@@ -92,7 +91,7 @@ TEST(CoreAssign, NoAbortWhenBestKnownHigh) {
 
 TEST(CoreAssign, AbortAtExactEquality) {
   // Lines 18-20 use >=: reaching tau exactly aborts too.
-  const ExplicitTimeMatrix matrix = figure2_matrix();
+  const TestTimeTable matrix = figure2_matrix();
   const std::vector<int> widths = {32, 16, 8};
   CoreAssignOptions options;
   options.best_known = 200;

@@ -1,6 +1,7 @@
 // End-to-end checks on the synthetic Philips SOCs. Absolute testing times
 // are not comparable to the paper (the SOCs are reconstructions; see
-// DESIGN.md §3), but the documented *shapes* are:
+// README, "What is reconstructed, and why"), but the documented *shapes*
+// are:
 //   * p31108 plateaus at exactly 544579 cycles from W=40 / B>=3 onward,
 //     bottlenecked by Core 18 (Tables 11-13);
 //   * p21241 keeps improving with more TAMs (B up to 5-6 at W=56) —

@@ -39,7 +39,7 @@ void expect_same_stats(const PartitionSearchStats& serial,
   EXPECT_EQ(serial.best_partition, parallel.best_partition);
 }
 
-void expect_bit_identical(const TestTimeProvider& table, int width,
+void expect_bit_identical(const TestTimeTable& table, int width,
                           const PartitionEvaluateOptions& base) {
   PartitionEvaluateOptions serial_options = base;
   serial_options.threads = 1;

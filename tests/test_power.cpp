@@ -12,15 +12,18 @@ namespace {
 
 class PowerFixture : public ::testing::Test {
  protected:
-  static const TestTimeTable& table() {
+  static const soc::Soc& soc() {
     static const soc::Soc soc = soc::d695();
-    static const TestTimeTable table(soc, 32);
+    return soc;
+  }
+  static const TestTimeTable& table() {
+    static const TestTimeTable table(soc(), 32);
     return table;
   }
   static TamArchitecture architecture() {
     return co_optimize_fixed_b(table(), 32, 3, {}).architecture;
   }
-  static PowerVector power() { return scan_activity_power(table().soc()); }
+  static PowerVector power() { return scan_activity_power(soc()); }
 };
 
 TEST_F(PowerFixture, ScanActivityModelValues) {

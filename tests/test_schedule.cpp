@@ -11,9 +11,12 @@ namespace {
 
 class ScheduleFixture : public ::testing::Test {
  protected:
-  static const TestTimeTable& table() {
+  static const soc::Soc& soc() {
     static const soc::Soc soc = soc::d695();
-    static const TestTimeTable table(soc, 32);
+    return soc;
+  }
+  static const TestTimeTable& table() {
+    static const TestTimeTable table(soc(), 32);
     return table;
   }
   static TamArchitecture architecture() {
@@ -112,14 +115,13 @@ TEST_F(ScheduleFixture, WireUtilizationBounds) {
 TEST_F(ScheduleFixture, UsedWidthMatchesWrapperDesigns) {
   const TamArchitecture arch = architecture();
   const auto report = wire_utilization(table(), arch);
-  const auto& soc = table().soc();
   for (int tam = 0; tam < arch.tam_count(); ++tam) {
     int expected_max = 0;
     for (int i = 0; i < table().core_count(); ++i) {
       if (arch.assignment[static_cast<std::size_t>(i)] != tam) continue;
       const int w = arch.widths[static_cast<std::size_t>(tam)];
       const auto design =
-          wrapper::best_design(soc.cores[static_cast<std::size_t>(i)], w);
+          wrapper::best_design(soc().cores[static_cast<std::size_t>(i)], w);
       expected_max = std::max(expected_max, design.tam_width);
     }
     EXPECT_EQ(report[static_cast<std::size_t>(tam)].max_used_width, expected_max);
@@ -129,7 +131,7 @@ TEST_F(ScheduleFixture, UsedWidthMatchesWrapperDesigns) {
 TEST_F(ScheduleFixture, GanttRendersAllTams) {
   const TamArchitecture arch = architecture();
   const auto schedule = build_schedule(table(), arch);
-  const std::string gantt = render_gantt(schedule, table().soc(), 40);
+  const std::string gantt = render_gantt(schedule, soc(), 40);
   for (int tam = 1; tam <= arch.tam_count(); ++tam)
     EXPECT_NE(gantt.find("TAM " + std::to_string(tam)), std::string::npos);
   EXPECT_NE(gantt.find("legend:"), std::string::npos);

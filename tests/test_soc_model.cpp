@@ -110,7 +110,8 @@ TEST(Soc, D695KnownCoreData) {
 }
 
 TEST(Soc, D695ComplexityOrderOfMagnitude) {
-  // DESIGN.md: our volume formula yields ~669 on d695 (name says 695).
+  // Our volume formula yields ~669 on d695 (name says 695); see README,
+  // "What is reconstructed, and why".
   const auto complexity = test_complexity(d695());
   EXPECT_GT(complexity, 600);
   EXPECT_LT(complexity, 800);

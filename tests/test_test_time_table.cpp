@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "core/test_time_table.hpp"
-#include "core/time_provider.hpp"
 #include "soc/benchmarks.hpp"
 #include "wrapper/wrapper.hpp"
 
@@ -66,26 +65,58 @@ TEST(TestTimeTable, TotalTimeIsColumnSum) {
   EXPECT_EQ(table.total_time(8), expected);
 }
 
-TEST(ExplicitTimeMatrix, LooksUpByWidth) {
-  const ExplicitTimeMatrix matrix({8, 16, 32},
-                                  {{200, 100, 50}, {200, 95, 75}});
-  EXPECT_EQ(matrix.core_count(), 2);
-  EXPECT_EQ(matrix.max_width(), 32);
-  EXPECT_EQ(matrix.time(0, 16), 100);
-  EXPECT_EQ(matrix.time(1, 8), 200);
+TEST(TestTimeTable, RowsAreTheTimesCoreMajor) {
+  const soc::Soc soc = soc::d695();
+  const TestTimeTable table(soc, 24);
+  for (int i = 0; i < table.core_count(); ++i) {
+    const auto row = table.row(i);
+    ASSERT_EQ(row.size(), 24u);
+    for (int w = 1; w <= 24; ++w)
+      EXPECT_EQ(row[static_cast<std::size_t>(w - 1)], table.time(i, w));
+  }
 }
 
-TEST(ExplicitTimeMatrix, RejectsUnknownWidthAndBadCore) {
-  const ExplicitTimeMatrix matrix({8}, {{1}});
-  EXPECT_THROW((void)matrix.time(0, 9), std::out_of_range);
-  EXPECT_THROW((void)matrix.time(2, 8), std::out_of_range);
+TEST(TestTimeTable, HandGivenLooksUpByWidth) {
+  const TestTimeTable table({8, 16, 32}, {{200, 100, 50}, {200, 95, 75}});
+  EXPECT_EQ(table.core_count(), 2);
+  EXPECT_EQ(table.max_width(), 32);
+  EXPECT_EQ(table.time(0, 16), 100);
+  EXPECT_EQ(table.time(1, 8), 200);
+  EXPECT_EQ(table.used_width(1, 32), 32);
+  EXPECT_EQ(table.total_time(16), 195);
+  EXPECT_EQ(table.row(1)[15], 95);
 }
 
-TEST(ExplicitTimeMatrix, RejectsMalformedConstruction) {
-  EXPECT_THROW(ExplicitTimeMatrix({}, {}), std::invalid_argument);
-  EXPECT_THROW(ExplicitTimeMatrix({4, 4}, {{1, 2}}), std::invalid_argument);
-  EXPECT_THROW(ExplicitTimeMatrix({0}, {{1}}), std::invalid_argument);
-  EXPECT_THROW(ExplicitTimeMatrix({4, 8}, {{1}}), std::invalid_argument);
+TEST(TestTimeTable, HandGivenRejectsAbsentWidthAndBadCore) {
+  const TestTimeTable table({8, 16}, {{3, 1}});
+  EXPECT_THROW((void)table.time(0, 17), std::out_of_range);
+  EXPECT_THROW((void)table.time(0, 12), std::out_of_range);  // not given
+  EXPECT_THROW((void)table.used_width(0, 12), std::out_of_range);
+  EXPECT_THROW((void)table.time(1, 8), std::out_of_range);
+  EXPECT_LT(table.row(0)[11], 0);
+}
+
+TEST(TestTimeTable, HandGivenRejectsMalformedConstruction) {
+  EXPECT_THROW(TestTimeTable(std::vector<int>{}, {{}}), std::invalid_argument);
+  EXPECT_THROW(TestTimeTable({4}, {}), std::invalid_argument);
+  EXPECT_THROW(TestTimeTable({4, 4}, {{1, 2}}), std::invalid_argument);
+  EXPECT_THROW(TestTimeTable({0}, {{1}}), std::invalid_argument);
+  EXPECT_THROW(TestTimeTable({4, 8}, {{1}}), std::invalid_argument);
+  EXPECT_THROW(TestTimeTable({4}, {{-1}}), std::invalid_argument);
+}
+
+TEST(TestTimeTable, RequireWidthsNamesTheCaller) {
+  const TestTimeTable table({8, 16}, {{3, 1}});
+  EXPECT_NO_THROW(table.require_widths(std::vector<int>{16, 8, 8}, "here"));
+  for (const auto& widths :
+       {std::vector<int>{}, {0}, {12}, {8, 17}}) {
+    try {
+      table.require_widths(widths, "here");
+      ADD_FAILURE() << "no throw for " << widths.size() << " widths";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()).rfind("here: ", 0), 0u);
+    }
+  }
 }
 
 }  // namespace

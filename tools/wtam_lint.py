@@ -23,9 +23,8 @@ repo-specific discipline, so this linter enforces it mechanically:
                      terminal.                                    [src]
   raw-clock-now      no raw std::chrono::*_clock::now() outside
                      src/common/timer.hpp (common::steady_now/Stopwatch)
-                     and src/core/time_provider.hpp — one sanctioned
-                     clock read keeps timing mockable and the
-                     nondeterminism surface auditable.            [src, tools]
+                     — one sanctioned clock read keeps timing mockable
+                     and the nondeterminism surface auditable.    [src, tools]
   bare-catch         catch (...) must carry a justification comment on the
                      same line, the line above, or the first two lines of
                      the handler: swallowing everything is sometimes right,
@@ -92,11 +91,10 @@ NONDETERMINISM_RES = [
 LIBRARY_IO_RE = re.compile(r"std::(cout|cerr)\b|(?<![\w.:>])f?printf\s*\(")
 RAW_CLOCK_RE = re.compile(
     r"\b(steady_clock|system_clock|high_resolution_clock)\s*::\s*now\s*\(")
-# The only files allowed to read a clock directly: the sanctioned
-# steady_now()/Stopwatch seam and the mockable deadline provider.
+# The only file allowed to read a clock directly: the sanctioned
+# steady_now()/Stopwatch seam.
 CLOCK_ALLOWED = {
     str(Path("src") / "common" / "timer.hpp"),
-    str(Path("src") / "core" / "time_provider.hpp"),
 }
 BARE_CATCH_RE = re.compile(r"catch\s*\(\s*\.\.\.\s*\)")
 # Process-spawning primitives: bare calls (`fork(`), explicitly global
