@@ -456,6 +456,52 @@ endforeach()
 message(STATUS "wtam_serve --cache-file persistence holds (cold store -> "
                "warm-boot hits, identical results)")
 
+# ---- wtam_serve answers stored jobs on the reading thread ------------------
+# A warm --threads 1 session reads a blocker that holds the one solve
+# thread until its 1 s deadline, then p1, which the snapshot above
+# stores. p1 needs no engine, so it is answered on the reading thread,
+# first and as a hit, instead of after the blocker.
+file(WRITE ${WORK_DIR}/serve_inline.ndjson
+"{\"id\": \"blocker\", \"soc\": \"p93791\", \"width\": 48, \"width_max\": 128, \"max_tams\": 16, \"deadline_s\": 1}
+{\"id\": \"p1\", \"soc\": \"d695\", \"width\": 18, \"backend\": \"rectpack\"}
+{\"op\": \"shutdown\"}
+")
+execute_process(COMMAND ${WTAM_SERVE} --quiet --threads 1
+                        --cache-file ${serve_cache}
+                INPUT_FILE ${WORK_DIR}/serve_inline.ndjson
+                OUTPUT_VARIABLE inline_out
+                ERROR_VARIABLE inline_err
+                RESULT_VARIABLE inline_code)
+if(NOT inline_code EQUAL 0)
+  message(FATAL_ERROR "wtam_serve stored-job run: exit ${inline_code}\n"
+                      "stderr: ${inline_err}")
+endif()
+string(REGEX REPLACE "\n+$" "" inline_out "${inline_out}")
+string(REPLACE ";" "<semi>" inline_escaped "${inline_out}")
+string(REPLACE "\n" ";" inline_lines "${inline_escaped}")
+list(LENGTH inline_lines inline_count)
+if(NOT inline_count EQUAL 3)
+  message(FATAL_ERROR "wtam_serve stored-job run: ${inline_count} lines, "
+                      "expected 3:\n${inline_out}")
+endif()
+list(GET inline_lines 0 inline_first)
+list(GET inline_lines 1 inline_second)
+string(REPLACE "<semi>" ";" inline_first "${inline_first}")
+string(REPLACE "<semi>" ";" inline_second "${inline_second}")
+string(JSON first_id GET "${inline_first}" id)
+string(JSON first_cache GET "${inline_first}" cache)
+string(JSON second_id GET "${inline_second}" id)
+string(JSON second_status GET "${inline_second}" status)
+if(NOT first_id STREQUAL "p1" OR NOT first_cache STREQUAL "hit" OR
+   NOT second_id STREQUAL "blocker" OR
+   NOT second_status STREQUAL "deadline_exceeded")
+  message(FATAL_ERROR "wtam_serve stored-job run: expected p1 first as a "
+                      "cache hit, then the blocker at its deadline:\n"
+                      "${inline_out}")
+endif()
+
+message(STATUS "wtam_serve answers a stored job ahead of a running blocker")
+
 # ---- wtam_router (fleet smoke + crash replay) ------------------------------
 
 if(NOT DEFINED WTAM_ROUTER)

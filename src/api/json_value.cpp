@@ -43,7 +43,9 @@ void append_json_string(std::string& out, std::string_view text) {
 /// duplicate-key check done here rather than through set().
 class JsonParser {
  public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
+  JsonParser(const std::string& text,
+             std::vector<JsonValue::MemberSpan>* spans)
+      : text_(text), spans_(spans) {}
 
   JsonValue run() {
     JsonValue value = parse_value(0);
@@ -125,10 +127,12 @@ class JsonParser {
     std::unordered_set<std::string> keys;
     for (;;) {
       if (peek() != '"') fail("expected object key string");
+      const std::size_t begin = pos_;
       std::string key = parse_string();
       expect(':');
       if (!keys.insert(key).second) fail("duplicate object key '" + key + "'");
       JsonValue value = parse_value(depth + 1);
+      if (depth == 0 && spans_ != nullptr) spans_->push_back({begin, pos_});
       object.members_.emplace_back(std::move(key), std::move(value));
       const char next = peek();
       ++pos_;
@@ -266,6 +270,7 @@ class JsonParser {
   }
 
   const std::string& text_;
+  std::vector<JsonValue::MemberSpan>* spans_;  // top-level members; may be null
   std::size_t pos_ = 0;
 };
 
@@ -309,8 +314,10 @@ JsonValue JsonValue::array() {
   return json;
 }
 
-JsonValue JsonValue::parse(const std::string& text) {
-  return JsonParser(text).run();
+JsonValue JsonValue::parse(const std::string& text,
+                           std::vector<MemberSpan>* spans) {
+  if (spans != nullptr) spans->clear();
+  return JsonParser(text, spans).run();
 }
 
 bool JsonValue::as_bool() const {

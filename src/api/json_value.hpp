@@ -25,6 +25,14 @@ class JsonValue {
  public:
   enum class Kind { Null, Bool, Int, Double, String, Object, Array };
 
+  /// Where one member of a parsed object sits in the parsed text: from its
+  /// key's opening quote to just past its value, so the bytes between two
+  /// members' spans are the separator the writer of the text chose.
+  struct MemberSpan {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+  };
+
   JsonValue() : kind_(Kind::Null) {}
 
   static JsonValue boolean(bool value);
@@ -37,8 +45,11 @@ class JsonValue {
   /// Parses a complete JSON document (one value, trailing whitespace
   /// allowed). Throws std::runtime_error with a line:column position on
   /// malformed input, duplicate object keys included. Linear in the
-  /// input, however many keys an object has.
-  [[nodiscard]] static JsonValue parse(const std::string& text);
+  /// input, however many keys an object has. When `spans` is given, it
+  /// receives the span of each top-level member in member order (none
+  /// when the document is not an object).
+  [[nodiscard]] static JsonValue parse(
+      const std::string& text, std::vector<MemberSpan>* spans = nullptr);
 
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
   [[nodiscard]] bool is_null() const noexcept { return kind_ == Kind::Null; }

@@ -175,16 +175,28 @@ ResultCache::Fetch ResultCache::begin_fetch(const RequestKey& key,
   }
 }
 
-std::optional<CachedSolve> ResultCache::lookup(const RequestKey& key) {
-  Shard& shard = shard_for(key);
-  const common::MutexLock lock(shard.mutex);
-  if (const auto it = shard.index.find(&key); it != shard.index.end()) {
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    ++shard.hits;
-    return it->second->value;
+std::optional<std::vector<CachedSolve>> ResultCache::lookup(
+    const std::vector<RequestKey>& keys) {
+  std::vector<CachedSolve> values;
+  values.reserve(keys.size());
+  for (const RequestKey& key : keys) {
+    Shard& shard = shard_for(key);
+    const common::MutexLock lock(shard.mutex);
+    const auto it = shard.index.find(&key);
+    if (it == shard.index.end()) return std::nullopt;
+    values.push_back(it->second->value);
   }
-  ++shard.misses;
-  return std::nullopt;
+  // Every key answered: only now refresh recency and count, so a probe
+  // that answers nothing leaves the cache as it found it. An entry evicted
+  // in between still served its copy, which is a hit.
+  for (const RequestKey& key : keys) {
+    Shard& shard = shard_for(key);
+    const common::MutexLock lock(shard.mutex);
+    if (const auto it = shard.index.find(&key); it != shard.index.end())
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    ++shard.hits;
+  }
+  return values;
 }
 
 void ResultCache::publish(const Fetch& fetch, CachedSolve value) {

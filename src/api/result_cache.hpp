@@ -62,8 +62,8 @@ struct ResultCacheOptions {
 };
 
 struct ResultCacheStats {
-  std::uint64_t hits = 0;        ///< lookups served from a stored entry
-  std::uint64_t misses = 0;      ///< lookups that found nothing
+  std::uint64_t hits = 0;        ///< keys served: stored or coalesced
+  std::uint64_t misses = 0;      ///< fetches that had to lead (Lead)
   std::uint64_t coalesced = 0;   ///< waits resolved by an in-flight leader
   std::uint64_t insertions = 0;  ///< entries published
   std::uint64_t evictions = 0;   ///< entries dropped to fit the budget
@@ -116,9 +116,14 @@ class ResultCache {
   [[nodiscard]] Fetch begin_fetch(const RequestKey& key,
                                   const InterruptFn& interrupt = {});
 
-  /// Non-blocking probe: stored entry or nullopt. Counts a hit/miss but
-  /// never joins or creates an in-flight computation.
-  [[nodiscard]] std::optional<CachedSolve> lookup(const RequestKey& key);
+  /// The request-level probe: the stored entry of every key, in key
+  /// order, or nullopt when any key has none (a key still in flight has
+  /// none). All or nothing, and never blocks, joins or creates an
+  /// in-flight computation. Counts one hit per key when it answers and
+  /// nothing when it does not: the fetches that follow a failed probe
+  /// count its keys, so a cold job's misses are not counted twice.
+  [[nodiscard]] std::optional<std::vector<CachedSolve>> lookup(
+      const std::vector<RequestKey>& keys);
 
   /// Leader completion: stores `value` (evicting LRU entries to fit) and
   /// wakes every coalesced waiter with a copy. The ticket is consumed.

@@ -103,20 +103,14 @@ Status status_from_interrupt(SolveInterrupt interrupt) noexcept {
   return Status::Ok;
 }
 
-/// One width's solve product (computed or remembered). The cache stores
-/// exactly this, so hits reproduce the cold run byte for byte.
-struct WidthSolve {
-  core::BackendOutcome outcome;
-  std::int64_t lower_bound = 0;
-  bool schedule_valid = false;
-};
-
-WidthSolve solve_width(const core::OptimizerBackend& backend,
-                       const soc::Soc& soc, int width,
-                       const core::BackendOptions& options,
-                       const SolveContext& context) {
+/// One width's solve product. The cache stores exactly this, so hits
+/// reproduce the cold run byte for byte.
+CachedSolve solve_width(const core::OptimizerBackend& backend,
+                        const soc::Soc& soc, int width,
+                        const core::BackendOptions& options,
+                        const SolveContext& context) {
   const core::TestTimeTable table(soc, width);
-  WidthSolve solve;
+  CachedSolve solve;
   solve.outcome = backend.optimize(table, width, options, context);
   solve.lower_bound =
       core::testing_time_lower_bounds(table, width).combined();
@@ -135,9 +129,12 @@ WidthSolve solve_width(const core::OptimizerBackend& backend,
 /// the only way out is a SolveResult. `trace`, when non-null, was
 /// created at job submission — its epoch is the submit instant, so the
 /// first recorded span (queue-wait) is simply [0, execution start).
+/// `stored_only` runs no engine: every width comes from one
+/// ResultCache::lookup, and a request that probe cannot answer whole
+/// comes back without `cache: hit` (execute drops it).
 SolveResult execute_impl(const SolveRequest& request, std::size_t index,
                          const CancelToken& cancel, ResultCache* cache,
-                         obs::SolveTrace* trace) {
+                         obs::SolveTrace* trace, bool stored_only) {
   common::Stopwatch watch;
   if (trace != nullptr) trace->record("queue-wait", 0, trace->now_ns());
   SolveResult result;
@@ -214,17 +211,34 @@ SolveResult execute_impl(const SolveRequest& request, std::size_t index,
       key = make_request_key(identity.hash, request.width, request.backend,
                              request.options);
 
-    std::optional<WidthSolve> best;
+    std::optional<std::vector<CachedSolve>> stored;
+    if (stored_only) {
+      if (cacheable) {
+        std::vector<RequestKey> keys(
+            static_cast<std::size_t>(width_last - request.width + 1), key);
+        for (std::size_t i = 0; i < keys.size(); ++i)
+          keys[i].width = request.width + static_cast<int>(i);
+        obs::SpanTimer lookup_span(trace, "cache-lookup");
+        stored = cache->lookup(keys);
+      }
+      if (!stored.has_value()) return result;
+    }
+
+    std::optional<CachedSolve> best;
     int best_width = 0;
     int cache_hits = 0;
     SolveInterrupt interrupt = SolveInterrupt::None;
     for (int w = request.width; w <= width_last; ++w) {
-      WidthSolve solve;
+      CachedSolve solve;
       SolveInterrupt fired = SolveInterrupt::None;
-      if (cacheable) {
+      if (stored.has_value()) {
+        solve = std::move(
+            (*stored)[static_cast<std::size_t>(w - request.width)]);
+        ++cache_hits;
+      } else if (cacheable) {
         key.width = w;
         obs::SpanTimer lookup_span(trace, "cache-lookup");
-        const ResultCache::Fetch fetch = cache->begin_fetch(
+        ResultCache::Fetch fetch = cache->begin_fetch(
             key,
             [&context] { return context.poll() != SolveInterrupt::None; });
         // A lookup that blocked on another job's identical in-flight
@@ -243,9 +257,7 @@ SolveResult execute_impl(const SolveRequest& request, std::size_t index,
         if (fetch.value.has_value()) {
           // Served from the cache (stored entry, or an identical solve
           // another thread just finished — coalesced, never recomputed).
-          solve.outcome = fetch.value->outcome;
-          solve.lower_bound = fetch.value->lower_bound;
-          solve.schedule_valid = fetch.value->schedule_valid;
+          solve = std::move(*fetch.value);
           ++cache_hits;
         } else {
           try {
@@ -256,9 +268,7 @@ SolveResult execute_impl(const SolveRequest& request, std::size_t index,
           }
           fired = solve.outcome.interrupt;
           if (fired == SolveInterrupt::None)
-            cache->publish(fetch,
-                           CachedSolve{solve.outcome, solve.lower_bound,
-                                       solve.schedule_valid});
+            cache->publish(fetch, solve);
           else
             cache->abandon(fetch);  // interrupted incumbents are not results
         }
@@ -321,18 +331,24 @@ SolveResult execute_impl(const SolveRequest& request, std::size_t index,
 /// counters, moves the in-flight gauge, and records its latency into
 /// solver.solve_ns. Recording is unconditional (it does not touch the
 /// result payload); the trace, in contrast, rides only when requested.
-SolveResult execute(const SolveRequest& request, std::size_t index,
-                    const CancelToken& cancel, ResultCache* cache,
-                    obs::SolveTrace* trace) {
+/// A `stored_only` run that is not a hit is no job yet: nullopt, and
+/// nothing recorded, since the solve that follows it records the job.
+std::optional<SolveResult> execute(const SolveRequest& request,
+                                   std::size_t index, const CancelToken& cancel,
+                                   ResultCache* cache, obs::SolveTrace* trace,
+                                   bool stored_only = false) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
   static obs::Counter& requests_total = registry.counter("solver.requests");
   static obs::Gauge& inflight = registry.gauge("solver.inflight");
   static obs::Histogram& solve_hist = registry.histogram("solver.solve_ns");
 
   inflight.add(1);
-  common::ScopedTimer<obs::Histogram> timer(&solve_hist);
-  SolveResult result = execute_impl(request, index, cancel, cache, trace);
+  const common::Stopwatch watch;
+  SolveResult result =
+      execute_impl(request, index, cancel, cache, trace, stored_only);
   inflight.add(-1);
+  if (stored_only && result.cache != CacheOutcome::Hit) return std::nullopt;
+  solve_hist.record_ns(watch.elapsed_ns());
   requests_total.increment();
   registry
       .counter("solver.status." + std::string(to_string(result.status)))
@@ -475,9 +491,19 @@ SolveResult Solver::solve(const SolveRequest& request, CancelToken cancel,
   const auto trace =
       options_.trace ? std::make_unique<obs::SolveTrace>() : nullptr;
   SolveResult result =
-      execute(request, 0, cancel, options_.cache.get(), trace.get());
+      *execute(request, 0, cancel, options_.cache.get(), trace.get());
   sink.finished(0, 1, request, result);
   return result;
+}
+
+std::optional<SolveResult> Solver::solve_stored(
+    const SolveRequest& request) const {
+  // Deadline-bound work bypasses the cache, so it can never hit.
+  if (!options_.cache || request.deadline_s.has_value()) return std::nullopt;
+  const auto trace =
+      options_.trace ? std::make_unique<obs::SolveTrace>() : nullptr;
+  return execute(request, 0, {}, options_.cache.get(), trace.get(),
+                 /*stored_only=*/true);
 }
 
 std::vector<SolveResult> Solver::solve_batch(
@@ -508,8 +534,8 @@ std::vector<SolveResult> Solver::solve_batch(
   const auto run_job = [&](std::size_t index) {
     sink.started(index, requests.size(), requests[index]);
     results[index] =
-        execute(requests[index], index, cancel, options_.cache.get(),
-                options_.trace ? traces[index].get() : nullptr);
+        *execute(requests[index], index, cancel, options_.cache.get(),
+                 options_.trace ? traces[index].get() : nullptr);
     sink.finished(index, requests.size(), requests[index], results[index]);
   };
 

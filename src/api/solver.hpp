@@ -235,6 +235,17 @@ class Solver {
                                   CancelToken cancel = {},
                                   const ProgressFn& progress = {}) const;
 
+  /// solve() for a request the cache already stores whole: one
+  /// non-blocking, all-or-nothing ResultCache::lookup over its keys,
+  /// whose entries go through solve()'s per-width assembly, so the
+  /// result, its trace stages and the solver metrics are those of a
+  /// solve() that hit. nullopt, with nothing counted, when a width is not
+  /// stored (in flight counts as not stored), or the request cannot hit:
+  /// no cache, a deadline, or a request solve() would refuse. Lets a
+  /// server answer such a request on the thread that read it.
+  [[nodiscard]] std::optional<SolveResult> solve_stored(
+      const SolveRequest& request) const;
+
   /// Executes a batch concurrently (SolverOptions::threads workers).
   /// Results are in request order and identical at any thread count.
   /// `cancel` cancels the whole batch: running jobs stop at their next

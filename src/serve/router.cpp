@@ -109,6 +109,29 @@ std::optional<std::uint64_t> response_seq(std::string_view line,
   return seq;
 }
 
+/// The wire line of job `seq`: its internal id first, then each of the
+/// client's other top-level members (`members`, the job line's member
+/// spans, less the id member at index `id`) as the client's own bytes,
+/// joined by ", ". No value is re-serialized: a deadline keeps every
+/// digit and an inline SOC text is copied, not re-escaped.
+std::string routed_line(std::uint64_t seq, const std::string& line,
+                        const std::vector<api::JsonValue::MemberSpan>& members,
+                        std::size_t id) {
+  // Built with += : GCC 12's -Wrestrict misfires on operator+ here.
+  std::string wire;
+  wire.reserve(line.size() + 24);
+  wire += "{\"id\": \"r";
+  wire += std::to_string(seq);
+  wire += '"';
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (i == id) continue;
+    wire += ", ";
+    wire.append(line, members[i].begin, members[i].end - members[i].begin);
+  }
+  wire += '}';
+  return wire;
+}
+
 /// True when `line` is one whole JSON object: braces and brackets
 /// balance outside strings and close on its last byte. A worker killed
 /// mid-write leaves a torn final line; it must count as lost, so the
@@ -292,16 +315,21 @@ std::size_t Router::shard_for(const api::JsonValue& value) const {
 
 bool Router::handle_line(const std::string& line) {
   api::JsonValue value;
+  std::vector<api::JsonValue::MemberSpan> members;
   try {
-    value = api::JsonValue::parse(line);
+    value = api::JsonValue::parse(line, &members);
   } catch (const std::exception& e) {
     emit(error_answer({}, std::string("router: ") + e.what()));
+    return true;
+  }
+  if (!value.is_object()) {
+    emit(error_answer({}, "router: a request line must be a JSON object"));
     return true;
   }
 
   const api::JsonValue* op = value.find("op");
   if (op == nullptr) {
-    route_job(std::move(value));
+    route_job(line, value, members);
     return true;
   }
 
@@ -486,14 +514,21 @@ bool Router::handle_line(const std::string& line) {
   return true;
 }
 
-void Router::route_job(api::JsonValue value) {
+void Router::route_job(
+    const std::string& line, const api::JsonValue& value,
+    const std::vector<api::JsonValue::MemberSpan>& members) {
+  // The client's id member, found by its parsed key, so an escaped
+  // spelling such as "\u0069d" is the id too.
+  const auto& fields = value.members();
+  std::size_t id = 0;
+  while (id < fields.size() && fields[id].first != "id") ++id;
   std::string client_id;
-  if (const api::JsonValue* id = value.find("id")) {
-    if (id->kind() != api::JsonValue::Kind::String) {
+  if (id < fields.size()) {
+    if (fields[id].second.kind() != api::JsonValue::Kind::String) {
       emit(error_answer({}, "router: 'id' must be a string"));
       return;
     }
-    client_id = id->as_string();
+    client_id = fields[id].second.as_string();
   }
   const std::size_t worker = shard_for(value);
 
@@ -501,11 +536,6 @@ void Router::route_job(api::JsonValue value) {
   // leads with it too (result_to_json and the workers' error objects
   // write "id" first; an echoing worker copies the line), and
   // handle_worker_line splices the client's id back without a parse.
-  // The job is dumped once, without its id: the order of its members
-  // means nothing to the worker, and its id is always a valid string.
-  (void)value.erase("id");
-  const std::string body = value.dump_compact_string();
-
   std::shared_ptr<WorkerLink> link;
   std::string wire_line;
   {
@@ -515,21 +545,11 @@ void Router::route_job(api::JsonValue value) {
       ++counters_.shed;
     } else {
       const std::uint64_t seq = ++serial_;
-      // Built with += : GCC 12's -Wrestrict misfires on operator+ here.
       if (client_id.empty()) {
         client_id = "job-";
         client_id += std::to_string(seq);
       }
-      wire_line.reserve(body.size() + 32);
-      wire_line += "{\"id\": \"r";
-      wire_line += std::to_string(seq);
-      wire_line += '"';
-      if (body.size() > 2) {
-        wire_line += ", ";
-        wire_line.append(body, 1);
-      } else {
-        wire_line += '}';
-      }
+      wire_line = routed_line(seq, line, members, id);
       if (wire_line.size() <= common::kDefaultMaxLineBytes) {
         pending_.emplace(seq, Pending{client_id, wire_line, worker});
         ++slots_[worker]->inflight;
@@ -539,8 +559,8 @@ void Router::route_job(api::JsonValue value) {
     }
   }
   // Shed or too long to forward: answered here, never forwarded. The
-  // internal id and the dump's separators can take a client line that
-  // fit the bound past it, and no worker reads such a line.
+  // internal id and the ", " joins can take a client line that fit the
+  // bound past it, and no worker reads such a line.
   if (wire_line.empty()) {
     emit(shed_answer(client_id));
     return;

@@ -15,9 +15,11 @@
 //     fields) route by a stable hash of the job's compact JSON, so even
 //     their error responses come from a deterministic worker;
 //   * ids are rewritten — each job goes out as {"id": "r<seq>", ...}
-//     (seq = arrival order; the internal id always leads the wire line)
-//     and the client's id (or a synthesized "job-<seq>" for id-less
-//     jobs, matching wtam_serve) is spliced back in place of the leading
+//     (seq = arrival order; the internal id always leads the wire line,
+//     and the client's other members follow as the client's own bytes,
+//     copied from the member spans the one parse reports) and the
+//     client's id (or a synthesized "job-<seq>" for id-less jobs,
+//     matching wtam_serve) is spliced back in place of the leading
 //     internal id on the way out — no parse, no re-serialization, every
 //     other response byte as the worker wrote it — so responses merge
 //     correctly however far out of submission order the workers
@@ -176,7 +178,10 @@ class Router {
   [[nodiscard]] std::vector<api::JsonValue> broadcast(
       const std::string& line);
 
-  void route_job(api::JsonValue value);
+  /// Routes one parsed job `line`; `members` are its top-level member
+  /// spans, from which the wire line is spliced.
+  void route_job(const std::string& line, const api::JsonValue& value,
+                 const std::vector<api::JsonValue::MemberSpan>& members);
   [[nodiscard]] std::size_t shard_for(const api::JsonValue& value) const;
   void handle_resize(const api::JsonValue& value);
   void stop_fleet_for_shutdown();

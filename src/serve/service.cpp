@@ -1,5 +1,6 @@
 #include "serve/service.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "api/cache_store.hpp"
@@ -281,9 +282,10 @@ Service::Action Service::handle_line(const std::string& line,
                                      const Sink& sink) {
   if (line.empty()) return Action::Continue;
 
-  // Each line is parsed exactly once; control verbs run inline on the
-  // transport thread, jobs go to the pool so the transport keeps
-  // accepting while engines run.
+  // Each line is parsed exactly once; control verbs and jobs the cache
+  // already stores run inline on the transport thread, and only jobs
+  // that need an engine go to the pool, so the transport keeps accepting
+  // while engines run.
   api::JsonValue value;
   try {
     value = api::JsonValue::parse(line);
@@ -313,6 +315,19 @@ Service::Action Service::handle_line(const std::string& line,
   }
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
+  // A stored job needs no engine: answered here, it never waits behind
+  // cold solves in the pool's queue and is never shed.
+  const common::Stopwatch started;
+  if (std::optional<api::SolveResult> stored =
+          cache_ ? solver_->solve_stored(request) : std::nullopt) {
+    const std::uint64_t job_number = accounting_->try_accept(0);
+    registry.counter("serve.jobs_accepted").increment();
+    if (request.id.empty()) stored->id = "job-" + std::to_string(job_number);
+    accounting_->job_started();
+    finish_job(*stored, started, sink);
+    return Action::Continue;
+  }
+
   const std::uint64_t job_number =
       accounting_->try_accept(options_.queue_limit);
   if (job_number == 0) {
@@ -346,12 +361,17 @@ void Service::submit_job(api::SolveRequest request, const Sink& sink) {
           break;
         }
     }
-    sink(bounded_answer(api::result_to_json(result, write_options_)));
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
-    registry.histogram("serve.job_ns").record_ns(queued.elapsed_ns());
-    registry.counter("serve.jobs_completed").increment();
-    accounting_->job_completed();
+    finish_job(result, queued, sink);
   });
+}
+
+void Service::finish_job(const api::SolveResult& result,
+                         const common::Stopwatch& since, const Sink& sink) {
+  sink(bounded_answer(api::result_to_json(result, write_options_)));
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
+  registry.histogram("serve.job_ns").record_ns(since.elapsed_ns());
+  registry.counter("serve.jobs_completed").increment();
+  accounting_->job_completed();
 }
 
 Service::Action Service::handle_op(const api::JsonValue& value,

@@ -10,12 +10,15 @@
 //
 // Threading: handle_line may be called concurrently from multiple
 // transport threads (one per socket client). Verbs run inline on the
-// calling thread; jobs run on the shared pool and their results go to
-// the sink that submitted them. Sinks must therefore be thread-safe and
-// must tolerate outliving their client (a write after disconnect is
-// dropped by the transport, not an error here). The `shutdown` verb
-// drains the whole service — every client's in-flight jobs — before
-// acking, and Action::Shutdown tells the transport to stop the world.
+// calling thread, and so does a job whose every width the cache already
+// stores (Solver::solve_stored), so its answer may overtake earlier jobs
+// still in the pool. Only jobs that need an engine go to the shared
+// pool, where queue_limit may shed them; their results go to the sink
+// that submitted them. Sinks must therefore be thread-safe and must
+// tolerate outliving their client (a write after disconnect is dropped
+// by the transport, not an error here). The `shutdown` verb drains the
+// whole service — every client's in-flight jobs — before acking, and
+// Action::Shutdown tells the transport to stop the world.
 
 #pragma once
 
@@ -30,6 +33,7 @@
 #include "api/solver.hpp"
 #include "common/line_io.hpp"
 #include "common/thread_pool.hpp"
+#include "common/timer.hpp"
 
 namespace wtam::serve {
 
@@ -58,7 +62,8 @@ struct ServiceOptions {
   /// cold start, wrong version = refused loudly via diag), saved by
   /// drain_and_save and the shutdown verb.
   std::string cache_file;
-  std::uint64_t queue_limit = 0;  ///< admission control; 0 = never shed
+  /// Admission control for jobs that need an engine; 0 = never shed.
+  std::uint64_t queue_limit = 0;
   bool timing = false;
   bool trace = false;
 };
@@ -116,6 +121,10 @@ class Service {
   [[nodiscard]] Action handle_op(const api::JsonValue& value,
                                  const std::string& verb, const Sink& sink);
   void submit_job(api::SolveRequest request, const Sink& sink);
+  /// Answers an accepted, started job and counts it completed; `since`
+  /// started when the job did, for serve.job_ns.
+  void finish_job(const api::SolveResult& result,
+                  const common::Stopwatch& since, const Sink& sink);
 
   ServiceOptions options_;
   Diag diag_;

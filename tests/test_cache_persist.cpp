@@ -276,9 +276,9 @@ TEST(CacheStore, ChecksumCleanButUndecodableRecordIsSkipped) {
   EXPECT_EQ(stats.entries_loaded, 2u);
   EXPECT_EQ(stats.entries_rejected, 1u);
   EXPECT_TRUE(stats.clean_tail);
-  EXPECT_TRUE(cache.lookup(key_of(1)).has_value());
-  EXPECT_FALSE(cache.lookup(key_of(2)).has_value());
-  EXPECT_TRUE(cache.lookup(key_of(3)).has_value());
+  EXPECT_TRUE(cache.lookup({key_of(1)}).has_value());
+  EXPECT_FALSE(cache.lookup({key_of(2)}).has_value());
+  EXPECT_TRUE(cache.lookup({key_of(3)}).has_value());
 }
 
 TEST(CacheStore, WarmBootServesARepeatSweepEntirelyFromHits) {

@@ -158,9 +158,9 @@ TEST(ConcurrencyStress, AbandonedLeadHandoffUnderContention) {
     // window and led after the value was stored (then hits served them).
     ASSERT_GE(leads.load(), 1);
     if (leads.load() >= 2) {
-      const auto hit = cache.lookup(key);
+      const auto hit = cache.lookup({key});
       ASSERT_TRUE(hit.has_value());
-      EXPECT_EQ(hit->outcome.testing_time, 4242);
+      EXPECT_EQ(hit->front().outcome.testing_time, 4242);
     }
     cache.clear();
   }
@@ -273,7 +273,7 @@ TEST(ConcurrencyStress, StatsSnapshotsStayConsistentUnderWrites) {
         const api::ResultCache::Fetch fetch = cache.begin_fetch(key);
         if (fetch.outcome == api::ResultCache::FetchOutcome::Lead)
           cache.publish(fetch, stress_solve(round));
-        (void)cache.lookup(key);
+        (void)cache.lookup({key});
       }
     });
   for (auto& writer : writers) writer.join();

@@ -47,22 +47,60 @@ void lead_and_publish(ResultCache& cache, const RequestKey& key,
 TEST(ResultCache, StoresAndServesByteEqualEntries) {
   ResultCache cache;
   const RequestKey key = key_for(32);
-  EXPECT_FALSE(cache.lookup(key).has_value());
+  EXPECT_FALSE(cache.lookup({key}).has_value());
 
   lead_and_publish(cache, key, solve_of_size(21566, 64));
-  const auto hit = cache.lookup(key);
+  const auto hit = cache.lookup({key});
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->outcome.testing_time, 21566);
-  EXPECT_EQ(hit->lower_bound, 21566 / 2);
-  EXPECT_TRUE(hit->schedule_valid);
+  EXPECT_EQ(hit->front().outcome.testing_time, 21566);
+  EXPECT_EQ(hit->front().lower_bound, 21566 / 2);
+  EXPECT_TRUE(hit->front().schedule_valid);
 
   const ResultCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 2u);  // the failed lookup + the Lead fetch
+  // The Lead fetch; a probe that answers nothing counts nothing.
+  EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.insertions, 1u);
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_GT(stats.bytes, 0u);
-  EXPECT_DOUBLE_EQ(stats.hit_rate(), 1.0 / 3.0);
+  EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
+}
+
+TEST(ResultCache, ProbeAnswersAllKeysOrNothing) {
+  // A sweep's probe: every width stored, or no answer. A partial sweep
+  // returns nothing and counts nothing, and leaves recency as it was; an
+  // answered probe counts one hit per key.
+  ResultCacheOptions options;
+  options.shards = 1;
+  ResultCache cache(options);
+  for (const int width : {16, 17})
+    lead_and_publish(cache, key_for(width), solve_of_size(width, 64));
+  const ResultCacheStats before = cache.stats();
+
+  EXPECT_FALSE(
+      cache.lookup({key_for(16), key_for(17), key_for(18)}).has_value());
+  ResultCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, before.hits);
+  EXPECT_EQ(stats.misses, before.misses);
+  EXPECT_EQ(cache.export_entries().back().first, key_for(17));
+
+  const auto answered = cache.lookup({key_for(17), key_for(16)});
+  ASSERT_TRUE(answered.has_value());
+  ASSERT_EQ(answered->size(), 2u);
+  EXPECT_EQ((*answered)[0].outcome.testing_time, 17);
+  EXPECT_EQ((*answered)[1].outcome.testing_time, 16);
+  stats = cache.stats();
+  EXPECT_EQ(stats.hits, before.hits + 2);
+  EXPECT_EQ(stats.misses, before.misses);
+  EXPECT_EQ(cache.export_entries().back().first, key_for(16));
+
+  // A key still in flight is not stored: the probe neither waits for it
+  // nor joins it.
+  const ResultCache::Fetch lead = cache.begin_fetch(key_for(18));
+  ASSERT_EQ(lead.outcome, ResultCache::FetchOutcome::Lead);
+  EXPECT_FALSE(cache.lookup({key_for(16), key_for(18)}).has_value());
+  EXPECT_EQ(cache.stats().coalesced, 0u);
+  cache.abandon(lead);
 }
 
 TEST(ResultCache, LruEvictionUnderATightByteBudget) {
@@ -79,8 +117,8 @@ TEST(ResultCache, LruEvictionUnderATightByteBudget) {
   EXPECT_EQ(cache.stats().entries, 3u);
 
   // Touch 1 and 3 so 2 is the LRU entry.
-  EXPECT_TRUE(cache.lookup(key_for(1)).has_value());
-  EXPECT_TRUE(cache.lookup(key_for(3)).has_value());
+  EXPECT_TRUE(cache.lookup({key_for(1)}).has_value());
+  EXPECT_TRUE(cache.lookup({key_for(3)}).has_value());
 
   lead_and_publish(cache, key_for(4), solve_of_size(4, 1024));
   const ResultCacheStats stats = cache.stats();
@@ -88,10 +126,11 @@ TEST(ResultCache, LruEvictionUnderATightByteBudget) {
   EXPECT_EQ(stats.entries, 3u);
   EXPECT_LE(stats.bytes, options.max_bytes);
 
-  EXPECT_FALSE(cache.lookup(key_for(2)).has_value()) << "LRU entry survived";
-  EXPECT_TRUE(cache.lookup(key_for(1)).has_value());
-  EXPECT_TRUE(cache.lookup(key_for(3)).has_value());
-  EXPECT_TRUE(cache.lookup(key_for(4)).has_value());
+  EXPECT_FALSE(cache.lookup({key_for(2)}).has_value())
+      << "LRU entry survived";
+  EXPECT_TRUE(cache.lookup({key_for(1)}).has_value());
+  EXPECT_TRUE(cache.lookup({key_for(3)}).has_value());
+  EXPECT_TRUE(cache.lookup({key_for(4)}).has_value());
 }
 
 TEST(ResultCache, OversizedEntriesAreNotStored) {
@@ -101,7 +140,7 @@ TEST(ResultCache, OversizedEntriesAreNotStored) {
   ResultCache cache(options);
   lead_and_publish(cache, key_for(1), solve_of_size(1, 1 << 20));
   EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_FALSE(cache.lookup(key_for(1)).has_value());
+  EXPECT_FALSE(cache.lookup({key_for(1)}).has_value());
 }
 
 TEST(ResultCache, ClearDropsEverything) {
@@ -113,7 +152,7 @@ TEST(ResultCache, ClearDropsEverything) {
   const ResultCacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.bytes, 0u);
-  EXPECT_FALSE(cache.lookup(key_for(1)).has_value());
+  EXPECT_FALSE(cache.lookup({key_for(1)}).has_value());
 }
 
 TEST(ResultCache, IdenticalInFlightRequestsCoalesceAcrossThreads) {
@@ -201,9 +240,9 @@ TEST(ResultCache, AbandonedLeadHandsTheKeyToAWaiter) {
   cache.abandon(lead);
   waiter.join();
 
-  const auto hit = cache.lookup(key);
+  const auto hit = cache.lookup({key});
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->outcome.testing_time, 123);
+  EXPECT_EQ(hit->front().outcome.testing_time, 123);
   // Nothing was stored by the abandoned lead.
   EXPECT_EQ(cache.stats().insertions, 1u);
 }
@@ -212,7 +251,7 @@ TEST(ResultCache, ResetStatsZeroesCountersButKeepsGauges) {
   ResultCache cache;
   lead_and_publish(cache, key_for(32), solve_of_size(100, 64));
   lead_and_publish(cache, key_for(33), solve_of_size(200, 64));
-  (void)cache.lookup(key_for(32));
+  (void)cache.lookup({key_for(32)});
   ASSERT_GT(cache.stats().hits, 0u);
   ASSERT_GT(cache.stats().misses, 0u);
 
@@ -227,7 +266,7 @@ TEST(ResultCache, ResetStatsZeroesCountersButKeepsGauges) {
   EXPECT_EQ(stats.entries, 2u);
   EXPECT_GT(stats.bytes, 0u);
   // Counting restarts cleanly from zero.
-  (void)cache.lookup(key_for(32));
+  (void)cache.lookup({key_for(32)});
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
@@ -241,25 +280,25 @@ TEST(ResultCache, InsertAndExportRoundTrip) {
   // insert replaces in place (no duplicate entries, bytes stay sane).
   cache.insert(key_for(32), solve_of_size(300, 64));
   EXPECT_EQ(cache.stats().entries, 2u);
-  const auto replaced = cache.lookup(key_for(32));
+  const auto replaced = cache.lookup({key_for(32)});
   ASSERT_TRUE(replaced.has_value());
-  EXPECT_EQ(replaced->outcome.testing_time, 300);
+  EXPECT_EQ(replaced->front().outcome.testing_time, 300);
 
   const auto entries = cache.export_entries();
   ASSERT_EQ(entries.size(), 2u);
   for (const auto& [key, value] : entries) {
-    const auto direct = cache.lookup(key);
+    const auto direct = cache.lookup({key});
     ASSERT_TRUE(direct.has_value());
-    EXPECT_EQ(direct->outcome.testing_time, value.outcome.testing_time);
+    EXPECT_EQ(direct->front().outcome.testing_time, value.outcome.testing_time);
   }
 
   // A fresh cache populated from the export serves the same values —
   // the persistence layer's save/load contract in miniature.
   ResultCache copy;
   for (const auto& [key, value] : entries) copy.insert(key, value);
-  const auto from_copy = copy.lookup(key_for(33));
+  const auto from_copy = copy.lookup({key_for(33)});
   ASSERT_TRUE(from_copy.has_value());
-  EXPECT_EQ(from_copy->outcome.testing_time, 200);
+  EXPECT_EQ(from_copy->front().outcome.testing_time, 200);
 }
 
 TEST(ResultCache, PublishReplacesAnEntryStoredMeanwhile) {
@@ -279,9 +318,9 @@ TEST(ResultCache, PublishReplacesAnEntryStoredMeanwhile) {
   const ResultCacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 2u);
   EXPECT_EQ(stats.bytes, expected_bytes);
-  const auto hit = cache.lookup(key_for(32));
+  const auto hit = cache.lookup({key_for(32)});
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->outcome.testing_time, 300);
+  EXPECT_EQ(hit->front().outcome.testing_time, 300);
   // The publish made 32 the most recent entry, and the lookup kept it so.
   const auto entries = cache.export_entries();
   ASSERT_EQ(entries.size(), 2u);

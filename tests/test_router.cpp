@@ -22,6 +22,7 @@
 #include <unistd.h>
 
 #include "api/json_value.hpp"
+#include "common/rng.hpp"
 #include "common/subprocess.hpp"
 #include "common/thread_annotations.hpp"
 #include "net/socket.hpp"
@@ -167,6 +168,89 @@ TEST(Router, SplicesClientIdsBackEscapedLikeTheWriter) {
   EXPECT_EQ(router.counters().orphaned, 0u);
 }
 
+TEST(Router, WireLinesCarryTheClientsOwnBytes) {
+  // A seeded differential over job lines: the id first, in the middle,
+  // last, absent, or spelled "\u0069d"; nested objects; irregular
+  // whitespace; a deadline_s with 17 significant digits. cat workers echo
+  // each wire line, so every answer must parse to the client's id (or
+  // "job-<seq>") followed by the client's other members in the client's
+  // order and with the client's values: the deadline bit for bit, which a
+  // 12-digit dump would round.
+  common::Rng rng(22);
+  auto collector = std::make_shared<Collector>();
+  Router router(cat_fleet(2),
+                [collector](const std::string& line) { (*collector)(line); });
+  const auto space = [&rng] {
+    static const char* const kSpaces[] = {"", " ", "  ", "\t", " \t "};
+    return std::string(kSpaces[rng.uniform_int(0, 4)]);
+  };
+  struct Sent {
+    std::string line;
+    double deadline = 0.0;
+  };
+  std::map<std::string, Sent> sent;  // by the id the answer must carry
+  constexpr int kLines = 200;
+  for (int n = 0; n < kLines; ++n) {
+    Sent job;
+    job.deadline = 0.5 + static_cast<double>(rng() >> 11) * 0x1p-53;
+    char deadline[40];
+    std::snprintf(deadline, sizeof deadline, "%.17g", job.deadline);
+    std::vector<std::string> members = {
+        "\"soc\"" + space() + ":" + space() + "\"d695\"",
+        "\"width\":" + space() + std::to_string(rng.uniform_int(1, 64)),
+        "\"deadline_s\":" + space() + deadline,
+        R"("options": {"max_tams": 4, "x": [1, {"id": "inner"}, null]})",
+        R"("tag":"t\u00e9st, {\"id\": 1}")"};
+    for (std::int64_t i = std::ssize(members) - 1; i > 0; --i)
+      std::swap(members[static_cast<std::size_t>(i)],
+                members[static_cast<std::size_t>(rng.uniform_int(0, i))]);
+    std::string id = "job-" + std::to_string(n + 1);
+    const std::int64_t shape = rng.uniform_int(0, 4);  // 3: no id
+    if (shape != 3) {
+      id = "c" + std::to_string(n);
+      const auto last = static_cast<std::int64_t>(members.size());
+      const std::int64_t at = shape == 0   ? 0
+                              : shape == 1 ? rng.uniform_int(1, last - 1)
+                              : shape == 2 ? last
+                                           : rng.uniform_int(0, last);
+      members.insert(members.begin() + at,
+                     std::string(shape == 4 ? R"("\u0069d")" : R"("id")") +
+                         space() + ":" + space() + "\"" + id + "\"");
+    }
+    job.line = space() + "{" + space();
+    for (std::size_t i = 0; i < members.size(); ++i)
+      job.line += (i == 0 ? "" : space() + "," + space()) + members[i];
+    job.line += space() + "}" + space();
+    EXPECT_TRUE(router.handle_line(job.line));
+    sent.emplace(id, std::move(job));
+  }
+  ASSERT_TRUE(collector->wait_for(kLines));
+  const std::vector<std::string> lines = collector->lines();
+  ASSERT_EQ(lines.size(), static_cast<std::size_t>(kLines));
+  for (const std::string& line : lines) {
+    const api::JsonValue answer = api::JsonValue::parse(line);
+    const auto& members = answer.members();
+    ASSERT_FALSE(members.empty());
+    ASSERT_EQ(members.front().first, "id") << line;
+    const auto it = sent.find(members.front().second.as_string());
+    ASSERT_NE(it, sent.end()) << line;
+    const api::JsonValue client = api::JsonValue::parse(it->second.line);
+    std::vector<std::pair<std::string, std::string>> expected;
+    for (const auto& [key, value] : client.members())
+      if (key != "id") expected.emplace_back(key, value.dump_compact_string());
+    std::vector<std::pair<std::string, std::string>> echoed;
+    for (std::size_t i = 1; i < members.size(); ++i)
+      echoed.emplace_back(members[i].first,
+                          members[i].second.dump_compact_string());
+    EXPECT_EQ(echoed, expected) << it->second.line;
+    EXPECT_EQ(answer.find("deadline_s")->as_double(), it->second.deadline)
+        << line;
+    sent.erase(it);
+  }
+  EXPECT_TRUE(sent.empty());
+  EXPECT_EQ(router.counters().orphaned, 0u);
+}
+
 TEST(Router, TornAndLateDuplicateResponsesAreOrphaned) {
   // Each job is answered three times: a torn prefix (what a worker
   // killed mid-write leaves behind), the whole line, and a late
@@ -243,7 +327,10 @@ TEST(Router, MalformedClientLineIsAnsweredDirectly) {
                 [collector](const std::string& line) { (*collector)(line); });
   EXPECT_TRUE(router.handle_line("{not json"));
   EXPECT_TRUE(router.handle_line("{\"op\": 5}"));
-  ASSERT_TRUE(collector->wait_for(2));
+  // Valid JSON, but no request: answered, and the router keeps going.
+  EXPECT_TRUE(router.handle_line("[1, 2]"));
+  EXPECT_TRUE(router.handle_line("5"));
+  ASSERT_TRUE(collector->wait_for(4));
   for (const std::string& line : collector->lines()) {
     const api::JsonValue value = api::JsonValue::parse(line);
     EXPECT_NE(value.find("error"), nullptr) << line;
@@ -614,8 +701,8 @@ TEST(RouterFleet, LinesOverTheBoundAreAnsweredOnceOnPipesAndTcp) {
   // No reader takes a line over the 8 MiB framing bound, so a fleet that
   // sent one on would leave its job unanswered. "big" fits the bound but
   // its tag, echoed into the answer, does not: the worker answers with an
-  // error instead. "routed" fills the bound with compact separators; the
-  // router's internal id and spaces take its wire line past it, so the
+  // error instead. The id-less second line (job-2) fills the bound; the
+  // internal id the router adds takes its wire line past it, so the
   // router answers it. Every id gets exactly one answer, over pipes and
   // over TCP alike.
   const auto sized = [](std::string head, std::size_t size) {
@@ -624,9 +711,8 @@ TEST(RouterFleet, LinesOverTheBoundAreAnsweredOnceOnPipesAndTcp) {
   };
   const std::string big = sized(
       R"({"id": "big", "soc": "d695", "width": 16, "tag": ")", 8388574);
-  const std::string routed =
-      sized(R"({"id":"routed","soc":"d695","width":16,"tag":")",
-            net::Connection::kDefaultMaxLineBytes);
+  const std::string routed = sized(R"({"soc": "d695", "width": 16, "tag": ")",
+                                   net::Connection::kDefaultMaxLineBytes);
   const std::string small = R"({"id": "small", "soc": "d695", "width": 16})";
 
   const std::string port_file = testing::TempDir() + "wtam_router_bound_" +
@@ -666,9 +752,9 @@ TEST(RouterFleet, LinesOverTheBoundAreAnsweredOnceOnPipesAndTcp) {
               std::vector<std::string>{
                   R"({"id": "big", "error": "answer exceeds the )"
                   R"(line-length bound"})"});
-    EXPECT_EQ(answers["routed"],
+    EXPECT_EQ(answers["job-2"],
               std::vector<std::string>{
-                  R"({"id": "routed", "error": "job exceeds the )"
+                  R"({"id": "job-2", "error": "job exceeds the )"
                   R"(line-length bound once routed; not forwarded"})"});
     ASSERT_EQ(answers["small"].size(), 1u);
     EXPECT_TRUE(answers["small"].front().starts_with(
@@ -775,12 +861,12 @@ TEST(RouterBinary, WorkerErrorsOverTheBoundAreAnsweredOnce) {
   // A worker's error can echo its input with extra text. Here that text
   // would take two errors past the bound: for an unknown op whose line
   // is at the bound, and for an unknown field whose routed line
-  // {"id": "r1", "<key>": 0} is at the bound. The worker answers each
+  // {"id": "r1", "<key>":0} is at the bound. The worker answers each
   // with the fixed over-bound error instead, so the op's broadcast ends,
   // the job is answered, and the ping after them is served.
   const std::size_t bound = common::kDefaultMaxLineBytes;
   const std::string op = R"({"op":")" + std::string(bound - 9, 'v') + "\"}";
-  const std::string job = "{\"" + std::string(bound - 19, 'k') + "\":0}";
+  const std::string job = "{\"" + std::string(bound - 18, 'k') + "\":0}";
   common::Subprocess router({WTAM_ROUTER_BINARY, "--quiet", "--workers", "1",
                              "--serve", WTAM_SERVE_BINARY});
   // A lost answer leaves the router waiting for it forever, no longer

@@ -106,6 +106,162 @@ TEST(Service, JobAnswersLeadWithTheirId) {
   EXPECT_NE(answer_of("r6").find("\"status\": \"ok\""), std::string::npos);
 }
 
+/// Sends the verb `op` and returns its answer (verbs answer inline).
+api::JsonValue op_answer(Service& service, const std::string& op) {
+  api::JsonValue answer;
+  (void)service.handle_line(op, 0, [&answer](const std::string& line) {
+    answer = api::JsonValue::parse(line);
+  });
+  return answer;
+}
+
+/// A count in a stats answer's `section` (the top level when empty), or a
+/// counter of a JSON metrics answer (0 when never incremented).
+std::int64_t count_in(const api::JsonValue& answer, const char* section,
+                      const char* name) {
+  const api::JsonValue* group = *section ? answer.find(section) : &answer;
+  const api::JsonValue* value = group ? group->find(name) : nullptr;
+  return value ? value->as_int() : 0;
+}
+
+/// Holds a one-thread Service's worker until its 1 s deadline.
+constexpr const char* kBlocker =
+    R"({"id": "blocker", "soc": "p93791", "width": 48, "width_max": 128,)"
+    R"( "max_tams": 16, "deadline_s": 1})";
+
+/// `answer` without its id and its trace, and with the cache outcome
+/// blanked: what a hit shares byte for byte with the cold solve.
+std::string payload_of(const std::string& answer) {
+  std::string payload = answer.substr(answer.find("\", ") + 3);
+  payload = payload.substr(0, payload.find(", \"trace\": "));
+  for (const char* cache : {"\"cache\": \"hit\"", "\"cache\": \"miss\""})
+    if (const std::size_t at = payload.find(cache); at != std::string::npos)
+      payload.replace(at, std::string(cache).size(), "\"cache\": \"-\"");
+  return payload;
+}
+
+TEST(Service, StoredJobsAreAnsweredOnTheReadingThread) {
+  // A job whose every width the cache stores needs no engine: it is
+  // answered before handle_line returns, ahead of the deadline-bound
+  // sweep that holds the one worker thread, with the bytes and trace
+  // stages of a hit. A sweep with one width missing needs an engine: it
+  // waits its turn, and its probe counts nothing.
+  ServiceOptions options;
+  options.threads = 1;
+  options.trace = true;
+  Service service(options);
+  Lines lines;
+  const Service::Sink sink = [&lines](const std::string& line) {
+    lines.add(line);
+  };
+  std::uint64_t line_number = 0;
+  const auto send = [&](const std::string& line) {
+    EXPECT_EQ(service.handle_line(line, ++line_number, sink),
+              Service::Action::Continue);
+  };
+  const char* const kDrain = R"({"op": "metrics", "drain": true})";
+  const api::JsonValue before = op_answer(service, kDrain);
+
+  send(R"({"id": "w16", "soc": "d695", "width": 16})");
+  send(R"({"id": "w17", "soc": "d695", "width": 17})");
+  service.drain_and_save();
+  send(kBlocker);
+  send(R"({"id": "stored", "soc": "d695", "width": 16})");
+  std::vector<std::string> answers = lines.take();
+  ASSERT_EQ(answers.size(), 3u);
+  const std::string& stored = answers[2];
+  ASSERT_TRUE(stored.starts_with(R"({"id": "stored", "status": "ok", )"))
+      << stored;
+  EXPECT_NE(stored.find(R"("cache": "hit")"), std::string::npos);
+  EXPECT_EQ(payload_of(stored), payload_of(answers[0]));
+  const api::JsonValue stored_json = api::JsonValue::parse(stored);
+  ASSERT_NE(stored_json.find("trace"), nullptr);
+  std::vector<std::string> stages;
+  for (const api::JsonValue& span : stored_json.find("trace")->elements())
+    stages.push_back(span.find("stage")->as_string());
+  EXPECT_EQ(stages, (std::vector<std::string>{"queue-wait", "soc-resolve",
+                                              "cache-lookup"}));
+
+  send(R"({"id": "sweep", "soc": "d695", "width": 16, "width_max": 18})");
+  const api::JsonValue metrics = op_answer(service, kDrain);
+  const api::JsonValue stats = op_answer(service, R"({"op": "stats"})");
+  answers = lines.take();
+  ASSERT_EQ(answers.size(), 2u);
+  EXPECT_TRUE(answers[0].starts_with(
+      R"({"id": "blocker", "status": "deadline_exceeded", )"));
+  EXPECT_TRUE(answers[1].starts_with(R"({"id": "sweep", "status": "ok", )"));
+  EXPECT_NE(answers[1].find(R"("cache": "miss")"), std::string::npos);
+
+  // Five jobs, each counted once, in stats and in the scrape alike. The
+  // cache saw w16 and w17 miss, the stored job hit, and the sweep hit
+  // twice and miss once: its failed probe added nothing.
+  EXPECT_EQ(count_in(stats, "", "accepted"), 5);
+  EXPECT_EQ(count_in(stats, "", "completed"), 5);
+  EXPECT_EQ(count_in(stats, "", "shed"), 0);
+  EXPECT_EQ(count_in(stats, "cache", "hits"), 3);
+  EXPECT_EQ(count_in(stats, "cache", "misses"), 3);
+  EXPECT_EQ(count_in(metrics, "counters", "serve.cache.hits"), 3);
+  EXPECT_EQ(count_in(metrics, "counters", "serve.cache.misses"), 3);
+  const auto delta = [&](const char* name) {
+    return count_in(metrics, "counters", name) -
+           count_in(before, "counters", name);
+  };
+  EXPECT_EQ(delta("serve.jobs_accepted"), 5);
+  EXPECT_EQ(delta("serve.jobs_completed"), 5);
+  EXPECT_EQ(delta("solver.requests"), 5);
+  EXPECT_EQ(delta("solver.cache.hit"), 1);
+  EXPECT_EQ(delta("solver.cache.miss"), 3);
+  EXPECT_EQ(delta("solver.cache.bypass"), 1);
+}
+
+TEST(Service, StoredJobsAreNeverShed) {
+  // With the one worker busy and the queue at its limit, a cold job is
+  // shed, but a stored job takes no queue slot and is answered.
+  ServiceOptions options;
+  options.threads = 1;
+  options.queue_limit = 1;
+  Service service(options);
+  Lines lines;
+  const Service::Sink sink = [&lines](const std::string& line) {
+    lines.add(line);
+  };
+  std::uint64_t line_number = 0;
+  const auto send = [&](const std::string& line) {
+    EXPECT_EQ(service.handle_line(line, ++line_number, sink),
+              Service::Action::Continue);
+  };
+  send(R"({"id": "warm", "soc": "d695", "width": 16})");
+  service.drain_and_save();
+  send(kBlocker);
+  // Once the worker runs the blocker, one cold job fills the queue.
+  for (int i = 0; i < 2000; ++i) {
+    if (count_in(op_answer(service, R"({"op": "stats"})"), "", "running") > 0)
+      break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  send(R"({"id": "queued", "soc": "d695", "width": 24})");
+  send(R"({"id": "stored", "soc": "d695", "width": 16})");
+  send(R"({"id": "shed", "soc": "d695", "width": 25})");
+  std::vector<std::string> answers = lines.take();
+  ASSERT_EQ(answers.size(), 3u);
+  EXPECT_TRUE(answers[1].starts_with(R"({"id": "stored", "status": "ok", )"))
+      << answers[1];
+  EXPECT_NE(answers[1].find(R"("cache": "hit")"), std::string::npos);
+  EXPECT_TRUE(
+      answers[2].starts_with(R"({"id": "shed", "status": "overloaded", )"))
+      << answers[2];
+
+  service.drain_and_save();
+  answers = lines.take();
+  ASSERT_EQ(answers.size(), 2u);
+  EXPECT_TRUE(answers[0].starts_with(R"({"id": "blocker", )"));
+  EXPECT_TRUE(answers[1].starts_with(R"({"id": "queued", "status": "ok", )"));
+  const api::JsonValue stats = op_answer(service, R"({"op": "stats"})");
+  EXPECT_EQ(count_in(stats, "", "accepted"), 4);
+  EXPECT_EQ(count_in(stats, "", "completed"), 4);
+  EXPECT_EQ(count_in(stats, "", "shed"), 1);
+}
+
 TEST(Service, AnswersOverTheBoundBecomeTheFixedError) {
   // No reader takes a line over the bound. An answer that would exceed it
   // is replaced by one fixed error, led by the id when that still fits:

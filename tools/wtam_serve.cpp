@@ -19,8 +19,11 @@
 // `id` is echoed into every result so callers correlate. Every result
 // carries `cache: hit|miss|bypass` (the memoizing ResultCache is on by
 // default; an identical resubmission is served byte-identically without
-// running an engine). Control verbs (src/serve/service.hpp implements
-// them; full semantics documented there):
+// running an engine). A job whose every width the cache already stores
+// is answered on the thread that read its line, never queued behind
+// cold solves, so its answer may overtake theirs. Control verbs
+// (src/serve/service.hpp implements them; full semantics documented
+// there):
 //   ping         — liveness probe, answered inline even under load;
 //                  echoes "seq" (the router's health checks use this)
 //   stats        — job counters + cache counters, one consistent snapshot
@@ -52,10 +55,11 @@
 //                    the valid prefix; wrong version = refuse the file
 //                    and start cold, loudly) and save back to P on
 //                    shutdown/EOF/SIGTERM after the drain
-//   --queue-limit N  admission control: when more than N accepted jobs
-//                    are waiting for a worker, new jobs are shed with
-//                    status "overloaded" instead of queued (0 = never
-//                    shed, the default)
+//   --queue-limit N  admission control: when N accepted jobs are
+//                    waiting for a worker, new jobs that need an engine
+//                    are shed with status "overloaded" instead of queued
+//                    (0 = never shed, the default); stored jobs are
+//                    answered regardless
 //   --timing         include cpu_s/wall_s in results (off by default so
 //                    responses are byte-identical across runs)
 //   --trace          include per-solve stage spans (`trace` array) in
