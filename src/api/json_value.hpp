@@ -26,8 +26,7 @@ class JsonValue {
   enum class Kind { Null, Bool, Int, Double, String, Object, Array };
 
   /// Where one member of a parsed object sits in the parsed text: from its
-  /// key's opening quote to just past its value, so the bytes between two
-  /// members' spans are the separator the writer of the text chose.
+  /// key's opening quote to just past its value.
   struct MemberSpan {
     std::size_t begin = 0;
     std::size_t end = 0;
