@@ -4,6 +4,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace wtam::api {
 
@@ -256,7 +257,11 @@ JsonValue job_to_json(const SolveRequest& request) {
   return job;
 }
 
-SolveRequest job_from_json(const JsonValue& value) {
+namespace {
+
+/// Both job_from_json forms: every field checked and read but the
+/// soc_inline text, which each form takes its own way.
+SolveRequest job_without_inline_text(const JsonValue& value) {
   if (!value.is_object()) bad_job("each job must be an object");
   SolveRequest request;
   for (const auto& [key, field] : value.members()) {
@@ -265,7 +270,8 @@ SolveRequest job_from_json(const JsonValue& value) {
     } else if (key == "soc") {
       request.soc = as_string_field(field, "soc");
     } else if (key == "soc_inline") {
-      request.soc_inline = as_string_field(field, "soc_inline");
+      if (field.kind() != JsonValue::Kind::String)
+        bad_job("field 'soc_inline' must be a string");
     } else if (key == "width") {
       request.width = as_bounded_int(field, "width", 1, 256);
     } else if (key == "width_max") {
@@ -310,6 +316,22 @@ SolveRequest job_from_json(const JsonValue& value) {
     }
   }
   if (request.width == 0) bad_job("field 'width' is required");
+  return request;
+}
+
+}  // namespace
+
+SolveRequest job_from_json(const JsonValue& value) {
+  SolveRequest request = job_without_inline_text(value);
+  if (const JsonValue* text = value.find("soc_inline"))
+    request.soc_inline = text->as_string();
+  return request;
+}
+
+SolveRequest job_from_json(JsonValue&& value) {
+  SolveRequest request = job_without_inline_text(value);
+  if (JsonValue* text = value.find("soc_inline"))
+    request.soc_inline = std::move(*text).as_string();
   return request;
 }
 

@@ -38,8 +38,12 @@ namespace wtam::api {
 /// One job <-> JSON object. job_to_json throws std::invalid_argument for
 /// requests carrying an in-memory soc_value (not serializable);
 /// job_from_json throws std::runtime_error on malformed/unknown fields.
+/// Its rvalue form moves the soc_inline text out of `value` instead of
+/// copying it, once every field has passed, so a throw leaves `value`
+/// whole.
 [[nodiscard]] JsonValue job_to_json(const SolveRequest& request);
 [[nodiscard]] SolveRequest job_from_json(const JsonValue& value);
+[[nodiscard]] SolveRequest job_from_json(JsonValue&& value);
 
 /// The constraints block alone (the schema documented above), shared by
 /// the job parser and `wtam_opt --constraints file.json`. Strict:

@@ -1,25 +1,59 @@
 #include "api/json_value.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <system_error>
 #include <unordered_set>
+#include <utility>
 
 namespace wtam::api {
+
+std::size_t json_plain_run(std::string_view text) noexcept {
+  constexpr std::uint64_t kOnes = 0x0101010101010101u;
+  constexpr std::uint64_t kHighs = kOnes * 0x80;
+  // zero_bytes flags each zero byte of `word`. A borrow can also flag a
+  // byte above a flagged one, never one below, so the lowest flag is
+  // exact; the below-0x20 test works the same way, so the lowest flag of
+  // the three marks the byte that ends the run.
+  const auto zero_bytes = [](std::uint64_t word) {
+    return (word - kOnes) & ~word & kHighs;
+  };
+  const char* const data = text.data();
+  std::size_t i = 0;
+  for (; i + 8 <= text.size(); i += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, data + i, 8);
+    if constexpr (std::endian::native == std::endian::big)
+      word = __builtin_bswap64(word);  // byte i + k in bits 8k..8k+7
+    const std::uint64_t stops = zero_bytes(word ^ (kOnes * '"')) |
+                                zero_bytes(word ^ (kOnes * '\\')) |
+                                ((word - kOnes * 0x20) & ~word & kHighs);
+    if (stops != 0)
+      return i + static_cast<std::size_t>(std::countr_zero(stops)) / 8;
+  }
+  for (; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(data[i]);
+    if (c == '"' || c == '\\' || c < 0x20) return i;
+  }
+  return i;
+}
 
 void append_json_string(std::string& out, std::string_view text) {
   out += '"';
   // Plain bytes go out in runs; only the bytes JSON needs escaped stop
   // a run.
-  std::size_t run = 0;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const auto c = static_cast<unsigned char>(text[i]);
-    if (c >= 0x20 && c != '"' && c != '\\') continue;
-    out.append(text.data() + run, i - run);
-    run = i + 1;
+  for (;;) {
+    const std::size_t run = json_plain_run(text);
+    out.append(text.data(), run);
+    if (run == text.size()) break;
+    const auto c = static_cast<unsigned char>(text[run]);
+    text.remove_prefix(run + 1);
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -33,7 +67,6 @@ void append_json_string(std::string& out, std::string_view text) {
       }
     }
   }
-  out.append(text.data() + run, text.size() - run);
   out += '"';
 }
 
@@ -163,12 +196,10 @@ class JsonParser {
     while (pos_ < text_.size()) {
       // Copy the run of plain bytes up to the next quote, backslash or
       // control byte in one append.
-      const std::size_t run = pos_;
-      while (pos_ < text_.size() && text_[pos_] != '"' &&
-             text_[pos_] != '\\' &&
-             static_cast<unsigned char>(text_[pos_]) >= 0x20)
-        ++pos_;
-      out.append(text_, run, pos_ - run);
+      const std::size_t run =
+          json_plain_run(std::string_view(text_).substr(pos_));
+      out.append(text_, pos_, run);
+      pos_ += run;
       if (pos_ >= text_.size()) break;
       const char c = text_[pos_++];
       if (c == '"') return out;
@@ -336,9 +367,14 @@ double JsonValue::as_double() const {
   return double_;
 }
 
-const std::string& JsonValue::as_string() const {
+const std::string& JsonValue::as_string() const& {
   if (kind_ != Kind::String) throw std::runtime_error("json: not a string");
   return string_;
+}
+
+std::string JsonValue::as_string() && {
+  if (kind_ != Kind::String) throw std::runtime_error("json: not a string");
+  return std::exchange(string_, {});
 }
 
 const JsonValue* JsonValue::find(const std::string& key) const noexcept {
@@ -346,6 +382,10 @@ const JsonValue* JsonValue::find(const std::string& key) const noexcept {
   for (const auto& [existing_key, value] : members_)
     if (existing_key == key) return &value;
   return nullptr;
+}
+
+JsonValue* JsonValue::find(const std::string& key) noexcept {
+  return const_cast<JsonValue*>(std::as_const(*this).find(key));
 }
 
 const std::vector<std::pair<std::string, JsonValue>>& JsonValue::members()

@@ -21,6 +21,13 @@ namespace wtam::api {
 /// UTF-8 included — passed through).
 void append_json_string(std::string& out, std::string_view text);
 
+/// How many bytes `text` starts with that a JSON string holds as they
+/// are: the offset of its first '"', '\\' or byte below 0x20, or its size
+/// when it has none. Tests eight bytes a step and never reads past the
+/// end; the parser, the writer and the router's line check scan string
+/// bodies with it.
+[[nodiscard]] std::size_t json_plain_run(std::string_view text) noexcept;
+
 class JsonValue {
  public:
   enum class Kind { Null, Bool, Int, Double, String, Object, Array };
@@ -62,10 +69,13 @@ class JsonValue {
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] std::int64_t as_int() const;
   [[nodiscard]] double as_double() const;
-  [[nodiscard]] const std::string& as_string() const;
+  [[nodiscard]] const std::string& as_string() const&;
+  /// The string moved out of an expiring value, which keeps an empty one.
+  [[nodiscard]] std::string as_string() &&;
 
   /// Object member by key; nullptr when absent (or not an object).
   [[nodiscard]] const JsonValue* find(const std::string& key) const noexcept;
+  [[nodiscard]] JsonValue* find(const std::string& key) noexcept;
   /// Object members in insertion order. Throws on non-objects.
   [[nodiscard]] const std::vector<std::pair<std::string, JsonValue>>& members()
       const;

@@ -56,6 +56,17 @@ ReadStatus LineReader::read_line(std::string& line) {
   }
 }
 
+bool LineReader::has_line() {
+  // Whatever this search passes over is newline-free, so read_line's
+  // search starts where this one stopped.
+  const char* const data = buffer_.data();
+  const void* found = std::memchr(data + scanned_, '\n', end_ - scanned_);
+  scanned_ = found == nullptr ? end_
+                              : static_cast<std::size_t>(
+                                    static_cast<const char*>(found) - data);
+  return found != nullptr;
+}
+
 bool LineReader::fill() {
   if (begin_ != 0) {
     std::memmove(buffer_.data(), buffer_.data() + begin_, end_ - begin_);
@@ -94,20 +105,34 @@ LineWriter::LineWriter(int fd) : fd_(fd) {
 }
 
 bool LineWriter::write_line(std::string_view line) {
-  std::string frame;
-  frame.reserve(line.size() + 1);
-  frame.append(line);
-  frame.push_back('\n');
-
   const MutexLock lock(mutex_);
-  for (std::size_t written = 0; open_ && written < frame.size();) {
+  queued_.append(line);
+  queued_ += '\n';
+  return send_queued();
+}
+
+void LineWriter::queue_line(std::string_view line) {
+  const MutexLock lock(mutex_);
+  if (!open_) return;
+  queued_.append(line);
+  queued_ += '\n';
+}
+
+bool LineWriter::flush() {
+  const MutexLock lock(mutex_);
+  return send_queued();
+}
+
+bool LineWriter::send_queued() {
+  for (std::size_t written = 0; open_ && written < queued_.size();) {
     const ssize_t n =
-        ::write(fd_, frame.data() + written, frame.size() - written);
+        ::write(fd_, queued_.data() + written, queued_.size() - written);
     if (n > 0)
       written += static_cast<std::size_t>(n);
     else if (n == 0 || errno != EINTR)
       open_ = false;  // EPIPE (the peer is gone) or an I/O error
   }
+  queued_.clear();
   return open_;
 }
 

@@ -3,6 +3,10 @@
 // pipes, net::Connection sockets, and the stdin/stdout of wtam_serve and
 // wtam_router. Both use only read, write and poll, so pipes, sockets and
 // terminals frame alike; socket calls such as shutdown stay in src/net/.
+// This file holds the tree's only read and write calls on a stream
+// (tools/wtam_lint.py's raw-fd-io rule), so every hop goes through the
+// writer's queue: a reading loop queues what one read burst produced and
+// flushes it in one write once has_line() says the burst is used up.
 
 #pragma once
 
@@ -45,6 +49,11 @@ class LineReader {
   /// Eof every call returns Eof. One thread at a time.
   [[nodiscard]] ReadStatus read_line(std::string& line);
 
+  /// True when a whole line is already buffered, so the next read_line
+  /// returns without reading: what a reading loop asks before it
+  /// flushes. Never reads; one thread at a time, with read_line.
+  [[nodiscard]] bool has_line();
+
  private:
   /// Compacts the buffer and appends one read's bytes; false at end of
   /// stream, on a read error, or on a wake.
@@ -61,9 +70,11 @@ class LineReader {
   bool too_long_ = false;    // dropping an over-long line up to its newline
 };
 
-/// Writes whole lines to one descriptor from any thread. SIGPIPE is
-/// ignored process-wide when the first writer is made, so a peer that
-/// hangs up shows as a failed write.
+/// Writes whole lines to one descriptor from any thread. Lines can also
+/// wait in a queue that the next write_line or flush sends first, in
+/// order, so a burst of lines leaves in one write. SIGPIPE is ignored
+/// process-wide when the first writer is made, so a peer that hangs up
+/// shows as a failed write.
 class LineWriter {
  public:
   /// Writes to `fd`, which stays the caller's to close.
@@ -72,10 +83,18 @@ class LineWriter {
   LineWriter(const LineWriter&) = delete;
   LineWriter& operator=(const LineWriter&) = delete;
 
-  /// Writes `line` plus '\n' whole, never interleaved with another
-  /// thread's line; EINTR is retried. False once a write has failed (the
-  /// peer is gone) or release() has run.
+  /// Writes the queued lines, then `line` plus '\n', in one write, never
+  /// interleaved with another thread's line; EINTR is retried. False
+  /// once a write has failed (the peer is gone) or release() has run.
   bool write_line(std::string_view line);
+
+  /// Appends `line` plus '\n' to the queue without writing. The caller
+  /// must flush before it blocks, so no line waits for a later one.
+  void queue_line(std::string_view line);
+
+  /// Writes every queued line in one write; no write when none is
+  /// queued. Returns as write_line does.
+  bool flush();
 
   /// Ends writing: waits out a write in progress and fails every later
   /// one. Returns the descriptor on the first call, for the caller to
@@ -83,9 +102,13 @@ class LineWriter {
   [[nodiscard]] int release();
 
  private:
+  /// Writes and empties the queue.
+  bool send_queued() WTAM_REQUIRES(mutex_);
+
   Mutex mutex_;
   int fd_ WTAM_GUARDED_BY(mutex_);
   bool open_ WTAM_GUARDED_BY(mutex_) = true;
+  std::string queued_ WTAM_GUARDED_BY(mutex_);  // whole lines, newlines kept
 };
 
 }  // namespace wtam::common

@@ -77,6 +77,7 @@ Subprocess::Subprocess(std::vector<std::string> argv) {
     // Exec failed: ship errno to the parent and die without running any
     // of the parent's atexit machinery.
     const int error = errno;
+    // wtam-lint: allow(raw-fd-io) — the exec status int, not a line
     ssize_t ignored = ::write(status_pipe[1], &error, sizeof(error));
     (void)ignored;
     ::_exit(127);
@@ -91,6 +92,7 @@ Subprocess::Subprocess(std::vector<std::string> argv) {
   int exec_errno = 0;
   ssize_t n = 0;
   do {
+    // wtam-lint: allow(raw-fd-io) — the exec status int, not a line
     n = ::read(status_pipe[0], &exec_errno, sizeof(exec_errno));
   } while (n < 0 && errno == EINTR);
   close_quietly(status_pipe[0]);
@@ -124,6 +126,14 @@ Subprocess::~Subprocess() {
 bool Subprocess::write_line(std::string_view line) {
   return stdin_->write_line(line);
 }
+
+void Subprocess::queue_line(std::string_view line) {
+  stdin_->queue_line(line);
+}
+
+bool Subprocess::flush() { return stdin_->flush(); }
+
+bool Subprocess::has_line() { return stdout_->has_line(); }
 
 std::optional<std::string> Subprocess::read_line() {
   std::string line;

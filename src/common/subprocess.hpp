@@ -12,9 +12,9 @@
 //
 // Concurrency contract (matches the router's one-writer/one-reader
 // shape):
-//   * write_line is safe from any thread (common::LineWriter: whole
-//     lines, EINTR-retried, and a dead child yields a false return, not
-//     a SIGPIPE);
+//   * write_line, queue_line and flush are safe from any thread
+//     (common::LineWriter: whole lines, EINTR-retried, and a dead child
+//     yields a false return, not a SIGPIPE);
 //   * read_line must be called by at most ONE thread at a time — it is
 //     the reader thread's blocking loop over a common::LineReader;
 //   * running()/kill()/wait() are safe from any thread (child state is
@@ -59,12 +59,22 @@ class Subprocess {
   /// decides whether that is a crash (router: respawn) or a shutdown.
   bool write_line(std::string_view line);
 
+  /// Queues `line` for the next write_line or flush (see
+  /// common::LineWriter); any thread.
+  void queue_line(std::string_view line);
+  /// Writes every queued line in one write; false as write_line.
+  bool flush();
+
   /// Blocking read of the next newline-terminated line (the newline is
   /// stripped; a final unterminated line is returned as-is). A line over
   /// kDefaultMaxLineBytes comes back empty, its bytes dropped through its
   /// newline. nullopt on EOF — the child closed stdout, almost always by
   /// exiting. Single reader only; see the concurrency contract above.
   [[nodiscard]] std::optional<std::string> read_line();
+
+  /// True when the next read_line returns a line without reading
+  /// (common::LineReader::has_line). The reader thread's alone.
+  [[nodiscard]] bool has_line();
 
   /// Closes the child's stdin — the NDJSON idiom for "no more requests"
   /// (wtam_serve treats EOF as drain-and-exit). Idempotent.

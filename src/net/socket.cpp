@@ -94,9 +94,17 @@ bool Connection::write_line(std::string_view line) {
   return writer_.write_line(line);
 }
 
+void Connection::queue_line(std::string_view line) {
+  writer_.queue_line(line);
+}
+
+bool Connection::flush() { return writer_.flush(); }
+
 ReadStatus Connection::read_line(std::string& line) {
   return reader_.read_line(line);
 }
+
+bool Connection::has_line() { return reader_.has_line(); }
 
 void Connection::shutdown_write() {
   if (writer_.release() >= 0) ::shutdown(fd_, SHUT_WR);
@@ -193,6 +201,7 @@ void Listener::stop() {
     stopped_ = true;
   }
   const char byte = 'x';
+  // wtam-lint: allow(raw-fd-io) — one wake byte for accept's poll
   ssize_t ignored = ::write(wake_write_, &byte, 1);
   (void)ignored;
 }

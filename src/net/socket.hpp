@@ -13,11 +13,12 @@
 //     thread) unblocks it deterministically; port 0 binds an ephemeral
 //     port reported by local_endpoint().
 //
-// Concurrency contract (same shape as Subprocess): write_line from any
-// thread; read_line from at most one thread at a time; shutdown_both /
-// the destructor from any thread — shutdown_both() forces a blocked
-// reader to see Eof (close() alone would not unblock it), which is how
-// the router severs a remote worker it has declared dead.
+// Concurrency contract (same shape as Subprocess): write_line,
+// queue_line and flush from any thread; read_line and has_line from at
+// most one thread at a time; shutdown_both / the destructor from any
+// thread — shutdown_both() forces a blocked reader to see Eof (close()
+// alone would not unblock it), which is how the router severs a remote
+// worker it has declared dead.
 
 #pragma once
 
@@ -63,10 +64,20 @@ class Connection {
   /// connection was shut down.
   bool write_line(std::string_view line);
 
+  /// Queues `line` for the next write_line or flush (see
+  /// common::LineWriter); any thread.
+  void queue_line(std::string_view line);
+  /// Writes every queued line in one send; false as write_line.
+  bool flush();
+
   /// Blocking read of the next frame into `line`, as
   /// common::LineReader::read_line: TooLong resyncs past an overlong
   /// frame. Single reader only; see the concurrency contract above.
   [[nodiscard]] ReadStatus read_line(std::string& line);
+
+  /// True when the next read_line returns without reading
+  /// (common::LineReader::has_line). The reader's alone.
+  [[nodiscard]] bool has_line();
 
   /// Half-close: no more writes from this side (the socket analogue of
   /// Subprocess::close_stdin — wtam_serve treats it as client EOF).

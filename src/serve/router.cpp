@@ -1,5 +1,6 @@
 #include "serve/router.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <optional>
@@ -138,16 +139,16 @@ std::string routed_line(std::uint64_t seq, const std::string& line,
 /// replay answers the job, rather than reach the client.
 bool whole_object(std::string_view line) {
   int depth = 0;
-  bool in_string = false;
   for (std::size_t i = 0; i < line.size(); ++i) {
     const char c = line[i];
-    if (in_string) {
-      if (c == '\\')
-        ++i;
-      else if (c == '"')
-        in_string = false;
-    } else if (c == '"') {
-      in_string = true;
+    if (c == '"') {
+      // A string body: its plain runs skipped a word at a time, an escape
+      // with the byte it escapes, up to the quote that closes it.
+      for (++i; i < line.size(); ++i) {
+        i += api::json_plain_run(line.substr(i));
+        if (i == line.size() || line[i] == '"') break;
+        if (line[i] == '\\') ++i;
+      }
     } else if (c == '{' || c == '[') {
       ++depth;
     } else if ((c == '}' || c == ']') && --depth == 0) {
@@ -227,10 +228,11 @@ struct Router::Slot {
   std::thread reader;
 };
 
-Router::Router(RouterOptions options, Sink sink, Diag diag)
+Router::Router(RouterOptions options, Sink sink, Diag diag, Flush flush)
     : options_(std::move(options)),
       sink_(std::move(sink)),
-      diag_(std::move(diag)) {
+      diag_(std::move(diag)),
+      flush_(std::move(flush)) {
   if (options_.workers.empty())
     throw std::invalid_argument("router needs at least one worker");
   slots_.reserve(options_.workers.size());
@@ -285,12 +287,18 @@ void Router::emit_raw(const std::string& line) {
   if (sink_) sink_(line);
 }
 
+void Router::flush_sink() {
+  const common::MutexLock lock(sink_mutex_);
+  if (flush_) flush_();
+}
+
 void Router::note(const std::string& message) {
   const common::MutexLock lock(sink_mutex_);
   if (diag_) diag_(message);
 }
 
-std::size_t Router::shard_for(const api::JsonValue& value) const {
+std::size_t Router::shard_for(const std::string& line,
+                              api::JsonValue&& value) const {
   // Route by cache identity so resubmissions hit the worker that cached
   // them: the job's first RequestKey (a sweep's lowest width) hashes to
   // a worker. Jobs whose key cannot be computed still route
@@ -303,17 +311,36 @@ std::size_t Router::shard_for(const api::JsonValue& value) const {
   }
   try {
     const std::vector<api::RequestKey> keys =
-        api::request_keys(api::job_from_json(value));
+        api::request_keys(api::job_from_json(std::move(value)));
     if (!keys.empty())
       return static_cast<std::size_t>(keys.front().hash()) % count;
   } catch (const std::exception&) {
+    // No key: the job routes by the hash below instead.
   }
+  // `value` may have given up its SOC text; the line still holds it.
   return static_cast<std::size_t>(
-             common::stable_hash_128(value.dump_compact_string()).word()) %
+             common::stable_hash_128(
+                 api::JsonValue::parse(line).dump_compact_string())
+                 .word()) %
          count;
 }
 
-bool Router::handle_line(const std::string& line) {
+bool Router::handle_line(const std::string& line, bool batched) {
+  const bool more = process_line(line);
+  if (!batched) flush();
+  return more;
+}
+
+void Router::flush() {
+  // A link that died since its lines were queued fails here; its jobs
+  // stay pending, and the reader's respawn replays them.
+  for (const std::shared_ptr<WorkerLink>& link : unflushed_)
+    (void)link->flush();
+  unflushed_.clear();
+  flush_sink();
+}
+
+bool Router::process_line(const std::string& line) {
   api::JsonValue value;
   std::vector<api::JsonValue::MemberSpan> members;
   try {
@@ -329,9 +356,13 @@ bool Router::handle_line(const std::string& line) {
 
   const api::JsonValue* op = value.find("op");
   if (op == nullptr) {
-    route_job(line, value, members);
+    route_job(line, std::move(value), members);
     return true;
   }
+
+  // A verb may wait on the fleet (a broadcast, a drain, a respawn), so
+  // the lines queued before it go out first.
+  flush();
 
   std::string verb;
   try {
@@ -515,7 +546,7 @@ bool Router::handle_line(const std::string& line) {
 }
 
 void Router::route_job(
-    const std::string& line, const api::JsonValue& value,
+    const std::string& line, api::JsonValue&& value,
     const std::vector<api::JsonValue::MemberSpan>& members) {
   // The client's id member, found by its parsed key, so an escaped
   // spelling such as "\u0069d" is the id too.
@@ -530,7 +561,7 @@ void Router::route_job(
     }
     client_id = fields[id].second.as_string();
   }
-  const std::size_t worker = shard_for(value);
+  const std::size_t worker = shard_for(line, std::move(value));
 
   // The wire line leads with the internal id, so every job response
   // leads with it too (result_to_json and the workers' error objects
@@ -570,9 +601,14 @@ void Router::route_job(
                                  "routed; not forwarded"));
     return;
   }
-  // A failed write means the worker just died: the job stays pending and
-  // the reader's respawn replays it, so nothing is lost here.
-  if (link) (void)link->write_line(wire_line);
+  // Sent by the next flush(). A failed write means the worker just died:
+  // the job stays pending and the reader's respawn replays it, so
+  // nothing is lost here.
+  if (!link) return;
+  link->queue_line(wire_line);
+  if (std::find(unflushed_.begin(), unflushed_.end(), link) ==
+      unflushed_.end())
+    unflushed_.push_back(std::move(link));
 }
 
 std::vector<api::JsonValue> Router::broadcast(const std::string& line) {
@@ -674,7 +710,20 @@ void Router::handle_worker_line(std::size_t index, const std::string& line) {
   try {
     value = api::JsonValue::parse(line);
   } catch (const std::exception&) {
+    // A worker that owes the broadcast an ack and sends a line that does
+    // not parse (an over-bound frame reads as an empty one) has broken
+    // its ack: the slot gets an error, so the broadcast ends and counts
+    // it in "worker_errors". Any other such line is an orphan.
     const common::MutexLock lock(mutex_);
+    if (op_active_ && !op_filled_[index]) {
+      op_filled_[index] = true;
+      op_responses_[index] = error_answer(
+          {}, "worker " + std::to_string(index) + " sent an ack that does "
+              "not parse");
+      --op_remaining_;
+      op_cv_.notify_all();
+      return;
+    }
     ++counters_.orphaned;
     return;
   }
@@ -715,6 +764,7 @@ void Router::reader_loop(std::size_t index) {
 
     if (const std::optional<std::string> line = link->read_line()) {
       handle_worker_line(index, *line);
+      if (!link->has_line()) flush_sink();
       continue;
     }
 
@@ -765,6 +815,7 @@ void Router::reader_loop(std::size_t index) {
       for (const std::string& client_id : failed)
         emit(error_answer(client_id,
                           "worker lost and not respawnable; resubmit"));
+      flush_sink();
       return;
     }
 

@@ -48,7 +48,8 @@
 //     buckets, so fleet percentiles are exact — and render through the
 //     same obs functions wtam_serve uses, as JSON or, with "format":
 //     "prometheus", as Prometheus text in a "body" field. A worker
-//     whose ack does not parse (an older worker without buckets) is
+//     whose ack does not parse (an older worker without buckets, or an
+//     ack over the line-length bound, which reads as an empty line) is
 //     counted in "worker_errors". A fanned-out op's "id" is not
 //     forwarded; the merged answer leads with it instead (a worker
 //     answer leading with an id would read as a job response).
@@ -68,7 +69,11 @@
 // Reader threads deliver worker output concurrently and the health
 // thread ticks on its own cadence; all shared state sits under one
 // mutex and the sink is serialized by its own lock, so sink lines never
-// interleave.
+// interleave. Writes batch per read burst: job lines the stdin loop
+// reads in one burst queue on their worker links until flush(), and the
+// answers a reader thread reads in one burst queue on the sink until
+// that reader has no whole line left. Broadcasts, pings and replays
+// write at once, and no write happens under the mutex.
 
 #pragma once
 
@@ -130,10 +135,15 @@ class Router {
   using Sink = std::function<void(const std::string&)>;
   /// Human-readable notices (worker died/respawned); may be empty.
   using Diag = std::function<void(const std::string&)>;
+  /// Sends what the sink has queued. Given one, the sink may queue: the
+  /// router calls it, serialized with the sink, from flush(), from a
+  /// reader thread whose worker has no whole line left, and after the
+  /// answers a failed respawn makes.
+  using Flush = std::function<void()>;
 
   /// Spawns/connects every worker and starts its reader. Throws if a
   /// worker cannot be reached (the fleet is all-or-nothing at boot).
-  Router(RouterOptions options, Sink sink, Diag diag = {});
+  Router(RouterOptions options, Sink sink, Diag diag = {}, Flush flush = {});
 
   /// Severs any still-running workers and joins the readers. Prefer a
   /// clean shutdown() first; the destructor is the crash path.
@@ -144,8 +154,17 @@ class Router {
 
   /// Processes one client request line. Returns false once a shutdown
   /// verb has been fully processed (ack emitted, workers exited) —
-  /// the caller stops reading.
-  [[nodiscard]] bool handle_line(const std::string& line);
+  /// the caller stops reading. The line's writes go out before it
+  /// returns, unless `batched`: then they may wait for flush(), which
+  /// the caller must run before it blocks. A control verb flushes
+  /// first either way.
+  [[nodiscard]] bool handle_line(const std::string& line,
+                                 bool batched = false);
+
+  /// Sends what handle_line has queued: one write per worker link that
+  /// has job lines waiting, then the sink's flush. The handle_line
+  /// caller's.
+  void flush();
 
   /// EOF path: drains and stops the fleet exactly like the shutdown
   /// verb but emits no ack line. Idempotent.
@@ -168,8 +187,12 @@ class Router {
   void reader_loop(std::size_t index);
   void health_loop();
   void handle_worker_line(std::size_t index, const std::string& line);
+  /// handle_line less its final flush.
+  [[nodiscard]] bool process_line(const std::string& line);
   void emit(const api::JsonValue& value);
   void emit_raw(const std::string& line);
+  /// Runs the sink's flush, serialized with the sink.
+  void flush_sink();
   void note(const std::string& message);
 
   /// Writes `line` to every worker and blocks until each has produced
@@ -179,16 +202,24 @@ class Router {
       const std::string& line);
 
   /// Routes one parsed job `line`; `members` are its top-level member
-  /// spans, from which the wire line is spliced.
-  void route_job(const std::string& line, const api::JsonValue& value,
+  /// spans, from which the wire line is spliced. The wire line is queued
+  /// on its worker link for flush().
+  void route_job(const std::string& line, api::JsonValue&& value,
                  const std::vector<api::JsonValue::MemberSpan>& members);
-  [[nodiscard]] std::size_t shard_for(const api::JsonValue& value) const;
+  /// The worker for job `line`, parsed as `value`, whose SOC text it
+  /// takes.
+  [[nodiscard]] std::size_t shard_for(const std::string& line,
+                                      api::JsonValue&& value) const;
   void handle_resize(const api::JsonValue& value);
   void stop_fleet_for_shutdown();
 
   RouterOptions options_;
   Sink sink_;
   Diag diag_;
+  Flush flush_;
+  /// Links with job lines queued since the last flush(); the
+  /// handle_line caller's alone.
+  std::vector<std::shared_ptr<WorkerLink>> unflushed_;
 
   mutable common::Mutex mutex_;
   common::CondVar op_cv_;

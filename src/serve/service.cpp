@@ -279,13 +279,14 @@ void Service::write_error(const Sink& sink, const std::string& id,
 
 Service::Action Service::handle_line(const std::string& line,
                                      std::uint64_t line_number,
-                                     const Sink& sink) {
+                                     const Sink& sink, const Flush& flush) {
   if (line.empty()) return Action::Continue;
 
-  // Each line is parsed exactly once; control verbs and jobs the cache
-  // already stores run inline on the transport thread, and only jobs
-  // that need an engine go to the pool, so the transport keeps accepting
-  // while engines run.
+  // Each line is parsed once (a job the parser takes but job_from_json
+  // refuses is parsed again, for its id); control verbs and jobs the
+  // cache already stores run inline on the transport thread, and only
+  // jobs that need an engine go to the pool, so the transport keeps
+  // accepting while engines run.
   api::JsonValue value;
   try {
     value = api::JsonValue::parse(line);
@@ -296,6 +297,9 @@ Service::Action Service::handle_line(const std::string& line,
   }
 
   if (const api::JsonValue* op = value.find("op")) {
+    // A verb may wait (a drain, a save), so the answers queued before it
+    // go out first.
+    if (flush) flush();
     try {
       return handle_op(value, op->as_string(), sink);
     } catch (const std::exception& e) {
@@ -307,9 +311,10 @@ Service::Action Service::handle_line(const std::string& line,
 
   api::SolveRequest request;
   try {
-    request = api::job_from_json(value);
+    request = api::job_from_json(std::move(value));
   } catch (const std::exception& e) {
-    write_error(sink, salvage_id(value),
+    // `value` may have given up its text; the line still holds the id.
+    write_error(sink, salvage_id(api::JsonValue::parse(line)),
                 "line " + std::to_string(line_number) + ": " + e.what());
     return Action::Continue;
   }
@@ -324,7 +329,7 @@ Service::Action Service::handle_line(const std::string& line,
     registry.counter("serve.jobs_accepted").increment();
     if (request.id.empty()) stored->id = "job-" + std::to_string(job_number);
     accounting_->job_started();
-    finish_job(*stored, started, sink);
+    finish_job(*stored, started, sink, {});  // the reading loop flushes
     return Action::Continue;
   }
 
@@ -340,12 +345,13 @@ Service::Action Service::handle_line(const std::string& line,
   }
   registry.counter("serve.jobs_accepted").increment();
   if (request.id.empty()) request.id = "job-" + std::to_string(job_number);
-  submit_job(std::move(request), sink);
+  submit_job(std::move(request), sink, flush);
   return Action::Continue;
 }
 
-void Service::submit_job(api::SolveRequest request, const Sink& sink) {
-  pool_->submit([this, request = std::move(request), sink,
+void Service::submit_job(api::SolveRequest request, const Sink& sink,
+                         const Flush& flush) {
+  pool_->submit([this, request = std::move(request), sink, flush,
                  queued = common::Stopwatch()] {
     accounting_->job_started();
     const std::int64_t queue_ns = queued.elapsed_ns();  // accept -> pickup
@@ -361,13 +367,15 @@ void Service::submit_job(api::SolveRequest request, const Sink& sink) {
           break;
         }
     }
-    finish_job(result, queued, sink);
+    finish_job(result, queued, sink, flush);  // off the reading loop
   });
 }
 
 void Service::finish_job(const api::SolveResult& result,
-                         const common::Stopwatch& since, const Sink& sink) {
+                         const common::Stopwatch& since, const Sink& sink,
+                         const Flush& flush) {
   sink(bounded_answer(api::result_to_json(result, write_options_)));
+  if (flush) flush();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
   registry.histogram("serve.job_ns").record_ns(since.elapsed_ns());
   registry.counter("serve.jobs_completed").increment();

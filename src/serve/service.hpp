@@ -74,6 +74,8 @@ class Service {
   /// from handle_line's thread and from pool workers, possibly
   /// concurrently — implementations serialize internally.
   using Sink = std::function<void(const std::string&)>;
+  /// Sends the lines a Sink has queued (see handle_line).
+  using Flush = std::function<void()>;
   /// Human-readable operational notices (warm boot, failed saves); the
   /// tool routes these to stderr. May be empty.
   using Diag = std::function<void(const std::string&)>;
@@ -95,10 +97,14 @@ class Service {
   Service& operator=(const Service&) = delete;
 
   /// Processes one request line. `line_number` is the caller's per-
-  /// stream counter, echoed in parse-error messages. Thread-safe.
+  /// stream counter, echoed in parse-error messages. Thread-safe. Given
+  /// a `flush`, `sink` may queue lines until it runs: handle_line runs
+  /// it before any control verb and after each answer a pool thread
+  /// makes, and the caller's reading loop once it has no whole line
+  /// left (serve_lines). Without one, `sink` must write at once.
   [[nodiscard]] Action handle_line(const std::string& line,
                                    std::uint64_t line_number,
-                                   const Sink& sink);
+                                   const Sink& sink, const Flush& flush = {});
 
   /// The EOF / signal path: blocks until no job is in flight, then saves
   /// the cache file (when configured). Emits no ack line. Idempotent.
@@ -120,11 +126,14 @@ class Service {
   /// Handles a parsed control verb; returns the action for the caller.
   [[nodiscard]] Action handle_op(const api::JsonValue& value,
                                  const std::string& verb, const Sink& sink);
-  void submit_job(api::SolveRequest request, const Sink& sink);
-  /// Answers an accepted, started job and counts it completed; `since`
-  /// started when the job did, for serve.job_ns.
+  void submit_job(api::SolveRequest request, const Sink& sink,
+                  const Flush& flush);
+  /// Answers an accepted, started job, flushed when `flush` is set, and
+  /// counts it completed; `since` started when the job did, for
+  /// serve.job_ns.
   void finish_job(const api::SolveResult& result,
-                  const common::Stopwatch& since, const Sink& sink);
+                  const common::Stopwatch& since, const Sink& sink,
+                  const Flush& flush);
 
   ServiceOptions options_;
   Diag diag_;
@@ -142,15 +151,22 @@ class Service {
 /// a net::Connection — and passes each to `handle(line, line_number)`,
 /// which returns false to stop. A line over the framing bound is
 /// answered through `sink` with a fixed error, and reading resumes at the
-/// next newline. Returns true when `handle` stopped the loop, false when
-/// the stream ended.
-template <class Stream, class Handle>
-bool serve_lines(Stream& in, const Service::Sink& sink, Handle handle) {
+/// next newline. `flush()` runs whenever the stream has no whole line
+/// left and when `handle` stops the loop, so what one read burst
+/// produced can leave in one write per destination and nothing waits
+/// for a later read. Returns true when `handle` stopped the loop, false
+/// when the stream ended.
+template <class Stream, class Flush, class Handle>
+bool serve_lines(Stream& in, const Service::Sink& sink, const Flush& flush,
+                 Handle handle) {
   std::string line;
   for (std::uint64_t line_number = 1;; ++line_number) {
     switch (in.read_line(line)) {
       case common::ReadStatus::Line:
-        if (!handle(line, line_number)) return true;
+        if (!handle(line, line_number)) {
+          flush();
+          return true;
+        }
         break;
       case common::ReadStatus::TooLong:
         sink(bounded_answer(
@@ -159,8 +175,9 @@ bool serve_lines(Stream& in, const Service::Sink& sink, Handle handle) {
                                  "resynced at the next newline")));
         break;
       case common::ReadStatus::Eof:
-        return false;
+        return false;  // the last line's flush left nothing queued
     }
+    if (!in.has_line()) flush();
   }
 }
 

@@ -36,9 +36,14 @@ class SubprocessLink final : public WorkerLink {
   bool write_line(std::string_view line) override {
     return process_.write_line(line);
   }
+  void queue_line(std::string_view line) override {
+    process_.queue_line(line);
+  }
+  bool flush() override { return process_.flush(); }
   std::optional<std::string> read_line() override {
     return process_.read_line();
   }
+  bool has_line() override { return process_.has_line(); }
   void close_input() override { process_.close_stdin(); }
   void sever() override { process_.kill(); }
   void finish() override { (void)process_.wait(); }
@@ -55,12 +60,17 @@ class SocketLink final : public WorkerLink {
   bool write_line(std::string_view line) override {
     return connection_->write_line(line);
   }
+  void queue_line(std::string_view line) override {
+    connection_->queue_line(line);
+  }
+  bool flush() override { return connection_->flush(); }
   std::optional<std::string> read_line() override {
     std::string line;  // left empty by a TooLong frame, as a pipe's is
     if (connection_->read_line(line) == net::ReadStatus::Eof)
       return std::nullopt;
     return line;
   }
+  bool has_line() override { return connection_->has_line(); }
   void close_input() override { connection_->shutdown_write(); }
   void sever() override { connection_->shutdown_both(); }
   void finish() override {}  // the remote process is not ours to reap

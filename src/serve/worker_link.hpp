@@ -49,19 +49,27 @@ struct WorkerSpec {
 };
 
 /// One live channel to a worker. Same threading contract as
-/// common::Subprocess: write_line from any thread, read_line from one
-/// thread, sever()/the destructor from any thread (sever unblocks a
-/// blocked read_line).
+/// common::Subprocess: write_line, queue_line and flush from any thread,
+/// read_line and has_line from one thread, sever()/the destructor from
+/// any thread (sever unblocks a blocked read_line).
 class WorkerLink {
  public:
   virtual ~WorkerLink() = default;
 
-  /// Sends one frame; false when the worker is gone.
+  /// Sends the queued frames, then this one; false when the worker is
+  /// gone.
   virtual bool write_line(std::string_view line) = 0;
+  /// Queues one frame for the next write_line or flush.
+  virtual void queue_line(std::string_view line) = 0;
+  /// Sends every queued frame in one write; false when the worker is
+  /// gone.
+  virtual bool flush() = 0;
   /// Next frame from the worker; nullopt on EOF (worker exited or
   /// connection severed). A frame over common::kDefaultMaxLineBytes
-  /// comes back empty, a line the router counts as orphaned.
+  /// comes back empty, a line that does not parse.
   [[nodiscard]] virtual std::optional<std::string> read_line() = 0;
+  /// True when read_line returns a frame without reading.
+  [[nodiscard]] virtual bool has_line() = 0;
   /// Half-close: signals EOF to the worker (a local wtam_serve drains,
   /// saves its cache file, and exits silently). Idempotent.
   virtual void close_input() = 0;

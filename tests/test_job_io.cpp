@@ -2,10 +2,14 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <stdexcept>
+#include <string_view>
+#include <vector>
 
 #include "api/job_io.hpp"
 #include "api/json_value.hpp"
+#include "common/rng.hpp"
 #include "common/timer.hpp"
 
 namespace wtam::api {
@@ -247,6 +251,88 @@ TEST(JsonValue, PrettyWriterBytesArePinned) {
   EXPECT_EQ(JsonValue::object().dump_string(), "{}");
   EXPECT_EQ(JsonValue::array().dump_string(), "[]");
   EXPECT_EQ(JsonValue::number(std::int64_t{-7}).dump_string(), "-7");
+}
+
+// ---- JsonValue: the string scanner ---------------------------------------
+
+/// json_plain_run's definition, a byte at a time.
+std::size_t plain_run_bytewise(std::string_view text) {
+  std::size_t i = 0;
+  for (; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c == '"' || c == '\\' || c < 0x20) break;
+  }
+  return i;
+}
+
+/// The writer's escaping as a byte loop, the form it had before the
+/// word-at-a-time scanner.
+std::string json_string_bytewise(std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out = "\"";
+  for (const char byte : text) {
+    const auto c = static_cast<unsigned char>(byte);
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (c < 0x20)
+          out += std::string("\\u00") + kHex[c >> 4] + kHex[c & 0xF];
+        else
+          out += byte;
+    }
+  }
+  return out + "\"";
+}
+
+TEST(JsonScanner, MatchesTheByteLoopForEveryByteAtEveryOffset) {
+  // Runs of 0-40 plain bytes, drawn from every value that does not end a
+  // run, followed by each of the 256 byte values, with the text at each
+  // offset 0-15 of its buffer. Each buffer ends where the text does, so
+  // under ASan a word load past the end fails the test; the quotes
+  // before the text catch a load before it.
+  common::Rng rng(23);
+  std::vector<char> plain;
+  for (int c = 0x20; c < 0x100; ++c)
+    if (c != '"' && c != '\\') plain.push_back(static_cast<char>(c));
+  const auto last_plain = static_cast<std::int64_t>(plain.size()) - 1;
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t length = 0; length <= 40; ++length) {
+      for (int stop = 0; stop < 256; ++stop) {
+        const std::size_t size = offset + length + 1;
+        const auto buffer = std::make_unique<char[]>(size);
+        for (std::size_t i = 0; i < offset; ++i) buffer[i] = '"';
+        for (std::size_t i = offset; i + 1 < size; ++i)
+          buffer[i] = plain[static_cast<std::size_t>(
+              rng.uniform_int(0, last_plain))];
+        buffer[size - 1] = static_cast<char>(stop);
+        for (const std::size_t end : {size, size - 1}) {
+          const std::string_view text(buffer.get() + offset, end - offset);
+          ASSERT_EQ(json_plain_run(text), plain_run_bytewise(text))
+              << "offset " << offset << ", run " << length << ", byte "
+              << stop << (end == size ? "" : ", cut before it");
+        }
+      }
+    }
+  }
+}
+
+TEST(JsonScanner, EveryByteValueRoundTripsThroughTheWriterAndTheParser) {
+  // Seeded random strings over all 256 byte values: the writer's bytes
+  // match the byte loop's, and the parser gives back the string.
+  common::Rng rng(1024);
+  for (int round = 0; round < 3000; ++round) {
+    std::string text(static_cast<std::size_t>(rng.uniform_int(0, 80)), ' ');
+    for (char& byte : text) byte = static_cast<char>(rng.uniform_int(0, 255));
+    std::string literal;
+    append_json_string(literal, text);
+    ASSERT_EQ(literal, json_string_bytewise(text)) << "round " << round;
+    ASSERT_EQ(JsonValue::parse(literal).as_string(), text)
+        << "round " << round;
+  }
 }
 
 // ---- jobs files -----------------------------------------------------------

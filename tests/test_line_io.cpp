@@ -5,6 +5,8 @@
 // a writer thread; the framer must report the reference's sequence of
 // Line / TooLong / Eof. Every hop (Subprocess pipes, net::Connection,
 // the stdin of wtam_serve and wtam_router) frames through this reader.
+// Then the flush rule's two halves: LineReader::has_line, which tells a
+// reading loop its burst is used up, and LineWriter's queue.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include <poll.h>
 #include <unistd.h>
 
 #include "common/line_io.hpp"
@@ -149,6 +152,68 @@ TEST(LineReader, AWakeEndsTheStreamWithoutThePartialLine) {
   EXPECT_EQ(reader.read_line(line), ReadStatus::Eof);
   EXPECT_EQ(reader.read_line(line), ReadStatus::Eof);
   for (const int fd : {data[0], data[1], wake[0], wake[1]}) ::close(fd);
+}
+
+TEST(LineReader, HasLineSaysWhetherTheNextLineNeedsARead) {
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::pipe(fds), 0);
+  LineReader reader(fds[0]);
+  EXPECT_FALSE(reader.has_line());  // nothing buffered yet
+  ASSERT_EQ(::write(fds[1], "first\nsec", 9), 9);
+  std::string line;
+  ASSERT_EQ(reader.read_line(line), ReadStatus::Line);
+  EXPECT_EQ(line, "first");
+  EXPECT_FALSE(reader.has_line());  // "sec" is a partial line
+  ASSERT_EQ(::write(fds[1], "ond\na\nb\n", 8), 8);
+  EXPECT_FALSE(reader.has_line());  // has_line never reads
+  ASSERT_EQ(reader.read_line(line), ReadStatus::Line);
+  EXPECT_EQ(line, "second");
+  EXPECT_TRUE(reader.has_line());  // the read took "a" and "b" too
+  ASSERT_EQ(reader.read_line(line), ReadStatus::Line);
+  EXPECT_EQ(line, "a");
+  EXPECT_TRUE(reader.has_line());
+  ASSERT_EQ(reader.read_line(line), ReadStatus::Line);
+  EXPECT_EQ(line, "b");
+  EXPECT_FALSE(reader.has_line());
+  for (const int fd : fds) ::close(fd);
+}
+
+/// Whatever `fd` holds right now, read without blocking.
+std::string drain(int fd) {
+  std::string bytes;
+  pollfd ready = {fd, POLLIN, 0};
+  while (::poll(&ready, 1, 0) == 1) {
+    char buffer[256];
+    const ssize_t n = ::read(fd, buffer, sizeof buffer);
+    if (n <= 0) break;
+    bytes.append(buffer, static_cast<std::size_t>(n));
+  }
+  return bytes;
+}
+
+TEST(LineWriter, QueuedLinesWaitForAFlushAndLeaveInOrder) {
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::pipe(fds), 0);
+  LineWriter writer(fds[1]);
+  EXPECT_TRUE(writer.flush());  // nothing queued: nothing written
+  writer.queue_line("one");
+  writer.queue_line("two");
+  EXPECT_EQ(drain(fds[0]), "");
+  EXPECT_TRUE(writer.flush());
+  EXPECT_EQ(drain(fds[0]), "one\ntwo\n");
+  EXPECT_TRUE(writer.flush());
+  EXPECT_EQ(drain(fds[0]), "");
+  // write_line sends what is queued first.
+  writer.queue_line("three");
+  EXPECT_TRUE(writer.write_line("four"));
+  EXPECT_EQ(drain(fds[0]), "three\nfour\n");
+  // After release nothing goes out.
+  writer.queue_line("five");
+  EXPECT_EQ(writer.release(), fds[1]);
+  EXPECT_FALSE(writer.flush());
+  EXPECT_FALSE(writer.write_line("six"));
+  EXPECT_EQ(drain(fds[0]), "");
+  for (const int fd : fds) ::close(fd);
 }
 
 }  // namespace

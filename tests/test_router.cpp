@@ -10,7 +10,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <optional>
 #include <string>
@@ -28,6 +30,7 @@
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_json.hpp"
+#include "one_burst.hpp"
 #include "port_file.hpp"
 #include "serve/router.hpp"
 
@@ -255,7 +258,10 @@ TEST(Router, TornAndLateDuplicateResponsesAreOrphaned) {
   // Each job is answered three times: a torn prefix (what a worker
   // killed mid-write leaves behind), the whole line, and a late
   // duplicate (what a replay can produce). Only the whole line reaches
-  // the client; the other two are counted and dropped.
+  // the client; the other two are counted and dropped. The tags put
+  // braces, escaped quotes and escaped backslashes at every offset of an
+  // 8-byte word, and one ends on an escaped backslash: only a check that
+  // reads each escape right finds where a line's object closes.
   RouterOptions options;
   options.workers.push_back(WorkerSpec::local(
       {"/bin/sh", "-c",
@@ -264,21 +270,23 @@ TEST(Router, TornAndLateDuplicateResponsesAreOrphaned) {
   auto collector = std::make_shared<Collector>();
   Router router(std::move(options),
                 [collector](const std::string& line) { (*collector)(line); });
-  for (const char* id : {"one", "two", "three"}) {
-    std::string line = "{\"id\": \"";
-    line += id;
-    line += "\", \"soc\": \"d695\", \"width\": 16}";
-    EXPECT_TRUE(router.handle_line(line));
-  }
-  ASSERT_TRUE(collector->wait_for(3));
-  for (int i = 0; i < 400 && router.counters().orphaned < 6; ++i)
+  std::vector<std::string> sent;
+  for (const char* id : {"one", "two", "three"})
+    sent.push_back("{\"id\": \"" + std::string(id) +
+                   "\", \"soc\": \"d695\", \"width\": 16}");
+  for (int offset = 0; offset < 16; ++offset)
+    sent.push_back("{\"id\": \"t" + std::to_string(offset) +
+                   "\", \"soc\": \"d695\", \"width\": 16, \"tag\": \"" +
+                   std::string(static_cast<std::size_t>(offset), '}') +
+                   R"(\"{\\\"}]\\\\\")" + std::string(8, '{') +
+                   R"(\\")" + "}");
+  for (const std::string& line : sent) EXPECT_TRUE(router.handle_line(line));
+  ASSERT_TRUE(collector->wait_for(sent.size()));
+  for (int i = 0; i < 400 && router.counters().orphaned < 2 * sent.size();
+       ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(router.counters().orphaned, 6u);
-  const std::vector<std::string> lines = collector->lines();
-  ASSERT_EQ(lines.size(), 3u);
-  EXPECT_EQ(lines[0], R"({"id": "one", "soc": "d695", "width": 16})");
-  EXPECT_EQ(lines[1], R"({"id": "two", "soc": "d695", "width": 16})");
-  EXPECT_EQ(lines[2], R"({"id": "three", "soc": "d695", "width": 16})");
+  EXPECT_EQ(router.counters().orphaned, 2 * sent.size());
+  EXPECT_EQ(collector->lines(), sent);
 }
 
 TEST(Router, OpLineCarryingAnIdStillAnswersTheBroadcast) {
@@ -448,6 +456,56 @@ TEST(Router, MalformedMetricsAckCountsAsAWorkerError) {
     EXPECT_NE(find_line_with_id(collector->lines(), storage, "after"),
               nullptr);
   }
+}
+
+TEST(Router, AnAckOverTheBoundEndsTheBroadcastAsAWorkerError) {
+  // A worker that answers stats with a 9 MiB line: no reader takes it,
+  // so its reader hands the router an empty line. The broadcast must not
+  // wait for an ack that never comes: the worker's slot becomes an error,
+  // counted in worker_errors, and jobs before and after are echoed. A
+  // router that waited anyway is unblocked by killing the worker after
+  // 60 s, which the respawn count then shows.
+  const std::string pid_file = ::testing::TempDir() + "router_big_ack_" +
+                               std::to_string(::getpid());
+  RouterOptions options;
+  options.workers = {
+      WorkerSpec::local(
+          {"/bin/sh", "-c",
+           "echo $$ > '" + pid_file +
+               "'; while IFS= read -r line; do case \"$line\" in "
+               "*'\"op\": \"stats\"'*) head -c 9437184 /dev/zero | "
+               "tr '\\0' x; echo ;; "
+               "*) printf '%s\\n' \"$line\" ;; esac; done"}),
+      WorkerSpec::local(cat_worker())};
+  auto collector = std::make_shared<Collector>();
+  Router router(std::move(options),
+                [collector](const std::string& line) { (*collector)(line); });
+  std::atomic<bool> done{false};
+  std::thread watchdog([&done, &pid_file] {
+    for (int i = 0; i < 1200 && !done.load(); ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    std::ifstream in(pid_file);
+    pid_t pid = 0;
+    if (!done.load() && in >> pid) ::kill(pid, SIGKILL);
+  });
+  for (const char* line :
+       {R"({"id": "before", "soc": "d695", "width": 16})", R"({"op": "stats"})",
+        R"({"id": "after", "soc": "d695", "width": 17})"})
+    EXPECT_TRUE(router.handle_line(line));
+  done.store(true);
+  watchdog.join();
+  std::remove(pid_file.c_str());
+  ASSERT_TRUE(collector->wait_for(3));
+  std::vector<std::string> lines = collector->lines();
+  std::sort(lines.begin(), lines.end());
+  EXPECT_EQ(lines[0], R"({"id": "after", "soc": "d695", "width": 17})");
+  EXPECT_EQ(lines[1], R"({"id": "before", "soc": "d695", "width": 16})");
+  const api::JsonValue merged = api::JsonValue::parse(lines[2]);
+  EXPECT_EQ(merged.find("op")->as_string(), "stats") << lines[2];
+  EXPECT_EQ(merged.find("workers")->as_int(), 2);
+  ASSERT_NE(merged.find("worker_errors"), nullptr) << lines[2];
+  EXPECT_EQ(merged.find("worker_errors")->as_int(), 1);
+  EXPECT_EQ(router.counters().respawns, 0u);
 }
 
 TEST(Router, KillWorkerAcksAfterTheRespawnCompletes) {
@@ -695,6 +753,33 @@ TEST(Router, ResizeRebootsTheFleetAtTheNewSize) {
             nullptr);
 }
 
+TEST(Router, AVerbSendsTheJobLinesQueuedAheadOfIt) {
+  // A batched job line waits in its worker link's queue. The resize after
+  // it drains the fleet, which ends only once that job is answered, so
+  // the verb must send the queue first; left queued, the job times the
+  // drain out and the resize fails.
+  RouterOptions options = cat_fleet(2);
+  options.fleet_factory = [](std::size_t count) {
+    return std::vector<WorkerSpec>(count, WorkerSpec::local(cat_worker()));
+  };
+  auto collector = std::make_shared<Collector>();
+  Router router(std::move(options),
+                [collector](const std::string& line) { (*collector)(line); });
+  EXPECT_TRUE(router.handle_line(
+      R"({"id": "queued", "soc": "d695", "width": 16})", /*batched=*/true));
+  EXPECT_TRUE(router.handle_line(R"({"op": "resize", "workers": 1})",
+                                 /*batched=*/true));
+  router.flush();
+  ASSERT_TRUE(collector->wait_for(2));
+  std::vector<std::string> lines = collector->lines();
+  std::sort(lines.begin(), lines.end());
+  EXPECT_EQ(lines[0], R"({"id": "queued", "soc": "d695", "width": 16})");
+  const api::JsonValue ack = api::JsonValue::parse(lines[1]);
+  EXPECT_EQ(ack.find("op")->as_string(), "resize") << lines[1];
+  EXPECT_TRUE(ack.find("ok")->as_bool()) << lines[1];
+  EXPECT_EQ(router.workers(), 1);
+}
+
 // ---- real wtam_serve workers -----------------------------------------------
 
 TEST(RouterFleet, LinesOverTheBoundAreAnsweredOnceOnPipesAndTcp) {
@@ -836,6 +921,19 @@ TEST(RouterBinary, BulkStdinAnswersEveryIdExactlyOnce) {
   EXPECT_EQ(duplicated, 0);
 }
 
+TEST(RouterBinary, BurstsAreAnsweredWithStdinHeldOpen) {
+  // The router's stdin loop queues a burst's job lines per worker and
+  // its reader threads queue the workers' answers: with stdin held open
+  // after each one-write() burst, every queue must be sent before its
+  // loop blocks. The stats verb sends the job lines queued ahead of it.
+  common::Subprocess router({WTAM_ROUTER_BINARY, "--quiet", "--workers", "2",
+                             "--serve", WTAM_SERVE_BINARY});
+  test_support::expect_bursts_answered(router);
+  router.close_stdin();
+  const int status = router.wait();
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+}
+
 TEST(RouterBinary, StdinLineOverTheBoundIsAnsweredAndReadingGoesOn) {
   // Router stdin is bounded like every other hop: the 9 MiB line is
   // answered with the framing error and never forwarded, and the next
@@ -869,24 +967,19 @@ TEST(RouterBinary, WorkerErrorsOverTheBoundAreAnsweredOnce) {
   const std::string job = "{\"" + std::string(bound - 18, 'k') + "\":0}";
   common::Subprocess router({WTAM_ROUTER_BINARY, "--quiet", "--workers", "1",
                              "--serve", WTAM_SERVE_BINARY});
-  // A lost answer leaves the router waiting for it forever, no longer
-  // reading stdin: the watchdog then kills it, so the test fails on the
-  // missing lines instead of hanging.
-  std::atomic<bool> done{false};
-  std::thread watchdog([&router, &done] {
-    for (int i = 0; i < 1200 && !done.load(); ++i)
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    if (!done.load()) router.kill();
-  });
-  EXPECT_TRUE(router.write_line(op));
-  EXPECT_TRUE(router.write_line(job));
-  EXPECT_TRUE(router.write_line(R"({"op": "ping", "seq": 7})"));
-  router.close_stdin();
   std::vector<std::string> lines;
-  while (const std::optional<std::string> line = router.read_line())
-    lines.push_back(line->substr(0, 120));  // cut short
-  done.store(true);
-  watchdog.join();
+  {
+    // A lost answer leaves the router waiting for it forever, no longer
+    // reading stdin: the watchdog then kills it, so the test fails on
+    // the missing lines instead of hanging.
+    const test_support::Watchdog watchdog(router);
+    EXPECT_TRUE(router.write_line(op));
+    EXPECT_TRUE(router.write_line(job));
+    EXPECT_TRUE(router.write_line(R"({"op": "ping", "seq": 7})"));
+    router.close_stdin();
+    while (const std::optional<std::string> line = router.read_line())
+      lines.push_back(line->substr(0, 120));  // cut short
+  }
   const int status = router.wait();
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
   // The job is answered from a reader thread, so it may follow the ping.

@@ -21,6 +21,7 @@
 #include "common/thread_annotations.hpp"
 #include "net/endpoint.hpp"
 #include "net/socket.hpp"
+#include "one_burst.hpp"
 #include "port_file.hpp"
 #include "serve/service.hpp"
 
@@ -262,6 +263,45 @@ TEST(Service, StoredJobsAreNeverShed) {
   EXPECT_EQ(count_in(stats, "", "shed"), 1);
 }
 
+TEST(Service, AVerbFlushesTheAnswersQueuedAheadOfIt) {
+  // Given a flush, the answers made on the reading thread wait in the
+  // sink's queue for the reading loop to send them. A verb may block (a
+  // drain, a save), so it sends that queue before it runs: the stored
+  // job's answer leaves in a flush of its own, ahead of the stats ack.
+  Service service(ServiceOptions{});
+  Lines warm;
+  const Service::Sink warm_sink = [&warm](const std::string& line) {
+    warm.add(line);
+  };
+  const char* const kJob = R"({"id": "w16", "soc": "d695", "width": 16})";
+  EXPECT_EQ(service.handle_line(kJob, 1, warm_sink),
+            Service::Action::Continue);
+  service.drain_and_save();
+  ASSERT_EQ(warm.take().size(), 1u);
+
+  std::vector<std::string> queued;  // both run on this thread
+  std::vector<std::vector<std::string>> flushes;
+  const Service::Sink sink = [&queued](const std::string& line) {
+    queued.push_back(line);
+  };
+  const Service::Flush flush = [&queued, &flushes] {
+    if (!queued.empty()) flushes.push_back(std::exchange(queued, {}));
+  };
+  const char* const kStored = R"({"id": "stored", "soc": "d695", "width": 16})";
+  EXPECT_EQ(service.handle_line(kStored, 2, sink, flush),
+            Service::Action::Continue);
+  EXPECT_TRUE(flushes.empty());  // the reading loop's flush, not this one
+  EXPECT_EQ(service.handle_line(R"({"op": "stats"})", 3, sink, flush),
+            Service::Action::Continue);
+  flush();
+  ASSERT_EQ(flushes.size(), 2u);
+  ASSERT_EQ(flushes[0].size(), 1u);
+  EXPECT_TRUE(flushes[0][0].starts_with(R"({"id": "stored", "status": "ok")"))
+      << flushes[0][0];
+  ASSERT_EQ(flushes[1].size(), 1u);
+  EXPECT_TRUE(flushes[1][0].starts_with(R"({"op": "stats")")) << flushes[1][0];
+}
+
 TEST(Service, AnswersOverTheBoundBecomeTheFixedError) {
   // No reader takes a line over the bound. An answer that would exceed it
   // is replaced by one fixed error, led by the id when that still fits:
@@ -330,6 +370,18 @@ TEST(ServeBinary, ClosedStdoutEndsTheStdinLoop) {
   pipeline.close_stdin();  // ends a loop that would not end by itself
   EXPECT_EQ(pipeline.read_line(), std::nullopt);
   const int status = pipeline.wait();
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+}
+
+TEST(ServeBinary, BurstsAreAnsweredWithStdinHeldOpen) {
+  // Each burst arrives in one write() and stdin stays open: the reading
+  // loop must send what a burst produced before it blocks for more.
+  // Stored jobs and errors are answered on the reading thread, the cold
+  // job from the pool.
+  common::Subprocess serve({WTAM_SERVE_BINARY, "--quiet", "--threads", "1"});
+  test_support::expect_bursts_answered(serve);
+  serve.close_stdin();
+  const int status = serve.wait();
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
 }
 

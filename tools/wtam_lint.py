@@ -39,6 +39,11 @@ repo-specific discipline, so this linter enforces it mechanically:
                      src/net/ — talk through net::Listener /
                      net::Connection, which own SIGPIPE, EINTR retries,
                      framing bounds, and shutdown semantics.      [src, tools]
+  raw-fd-io          ::read( / ::write( are banned outside
+                     src/common/line_io.cpp — every stream goes through
+                     common::LineReader / common::LineWriter, so no hop
+                     bypasses the bound or the one-write-per-read-burst
+                     queue.                                       [src, tools]
 
 A finding can be waived on its line (or the line above) with
     // wtam-lint: allow(<rule>) — <reason>
@@ -129,6 +134,13 @@ RAW_SOCKET_RE = re.compile(
     r")\s*\(")
 # The only directory allowed to touch sockets directly.
 NET_ALLOWED_PREFIX = str(Path("src") / "net") + "/"
+# Raw descriptor reads and writes, spelled with :: as the tree calls
+# them (a bare read( or write( is too common a member name to ban).
+RAW_FD_IO_RE = re.compile(r"(?<!\w)::(?:read|write)\s*\(")
+# The only file allowed to read or write a descriptor directly.
+FD_IO_ALLOWED = {
+    str(Path("src") / "common" / "line_io.cpp"),
+}
 COMMENT_RE = re.compile(r"//|/\*")
 
 
@@ -191,6 +203,12 @@ def lint_file(path, rel, lines, scopes):
                    "raw socket syscall — go through net::Listener/"
                    "net::Connection (src/net/), the only sanctioned "
                    "socket site")
+
+        if rel not in FD_IO_ALLOWED and RAW_FD_IO_RE.search(line):
+            report(idx, "raw-fd-io",
+                   "raw ::read/::write — frame streams through "
+                   "common::LineReader/LineWriter (src/common/line_io.*), "
+                   "the only sanctioned read/write site")
 
         if rel not in CLOCK_ALLOWED and RAW_CLOCK_RE.search(line):
             report(idx, "raw-clock-now",

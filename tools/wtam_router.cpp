@@ -227,10 +227,14 @@ int main(int argc, char** argv) {
       fleet_factory(endpoints.size() + static_cast<std::size_t>(workers));
   options.fleet_factory = fleet_factory;
 
+  // Answers queue on stdout and go out one write per read burst: the
+  // stdin loop's through router.flush(), a reader thread's once its
+  // worker has no whole line left.
   common::LineWriter out(STDOUT_FILENO);
   const serve::Router::Sink sink = [&out](const std::string& line) {
-    (void)out.write_line(line);
+    out.queue_line(line);
   };
+  const serve::Router::Flush flush = [&out] { (void)out.flush(); };
   // The banner (this thread) and the router's notices (reader threads)
   // take turns on stderr, so each notice stays one line.
   // wtam-lint: allow(unannotated-mutex) — serializes std::cerr, no fields
@@ -242,16 +246,18 @@ int main(int argc, char** argv) {
   };
 
   try {
-    serve::Router router(std::move(options), sink, diag);
+    serve::Router router(std::move(options), sink, diag, flush);
     diag("ready (" + std::to_string(router.workers()) + " workers: " +
          std::to_string(endpoints.size()) + " remote, " +
          std::to_string(workers) + " local via " + serve_path +
          "); one JSON request per line, {\"op\": \"shutdown\"} to stop");
     common::LineReader in(STDIN_FILENO);
-    if (!serve::serve_lines(in, sink, [&router](const std::string& line,
-                                                std::uint64_t) {
-          return line.empty() || router.handle_line(line);
-        }))
+    if (!serve::serve_lines(
+            in, sink, [&router] { router.flush(); },
+            [&router](const std::string& line, std::uint64_t) {
+              return line.empty() ||
+                     router.handle_line(line, /*batched=*/true);
+            }))
       router.shutdown();  // EOF: drain the fleet silently
     return 0;
   } catch (const std::exception& e) {

@@ -124,6 +124,7 @@ int g_signal_pipe[2] = {-1, -1};
 
 extern "C" void handle_stop_signal(int) {
   const char byte = 's';
+  // wtam-lint: allow(raw-fd-io) — one signal byte; async-signal-safe
   const ssize_t ignored = ::write(g_signal_pipe[1], &byte, 1);
   (void)ignored;
 }
@@ -185,20 +186,25 @@ class ConnectionRegistry {
 /// The stdin/stdout transport. The signal pipe wakes the stdin reader,
 /// so SIGTERM/SIGINT end the stream like EOF, less any partial line; so
 /// does a closed stdout, once a write has failed, since nobody reads the
-/// answers. Returns the process exit status.
+/// answers. Answers queue on stdout and go out one write per read burst
+/// (serve_lines), or at once from the pool. Returns the process exit
+/// status.
 int run_stdio(serve::Service& service) {
   common::LineWriter out(STDOUT_FILENO);
   std::atomic<bool> listening{true};
-  const serve::Service::Sink sink = [&out,
-                                     &listening](const std::string& line) {
-    if (!out.write_line(line)) listening.store(false);
+  const serve::Service::Sink sink = [&out](const std::string& line) {
+    out.queue_line(line);
+  };
+  const serve::Service::Flush flush = [&out, &listening] {
+    if (!out.flush()) listening.store(false);
   };
   common::LineReader in(STDIN_FILENO, common::kDefaultMaxLineBytes,
                         g_signal_pipe[0]);
   bool shut_down = false;
   (void)serve::serve_lines(
-      in, sink, [&](const std::string& line, std::uint64_t line_number) {
-        shut_down = service.handle_line(line, line_number, sink) ==
+      in, sink, flush,
+      [&](const std::string& line, std::uint64_t line_number) {
+        shut_down = service.handle_line(line, line_number, sink, flush) ==
                     serve::Service::Action::Shutdown;
         return !shut_down && listening.load();
       });
@@ -251,6 +257,7 @@ int run_listen(serve::Service& service, const net::Endpoint& endpoint,
       char byte = 0;
       ssize_t n = 0;
       do {
+        // wtam-lint: allow(raw-fd-io) — waits for one signal-pipe byte
         n = ::read(g_signal_pipe[0], &byte, 1);
       } while (n < 0 && errno == EINTR);
       listener->stop();
@@ -264,17 +271,20 @@ int run_listen(serve::Service& service, const net::Endpoint& endpoint,
     registry.add(id, connection);
     readers.push_back(std::thread([&service, &registry, &listener, &stopping,
                                    connection, id] {
-      // The sink holds the connection alive until its last in-flight
-      // job has written its response; writes after a disconnect fail
-      // silently inside the transport.
+      // The sink and the flush hold the connection alive until its last
+      // in-flight job has written its response; writes after a
+      // disconnect fail silently inside the transport.
       const serve::Service::Sink sink =
           [connection](const std::string& line) {
-            (void)connection->write_line(line);
+            connection->queue_line(line);
           };
+      const serve::Service::Flush flush = [connection] {
+        (void)connection->flush();
+      };
       if (serve::serve_lines(
-              *connection, sink,
+              *connection, sink, flush,
               [&](const std::string& line, std::uint64_t line_number) {
-                return service.handle_line(line, line_number, sink) !=
+                return service.handle_line(line, line_number, sink, flush) !=
                        serve::Service::Action::Shutdown;
               })) {
         // A shutdown verb drained and saved; now stop the world. The ack
@@ -296,6 +306,7 @@ int run_listen(serve::Service& service, const net::Endpoint& endpoint,
   for (std::thread& reader : readers) reader.join();
   if (signal_watcher.joinable()) {
     const char byte = 'q';
+    // wtam-lint: allow(raw-fd-io) — one byte that wakes the watcher
     const ssize_t ignored = ::write(g_signal_pipe[1], &byte, 1);
     (void)ignored;
     signal_watcher.join();
