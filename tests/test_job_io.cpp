@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -606,6 +607,513 @@ TEST(JobIo, ResultsLeadWithTheirId) {
     EXPECT_TRUE(result_to_json(bad, options).dump_compact_string().starts_with(
         "{\"id\": \"r8\", "));
   }
+}
+
+// ---- the answer writer's bytes ---------------------------------------------
+//
+// Every answer a worker writes is a result line, and the batch results
+// file holds the same results pretty-printed. Both are pinned for every
+// result shape, as the tree-building writer rendered them.
+
+/// One result of each shape the answer writer tells apart.
+std::vector<SolveResult> answer_shapes() {
+  std::vector<SolveResult> shapes;
+
+  // An enumerative answer: a swept width, an architecture, details and
+  // a trace.
+  SolveResult enumerative;
+  enumerative.status = Status::Ok;
+  enumerative.id = "e1";
+  enumerative.soc_name = "d695";
+  enumerative.core_count = 10;
+  enumerative.backend = "enumerative";
+  enumerative.width = 33;
+  enumerative.widths_tried = 3;
+  enumerative.outcome.emplace();
+  enumerative.outcome->backend = "enumerative";
+  enumerative.outcome->testing_time = 21566;
+  enumerative.outcome->architecture = core::TamArchitecture{
+      {16, 10, 7}, {1, 2, 3, 1, 2, 3, 1, 2, 3, 1}, {21566, 20010, 19870},
+      21566};
+  enumerative.outcome->cpu_s = 0.25;
+  enumerative.outcome->details = {{"partition", "16+10+7"},
+                                  {"assignment", "(1,2,3,1,2,3,1,2,3,1)"},
+                                  {"heuristic time", "21566"}};
+  enumerative.lower_bound = 21000;
+  enumerative.schedule_valid = true;
+  enumerative.cache = CacheOutcome::Hit;
+  enumerative.wall_s = 1.5e-05;
+  enumerative.trace = {{"queue-wait", 0, 1200},
+                       {"soc-resolve", 1200, 350},
+                       {"cache-lookup", 1550, 800}};
+  shapes.push_back(enumerative);
+
+  // A rectpack answer: no architecture, and a gap of many digits.
+  SolveResult rectpack;
+  rectpack.status = Status::Ok;
+  rectpack.id = "r1";
+  rectpack.soc_name = "p93791";
+  rectpack.core_count = 32;
+  rectpack.backend = "rectpack";
+  rectpack.width = 32;
+  rectpack.widths_tried = 1;
+  rectpack.outcome.emplace();
+  rectpack.outcome->backend = "rectpack";
+  rectpack.outcome->testing_time = 1791638;
+  rectpack.outcome->cpu_s = 1.23456789012345;
+  rectpack.outcome->details = {{"seed ordering", "area-desc"},
+                               {"repacks", "2012"},
+                               {"strip utilization", "97%"}};
+  rectpack.lower_bound = 1746664;
+  rectpack.schedule_valid = true;
+  rectpack.cache = CacheOutcome::Miss;
+  rectpack.wall_s = 1.3;
+  rectpack.trace = {{"walker:1", 90, 1000000}, {"validate", 1000090, 42}};
+  shapes.push_back(rectpack);
+
+  // An invalid request: no SOC and no outcome.
+  SolveResult invalid;
+  invalid.status = Status::InvalidRequest;
+  invalid.id = "bad";
+  invalid.backend = "enumerative";
+  invalid.error = "width must be in 1..256";
+  invalid.wall_s = 2e-06;
+  shapes.push_back(invalid);
+
+  // A tag, with bytes the writer escapes and raw UTF-8.
+  SolveResult tagged;
+  tagged.status = Status::DeadlineExceeded;
+  tagged.id = "t\"1";
+  tagged.tag = "night \"q\" \\ \n\t\x01 d\xC3\xA9";
+  tagged.soc_name = "p21241";
+  tagged.core_count = 28;
+  tagged.backend = "rectpack";
+  tagged.width = 16;
+  tagged.widths_tried = 1;
+  tagged.outcome.emplace();
+  tagged.outcome->backend = "rectpack";
+  tagged.outcome->testing_time = 470000;
+  tagged.outcome->details = {{"repacks", "7"}};
+  tagged.lower_bound = 466000;
+  tagged.cache = CacheOutcome::Bypass;
+  tagged.wall_s = 0.5;
+  shapes.push_back(tagged);
+
+  // An error text beside a resolved SOC.
+  SolveResult failed;
+  failed.status = Status::InternalError;
+  failed.id = "boom";
+  failed.soc_name = "d695";
+  failed.core_count = 10;
+  failed.backend = "rectpack";
+  failed.error = "engine threw: \"bad_alloc\"\n\tat width 64";
+  failed.wall_s = 0.001;
+  failed.trace = {{"queue-wait", 0, 5}};
+  shapes.push_back(failed);
+
+  // lower_bound 0: no gap, and no details.
+  SolveResult unbounded;
+  unbounded.status = Status::Ok;
+  unbounded.id = "lb0";
+  unbounded.soc_name = "tiny";
+  unbounded.core_count = 1;
+  unbounded.backend = "rectpack";
+  unbounded.width = 1;
+  unbounded.widths_tried = 1;
+  unbounded.outcome.emplace();
+  unbounded.outcome->backend = "rectpack";
+  unbounded.outcome->testing_time = 0;
+  unbounded.schedule_valid = true;
+  unbounded.cache = CacheOutcome::Hit;
+  shapes.push_back(unbounded);
+
+  // Non-finite timings render as null.
+  SolveResult nonfinite = unbounded;
+  nonfinite.id = "inf";
+  nonfinite.outcome->cpu_s = std::numeric_limits<double>::infinity();
+  nonfinite.wall_s = std::numeric_limits<double>::quiet_NaN();
+  shapes.push_back(nonfinite);
+
+  // A repeated detail key keeps its first place and its last value.
+  SolveResult repeated = unbounded;
+  repeated.id = "dup";
+  repeated.outcome->details = {
+      {"a", "1"}, {"b", "2"}, {"a", "3"}, {"c", "4"}, {"b", "5"}};
+  shapes.push_back(repeated);
+  return shapes;
+}
+
+/// Which of the opt-in fields a pin writes.
+enum PinnedOptions { kOff, kTiming, kCache, kTrace, kAll };
+
+ResultsWriteOptions write_options(PinnedOptions which) {
+  ResultsWriteOptions options;
+  options.include_timing = which == kTiming || which == kAll;
+  options.include_cache = which == kCache || which == kAll;
+  options.include_trace = which == kTrace || which == kAll;
+  return options;
+}
+
+TEST(JobIo, AnswerLinesArePinned) {
+  struct Pin {
+    const char* id;
+    PinnedOptions options;
+    const char* line;
+  };
+  // The enumerative answer with each opt-in field alone; every shape
+  // with none and with all of them.
+  const Pin pins[] = {
+      {"e1", kOff,
+       R"({"id": "e1", "status": "ok", "soc": "d695", "core_count": )"
+       R"(10, "backend": "enumerative", "width": 33, "widths_tried": )"
+       R"(3, "testing_time": 21566, "lower_bound": 21000, )"
+       R"("gap": 0.0269523809524, "tam_count": 3, "schedule_valid": )"
+       R"(true, "details": {"partition": "16+10+7", "assignment": )"
+       R"("(1,2,3,1,2,3,1,2,3,1))"
+       R"(", "heuristic time": "21566"}})"
+      },
+      {"e1", kTiming,
+       R"({"id": "e1", "status": "ok", "soc": "d695", "core_count": )"
+       R"(10, "backend": "enumerative", "width": 33, "widths_tried": )"
+       R"(3, "testing_time": 21566, "lower_bound": 21000, )"
+       R"("gap": 0.0269523809524, "tam_count": 3, "schedule_valid": )"
+       R"(true, "details": {"partition": "16+10+7", "assignment": )"
+       R"("(1,2,3,1,2,3,1,2,3,1))"
+       R"(", "heuristic time": "21566"}, "cpu_s": 0.25, )"
+       R"("wall_s": 1.5e-05})"
+      },
+      {"e1", kCache,
+       R"({"id": "e1", "status": "ok", "soc": "d695", "core_count": )"
+       R"(10, "backend": "enumerative", "width": 33, "widths_tried": )"
+       R"(3, "testing_time": 21566, "lower_bound": 21000, )"
+       R"("gap": 0.0269523809524, "tam_count": 3, "schedule_valid": )"
+       R"(true, "details": {"partition": "16+10+7", "assignment": )"
+       R"("(1,2,3,1,2,3,1,2,3,1))"
+       R"(", "heuristic time": "21566"}, "cache": "hit"})"
+      },
+      {"e1", kTrace,
+       R"({"id": "e1", "status": "ok", "soc": "d695", "core_count": )"
+       R"(10, "backend": "enumerative", "width": 33, "widths_tried": )"
+       R"(3, "testing_time": 21566, "lower_bound": 21000, )"
+       R"("gap": 0.0269523809524, "tam_count": 3, "schedule_valid": )"
+       R"(true, "details": {"partition": "16+10+7", "assignment": )"
+       R"("(1,2,3,1,2,3,1,2,3,1))"
+       R"(", "heuristic time": "21566"}, "trace": [{"stage": )"
+       R"("queue-wait", "start_ns": 0, "duration_ns": 1200}, )"
+       R"({"stage": "soc-resolve", "start_ns": 1200, "duration_ns": )"
+       R"(350}, {"stage": "cache-lookup", "start_ns": 1550, )"
+       R"("duration_ns": 800}]})"
+      },
+      {"e1", kAll,
+       R"({"id": "e1", "status": "ok", "soc": "d695", "core_count": )"
+       R"(10, "backend": "enumerative", "width": 33, "widths_tried": )"
+       R"(3, "testing_time": 21566, "lower_bound": 21000, )"
+       R"("gap": 0.0269523809524, "tam_count": 3, "schedule_valid": )"
+       R"(true, "details": {"partition": "16+10+7", "assignment": )"
+       R"("(1,2,3,1,2,3,1,2,3,1))"
+       R"(", "heuristic time": "21566"}, "cpu_s": 0.25, )"
+       R"("cache": "hit", "wall_s": 1.5e-05, "trace": [{"stage": )"
+       R"("queue-wait", "start_ns": 0, "duration_ns": 1200}, )"
+       R"({"stage": "soc-resolve", "start_ns": 1200, "duration_ns": )"
+       R"(350}, {"stage": "cache-lookup", "start_ns": 1550, )"
+       R"("duration_ns": 800}]})"
+      },
+      {"r1", kOff,
+       R"({"id": "r1", "status": "ok", "soc": "p93791", )"
+       R"("core_count": 32, "backend": "rectpack", "width": )"
+       R"(32, "widths_tried": 1, "testing_time": 1791638, )"
+       R"("lower_bound": 1746664, "gap": 0.0257485125931, )"
+       R"("schedule_valid": true, "details": {"seed ordering": )"
+       R"("area-desc", "repacks": "2012", "strip utilization": )"
+       R"("97%"}})"
+      },
+      {"r1", kAll,
+       R"({"id": "r1", "status": "ok", "soc": "p93791", )"
+       R"("core_count": 32, "backend": "rectpack", "width": )"
+       R"(32, "widths_tried": 1, "testing_time": 1791638, )"
+       R"("lower_bound": 1746664, "gap": 0.0257485125931, )"
+       R"("schedule_valid": true, "details": {"seed ordering": )"
+       R"("area-desc", "repacks": "2012", "strip utilization": )"
+       R"("97%"}, "cpu_s": 1.23456789012, "cache": "miss", )"
+       R"("wall_s": 1.3, "trace": [{"stage": "walker:1", )"
+       R"("start_ns": 90, "duration_ns": 1000000}, {"stage": )"
+       R"("validate", "start_ns": 1000090, "duration_ns": )"
+       R"(42}]})"
+      },
+      {"bad", kOff,
+       R"({"id": "bad", "status": "invalid_request", "error": )"
+       R"("width must be in 1..256", "backend": "enumerative"})"
+      },
+      {"bad", kAll,
+       R"({"id": "bad", "status": "invalid_request", "error": )"
+       R"("width must be in 1..256", "backend": "enumerative", )"
+       R"("cache": "bypass", "wall_s": 2e-06})"
+      },
+      {"t\"1", kOff,
+       R"({"id": "t\"1", "tag": "night \"q\" \\ \n\t\u0001 )"
+       R"(d)"
+       "\xC3\xA9"
+       R"(", "status": "deadline_exceeded", "soc": "p21241", )"
+       R"("core_count": 28, "backend": "rectpack", "width": )"
+       R"(16, "widths_tried": 1, "testing_time": 470000, )"
+       R"("lower_bound": 466000, "gap": 0.00858369098712, )"
+       R"("schedule_valid": false, "details": {"repacks": )"
+       R"("7"}})"
+      },
+      {"t\"1", kAll,
+       R"({"id": "t\"1", "tag": "night \"q\" \\ \n\t\u0001 )"
+       R"(d)"
+       "\xC3\xA9"
+       R"(", "status": "deadline_exceeded", "soc": "p21241", )"
+       R"("core_count": 28, "backend": "rectpack", "width": )"
+       R"(16, "widths_tried": 1, "testing_time": 470000, )"
+       R"("lower_bound": 466000, "gap": 0.00858369098712, )"
+       R"("schedule_valid": false, "details": {"repacks": )"
+       R"("7"}, "cpu_s": 0, "cache": "bypass", "wall_s": )"
+       R"(0.5})"
+      },
+      {"boom", kOff,
+       R"({"id": "boom", "status": "internal_error", "error": )"
+       R"("engine threw: \"bad_alloc\"\n\tat width 64", )"
+       R"("soc": "d695", "core_count": 10, "backend": "rectpack"})"
+      },
+      {"boom", kAll,
+       R"({"id": "boom", "status": "internal_error", "error": )"
+       R"("engine threw: \"bad_alloc\"\n\tat width 64", )"
+       R"("soc": "d695", "core_count": 10, "backend": "rectpack", )"
+       R"("cache": "bypass", "wall_s": 0.001, "trace": [{"stage": )"
+       R"("queue-wait", "start_ns": 0, "duration_ns": 5}]})"
+      },
+      {"lb0", kOff,
+       R"({"id": "lb0", "status": "ok", "soc": "tiny", "core_count": )"
+       R"(1, "backend": "rectpack", "width": 1, "widths_tried": )"
+       R"(1, "testing_time": 0, "lower_bound": 0, "schedule_valid": )"
+       R"(true, "details": {}})"
+      },
+      {"lb0", kAll,
+       R"({"id": "lb0", "status": "ok", "soc": "tiny", "core_count": )"
+       R"(1, "backend": "rectpack", "width": 1, "widths_tried": )"
+       R"(1, "testing_time": 0, "lower_bound": 0, "schedule_valid": )"
+       R"(true, "details": {}, "cpu_s": 0, "cache": "hit", )"
+       R"("wall_s": 0})"
+      },
+      {"inf", kOff,
+       R"({"id": "inf", "status": "ok", "soc": "tiny", "core_count": )"
+       R"(1, "backend": "rectpack", "width": 1, "widths_tried": )"
+       R"(1, "testing_time": 0, "lower_bound": 0, "schedule_valid": )"
+       R"(true, "details": {}})"
+      },
+      {"inf", kAll,
+       R"({"id": "inf", "status": "ok", "soc": "tiny", "core_count": )"
+       R"(1, "backend": "rectpack", "width": 1, "widths_tried": )"
+       R"(1, "testing_time": 0, "lower_bound": 0, "schedule_valid": )"
+       R"(true, "details": {}, "cpu_s": null, "cache": "hit", )"
+       R"("wall_s": null})"
+      },
+      {"dup", kOff,
+       R"({"id": "dup", "status": "ok", "soc": "tiny", "core_count": )"
+       R"(1, "backend": "rectpack", "width": 1, "widths_tried": )"
+       R"(1, "testing_time": 0, "lower_bound": 0, "schedule_valid": )"
+       R"(true, "details": {"a": "3", "b": "5", "c": "4"}})"
+      },
+      {"dup", kAll,
+       R"({"id": "dup", "status": "ok", "soc": "tiny", "core_count": )"
+       R"(1, "backend": "rectpack", "width": 1, "widths_tried": )"
+       R"(1, "testing_time": 0, "lower_bound": 0, "schedule_valid": )"
+       R"(true, "details": {"a": "3", "b": "5", "c": "4"}, )"
+       R"("cpu_s": 0, "cache": "hit", "wall_s": 0})"
+      },
+  };
+  const std::vector<SolveResult> shapes = answer_shapes();
+  for (const Pin& pin : pins) {
+    const auto shape =
+        std::find_if(shapes.begin(), shapes.end(),
+                     [&pin](const SolveResult& s) { return s.id == pin.id; });
+    ASSERT_NE(shape, shapes.end()) << pin.id;
+    EXPECT_EQ(
+        result_to_json(*shape, write_options(pin.options)).dump_compact_string(),
+        pin.line)
+        << pin.id << " with options " << pin.options;
+  }
+}
+
+TEST(JobIo, ResultsFileBytesArePinned) {
+  EXPECT_EQ(results_to_json(answer_shapes(), write_options(kAll)),
+            R"pin({
+  "schema": "wtam-batch-results-v1",
+  "jobs": 8,
+  "results": [
+    {
+      "id": "e1",
+      "status": "ok",
+      "soc": "d695",
+      "core_count": 10,
+      "backend": "enumerative",
+      "width": 33,
+      "widths_tried": 3,
+      "testing_time": 21566,
+      "lower_bound": 21000,
+      "gap": 0.0269523809524,
+      "tam_count": 3,
+      "schedule_valid": true,
+      "details": {
+        "partition": "16+10+7",
+        "assignment": "(1,2,3,1,2,3,1,2,3,1)",
+        "heuristic time": "21566"
+      },
+      "cpu_s": 0.25,
+      "cache": "hit",
+      "wall_s": 1.5e-05,
+      "trace": [
+        {
+          "stage": "queue-wait",
+          "start_ns": 0,
+          "duration_ns": 1200
+        },
+        {
+          "stage": "soc-resolve",
+          "start_ns": 1200,
+          "duration_ns": 350
+        },
+        {
+          "stage": "cache-lookup",
+          "start_ns": 1550,
+          "duration_ns": 800
+        }
+      ]
+    },
+    {
+      "id": "r1",
+      "status": "ok",
+      "soc": "p93791",
+      "core_count": 32,
+      "backend": "rectpack",
+      "width": 32,
+      "widths_tried": 1,
+      "testing_time": 1791638,
+      "lower_bound": 1746664,
+      "gap": 0.0257485125931,
+      "schedule_valid": true,
+      "details": {
+        "seed ordering": "area-desc",
+        "repacks": "2012",
+        "strip utilization": "97%"
+      },
+      "cpu_s": 1.23456789012,
+      "cache": "miss",
+      "wall_s": 1.3,
+      "trace": [
+        {
+          "stage": "walker:1",
+          "start_ns": 90,
+          "duration_ns": 1000000
+        },
+        {
+          "stage": "validate",
+          "start_ns": 1000090,
+          "duration_ns": 42
+        }
+      ]
+    },
+    {
+      "id": "bad",
+      "status": "invalid_request",
+      "error": "width must be in 1..256",
+      "backend": "enumerative",
+      "cache": "bypass",
+      "wall_s": 2e-06
+    },
+    {
+      "id": "t\"1",
+      "tag": "night \"q\" \\ \n\t\u0001 d)pin" "\xC3\xA9" R"pin(",
+      "status": "deadline_exceeded",
+      "soc": "p21241",
+      "core_count": 28,
+      "backend": "rectpack",
+      "width": 16,
+      "widths_tried": 1,
+      "testing_time": 470000,
+      "lower_bound": 466000,
+      "gap": 0.00858369098712,
+      "schedule_valid": false,
+      "details": {
+        "repacks": "7"
+      },
+      "cpu_s": 0,
+      "cache": "bypass",
+      "wall_s": 0.5
+    },
+    {
+      "id": "boom",
+      "status": "internal_error",
+      "error": "engine threw: \"bad_alloc\"\n\tat width 64",
+      "soc": "d695",
+      "core_count": 10,
+      "backend": "rectpack",
+      "cache": "bypass",
+      "wall_s": 0.001,
+      "trace": [
+        {
+          "stage": "queue-wait",
+          "start_ns": 0,
+          "duration_ns": 5
+        }
+      ]
+    },
+    {
+      "id": "lb0",
+      "status": "ok",
+      "soc": "tiny",
+      "core_count": 1,
+      "backend": "rectpack",
+      "width": 1,
+      "widths_tried": 1,
+      "testing_time": 0,
+      "lower_bound": 0,
+      "schedule_valid": true,
+      "details": {},
+      "cpu_s": 0,
+      "cache": "hit",
+      "wall_s": 0
+    },
+    {
+      "id": "inf",
+      "status": "ok",
+      "soc": "tiny",
+      "core_count": 1,
+      "backend": "rectpack",
+      "width": 1,
+      "widths_tried": 1,
+      "testing_time": 0,
+      "lower_bound": 0,
+      "schedule_valid": true,
+      "details": {},
+      "cpu_s": null,
+      "cache": "hit",
+      "wall_s": null
+    },
+    {
+      "id": "dup",
+      "status": "ok",
+      "soc": "tiny",
+      "core_count": 1,
+      "backend": "rectpack",
+      "width": 1,
+      "widths_tried": 1,
+      "testing_time": 0,
+      "lower_bound": 0,
+      "schedule_valid": true,
+      "details": {
+        "a": "3",
+        "b": "5",
+        "c": "4"
+      },
+      "cpu_s": 0,
+      "cache": "hit",
+      "wall_s": 0
+    }
+  ]
+})pin");
 }
 
 TEST(JobIo, StatusStringsRoundTrip) {

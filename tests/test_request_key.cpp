@@ -213,6 +213,62 @@ TEST(RequestKey, ConstrainedCanonicalTextFormIsPinned) {
   // CanonicalTextFormIsStable above) — pre-constraint cache keys survive.
 }
 
+TEST(RequestKey, KeyTextAndHashArePinnedForEveryBackendShape) {
+  // Snapshots store the key text and the router shards on hash() %
+  // workers, so neither may move: the default enumerative key, a
+  // constrained and an unconstrained rectpack key, and an unknown
+  // backend's key, which renders every field.
+  SolveRequest enumerative;
+  enumerative.soc = "d695";
+  enumerative.width = 32;
+  SolveRequest constrained = enumerative;
+  constrained.backend = "rectpack";
+  constrained.options.constraints.power.assign(10, 10);
+  constrained.options.constraints.power_budget = 25;
+  constrained.options.constraints.precedence = {{0, 9}};
+  SolveRequest rectpack = enumerative;
+  rectpack.backend = "rectpack";
+  SolveRequest unknown = enumerative;
+  unknown.backend = "mystery";
+  unknown.options.min_tams = 2;
+  unknown.options.max_tams = 7;
+  unknown.options.run_final_step = false;
+  unknown.options.rectpack.local_search_iterations = 500;
+  unknown.options.rectpack.seed = 9;
+  unknown.options.constraints.power_budget = 40;
+  unknown.options.constraints.precedence = {{1, 3}};
+
+  const struct {
+    const SolveRequest& request;
+    const char* text;
+    std::uint64_t hash;
+  } pins[] = {
+      {enumerative,
+       "soc:50b7104b26d5c3f4695a8654678f5f94/w32/enumerative"
+       "{max_tams=10,min_tams=1,run_final_step=1}",
+       0x4be173c8eb0a6a27ull},
+      {constrained,
+       "soc:50b7104b26d5c3f4695a8654678f5f94/w32/rectpack"
+       "{constraints=power=10:10:10:10:10:10:10:10:10:10;budget=25;"
+       "prec=0>9,rectpack_iterations=2000,rectpack_seed=1}",
+       0x4bac9f7de3cc7b4full},
+      {rectpack,
+       "soc:50b7104b26d5c3f4695a8654678f5f94/w32/rectpack"
+       "{rectpack_iterations=2000,rectpack_seed=1}",
+       0x9f1dc3c532163b29ull},
+      {unknown,
+       "soc:50b7104b26d5c3f4695a8654678f5f94/w32/mystery"
+       "{constraints=budget=40;prec=1>3,max_tams=7,min_tams=2,"
+       "rectpack_iterations=500,rectpack_seed=9,run_final_step=0}",
+       0x1ae26ae8bd7358a2ull},
+  };
+  for (const auto& pin : pins) {
+    const RequestKey key = request_keys(pin.request).front();
+    EXPECT_EQ(key.to_string(), pin.text);
+    EXPECT_EQ(key.hash(), pin.hash) << pin.text;
+  }
+}
+
 TEST(RequestKey, ParseRoundTripsToString) {
   SolveRequest request;
   request.soc = "d695";
