@@ -1,5 +1,6 @@
 #include "api/job_io.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -376,61 +377,115 @@ std::string jobs_to_json(const std::vector<SolveRequest>& jobs) {
   return document.dump_string();
 }
 
+namespace {
+
+/// Writes one compact JSON object member by member, in the bytes
+/// JsonValue::dump_compact_string gives the same object. Its closing
+/// brace is written when it goes out of scope.
+class CompactObject {
+ public:
+  explicit CompactObject(std::string& out) : out_(out) { out_ += '{'; }
+  CompactObject(const CompactObject&) = delete;
+  CompactObject& operator=(const CompactObject&) = delete;
+  ~CompactObject() { out_ += '}'; }
+
+  /// Starts the member `name`; the caller appends its value.
+  std::string& key(std::string_view name) {
+    if (!empty_) out_ += ", ";
+    empty_ = false;
+    append_json_string(out_, name);
+    out_ += ": ";
+    return out_;
+  }
+  void string(std::string_view name, std::string_view value) {
+    append_json_string(key(name), value);
+  }
+  void number(std::string_view name, std::int64_t value) {
+    append_json_number(key(name), value);
+  }
+  void number(std::string_view name, double value) {
+    append_json_number(key(name), value);
+  }
+  void boolean(std::string_view name, bool value) {
+    key(name) += value ? "true" : "false";
+  }
+
+ private:
+  std::string& out_;
+  bool empty_ = true;
+};
+
+void append_details(
+    std::string& out,
+    const std::vector<std::pair<std::string, std::string>>& details) {
+  CompactObject object(out);
+  for (auto it = details.begin(); it != details.end(); ++it) {
+    const auto same_key = [&it](const auto& detail) {
+      return detail.first == it->first;
+    };
+    // A repeated key keeps its first place and its last value, as
+    // JsonValue::set does.
+    if (std::any_of(details.begin(), it, same_key)) continue;
+    object.string(it->first,
+                  std::find_if(details.rbegin(), details.rend(), same_key)
+                      ->second);
+  }
+}
+
+void append_trace(std::string& out, const std::vector<obs::TraceSpan>& spans) {
+  out += '[';
+  for (const obs::TraceSpan& span : spans) {
+    if (&span != &spans.front()) out += ", ";
+    CompactObject object(out);
+    object.string("stage", span.stage);
+    object.number("start_ns", span.start_ns);
+    object.number("duration_ns", span.duration_ns);
+  }
+  out += ']';
+}
+
+}  // namespace
+
+std::string result_line(const SolveResult& result,
+                        const ResultsWriteOptions& options) {
+  std::string line;
+  {
+    CompactObject entry(line);
+    entry.string("id", result.id);  // first: see result_line's contract
+    if (!result.tag.empty()) entry.string("tag", result.tag);
+    entry.string("status", to_string(result.status));
+    if (!result.error.empty()) entry.string("error", result.error);
+    if (!result.soc_name.empty()) {
+      entry.string("soc", result.soc_name);
+      entry.number("core_count", std::int64_t{result.core_count});
+    }
+    entry.string("backend", result.backend);
+    if (result.has_outcome()) {
+      const core::BackendOutcome& outcome = *result.outcome;
+      entry.number("width", std::int64_t{result.width});
+      entry.number("widths_tried", std::int64_t{result.widths_tried});
+      entry.number("testing_time", outcome.testing_time);
+      entry.number("lower_bound", result.lower_bound);
+      if (result.lower_bound > 0)
+        entry.number("gap", result.optimality_gap());
+      if (outcome.architecture.has_value())
+        entry.number("tam_count",
+                     std::int64_t{outcome.architecture->tam_count()});
+      entry.boolean("schedule_valid", result.schedule_valid);
+      append_details(entry.key("details"), outcome.details);
+      if (options.include_timing) entry.number("cpu_s", outcome.cpu_s);
+    }
+    if (options.include_cache) entry.string("cache", to_string(result.cache));
+    if (options.include_timing) entry.number("wall_s", result.wall_s);
+    if (options.include_trace && !result.trace.empty())
+      append_trace(entry.key("trace"), result.trace);
+  }
+  return line;
+}
+
 JsonValue result_to_json(const SolveResult& result,
                          const ResultsWriteOptions& options) {
-  JsonValue entry = JsonValue::object();
-  // "id" stays the first member: the fleet router restores client ids by
-  // splicing over a response's leading {"id": "r<seq>" (test_job_io's
-  // ResultsLeadWithTheirId pins this).
-  entry.set("id", JsonValue::string(result.id));
-  if (!result.tag.empty()) entry.set("tag", JsonValue::string(result.tag));
-  entry.set("status", JsonValue::string(std::string(to_string(result.status))));
-  if (!result.error.empty())
-    entry.set("error", JsonValue::string(result.error));
-  if (!result.soc_name.empty()) {
-    entry.set("soc", JsonValue::string(result.soc_name));
-    entry.set("core_count",
-              JsonValue::number(static_cast<std::int64_t>(result.core_count)));
-  }
-  entry.set("backend", JsonValue::string(result.backend));
-  if (result.has_outcome()) {
-    const core::BackendOutcome& outcome = *result.outcome;
-    entry.set("width",
-              JsonValue::number(static_cast<std::int64_t>(result.width)));
-    entry.set("widths_tried", JsonValue::number(static_cast<std::int64_t>(
-                                  result.widths_tried)));
-    entry.set("testing_time", JsonValue::number(outcome.testing_time));
-    entry.set("lower_bound", JsonValue::number(result.lower_bound));
-    if (result.lower_bound > 0)
-      entry.set("gap", JsonValue::number(result.optimality_gap()));
-    if (outcome.architecture.has_value())
-      entry.set("tam_count", JsonValue::number(static_cast<std::int64_t>(
-                                 outcome.architecture->tam_count())));
-    entry.set("schedule_valid", JsonValue::boolean(result.schedule_valid));
-    JsonValue details = JsonValue::object();
-    for (const auto& [key, detail] : outcome.details)
-      details.set(key, JsonValue::string(detail));
-    entry.set("details", std::move(details));
-    if (options.include_timing)
-      entry.set("cpu_s", JsonValue::number(outcome.cpu_s));
-  }
-  if (options.include_cache)
-    entry.set("cache",
-              JsonValue::string(std::string(to_string(result.cache))));
-  if (options.include_timing)
-    entry.set("wall_s", JsonValue::number(result.wall_s));
-  if (options.include_trace && !result.trace.empty()) {
-    JsonValue spans = JsonValue::array();
-    for (const obs::TraceSpan& span : result.trace) {
-      JsonValue entry_span = JsonValue::object();
-      entry_span.set("stage", JsonValue::string(span.stage));
-      entry_span.set("start_ns", JsonValue::number(span.start_ns));
-      entry_span.set("duration_ns", JsonValue::number(span.duration_ns));
-      spans.push(std::move(entry_span));
-    }
-    entry.set("trace", std::move(spans));
-  }
-  return entry;
+  return JsonValue::parse(result_line(result, options));
 }
 
 std::string results_to_json(const std::vector<SolveResult>& results,

@@ -76,6 +76,14 @@ struct ResultsWriteOptions {
   bool include_trace = false;
 };
 
+/// The one result renderer: `result` as a single-line JSON object, the
+/// answer line wtam_serve writes. "id" leads, so the fleet router can
+/// splice client ids over its leading {"id": "r<seq>".
+[[nodiscard]] std::string result_line(const SolveResult& result,
+                                      const ResultsWriteOptions& options = {});
+/// result_line parsed back, for the results file and for callers that
+/// read fields; its compact dump is result_line's bytes (save a negative
+/// zero double, which reads back as the integer 0; no solve yields one).
 [[nodiscard]] JsonValue result_to_json(const SolveResult& result,
                                        const ResultsWriteOptions& options = {});
 [[nodiscard]] std::string results_to_json(

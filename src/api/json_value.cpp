@@ -70,6 +70,27 @@ void append_json_string(std::string& out, std::string_view text) {
   out += '"';
 }
 
+void append_json_number(std::string& out, std::int64_t value) {
+  char buffer[24];
+  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof buffer, value);
+  out.append(buffer, end);
+}
+
+void append_json_number(std::string& out, double value) {
+  // Degrading to null rather than producing an unparsable file is
+  // bench::Json's policy too.
+  if (!std::isfinite(value)) {
+    out += "null";
+    return;
+  }
+  // to_chars ignores the host application's global locale, so the
+  // decimal separator stays '.'.
+  char buffer[32];
+  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof buffer, value,
+                                       std::chars_format::general, 12);
+  out.append(buffer, end);
+}
+
 /// Recursive-descent parser over the full JSON grammar. Depth-limited so
 /// adversarial inputs fail cleanly instead of overflowing the stack.
 /// A friend of JsonValue: objects are filled member by member, with the
@@ -463,29 +484,12 @@ void JsonValue::append(std::string& out, int indent) const {
     case Kind::Bool:
       out += bool_ ? "true" : "false";
       break;
-    case Kind::Int: {
-      char buffer[24];
-      const auto [end, ec] = std::to_chars(buffer, buffer + sizeof buffer,
-                                           int_);
-      out.append(buffer, end);
+    case Kind::Int:
+      append_json_number(out, int_);
       break;
-    }
-    case Kind::Double: {
-      // JSON has no inf/nan; degrade to null rather than produce an
-      // unparsable file (same policy as bench::Json).
-      if (!std::isfinite(double_)) {
-        out += "null";
-        break;
-      }
-      // %.12g in the C locale: to_chars ignores the host application's
-      // global locale, so the decimal separator stays '.'.
-      char buffer[32];
-      const auto [end, ec] =
-          std::to_chars(buffer, buffer + sizeof buffer, double_,
-                        std::chars_format::general, 12);
-      out.append(buffer, end);
+    case Kind::Double:
+      append_json_number(out, double_);
       break;
-    }
     case Kind::String:
       // Escaped, so a scalar never breaks the single-line form.
       append_json_string(out, string_);

@@ -21,6 +21,12 @@ namespace wtam::api {
 /// UTF-8 included — passed through).
 void append_json_string(std::string& out, std::string_view text);
 
+/// Appends `value` as the writer renders a JSON integer.
+void append_json_number(std::string& out, std::int64_t value);
+/// Appends `value` as the writer renders a JSON double: %.12g in the C
+/// locale, or null when it is not finite (JSON has no inf or nan).
+void append_json_number(std::string& out, double value);
+
 /// How many bytes `text` starts with that a JSON string holds as they
 /// are: the offset of its first '"', '\\' or byte below 0x20, or its size
 /// when it has none. Tests eight bytes a step and never reads past the

@@ -374,7 +374,7 @@ void Service::submit_job(api::SolveRequest request, const Sink& sink,
 void Service::finish_job(const api::SolveResult& result,
                          const common::Stopwatch& since, const Sink& sink,
                          const Flush& flush) {
-  sink(bounded_answer(api::result_to_json(result, write_options_)));
+  sink(bounded_answer(api::result_line(result, write_options_), result.id));
   if (flush) flush();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
   registry.histogram("serve.job_ns").record_ns(since.elapsed_ns());

@@ -602,10 +602,8 @@ TEST(JobIo, ResultsLeadWithTheirId) {
   everything.include_timing = true;
   everything.include_cache = true;
   for (const ResultsWriteOptions& options : {ResultsWriteOptions{}, everything}) {
-    EXPECT_TRUE(result_to_json(ok, options).dump_compact_string().starts_with(
-        "{\"id\": \"r7\", "));
-    EXPECT_TRUE(result_to_json(bad, options).dump_compact_string().starts_with(
-        "{\"id\": \"r8\", "));
+    EXPECT_TRUE(result_line(ok, options).starts_with("{\"id\": \"r7\", "));
+    EXPECT_TRUE(result_line(bad, options).starts_with("{\"id\": \"r8\", "));
   }
 }
 
@@ -1114,6 +1112,19 @@ TEST(JobIo, ResultsFileBytesArePinned) {
     }
   ]
 })pin");
+}
+
+TEST(JobIo, ResultToJsonIsTheAnswerLineParsed) {
+  // The answer line is the one renderer; result_to_json reads it back,
+  // and its compact dump gives the same bytes, so the pins above hold
+  // for the line itself.
+  for (const SolveResult& shape : answer_shapes())
+    for (const PinnedOptions which : {kOff, kTiming, kCache, kTrace, kAll}) {
+      const ResultsWriteOptions options = write_options(which);
+      EXPECT_EQ(result_line(shape, options),
+                result_to_json(shape, options).dump_compact_string())
+          << shape.id << " with options " << which;
+    }
 }
 
 TEST(JobIo, StatusStringsRoundTrip) {
