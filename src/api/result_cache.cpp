@@ -9,27 +9,31 @@ namespace wtam::api {
 
 namespace {
 
-struct KeyHash {
-  std::size_t operator()(const RequestKey& key) const noexcept {
-    return static_cast<std::size_t>(key.hash());
+/// A key and its hash(), which each call computes once: it picks the
+/// shard and the index bucket both. The index and the in-flight map are
+/// keyed by the address of a key they hold in place (a list node's or a
+/// flight's, for as long as that lives), so every stored key is held
+/// once; a lookup passes the address of the caller's key.
+struct HashedKey {
+  const RequestKey* key;
+  std::uint64_t hash;
+};
+
+struct HashedKeyHash {
+  std::size_t operator()(const HashedKey& key) const noexcept {
+    return static_cast<std::size_t>(key.hash);
   }
 };
 
-/// The LRU index is keyed by the address of its entry's own key, which a
-/// list node keeps in place for its lifetime, so every stored key is held
-/// once; a lookup passes the address of the caller's key. The hash reads
-/// the key itself, so an index entry must be erased before its list node.
-struct KeyPtrHash {
-  std::size_t operator()(const RequestKey* key) const noexcept {
-    return static_cast<std::size_t>(key->hash());
+struct HashedKeyEqual {
+  bool operator()(const HashedKey& a, const HashedKey& b) const noexcept {
+    return a.hash == b.hash && *a.key == *b.key;
   }
 };
 
-struct KeyPtrEqual {
-  bool operator()(const RequestKey* a, const RequestKey* b) const noexcept {
-    return *a == *b;
-  }
-};
+template <class Value>
+using HashedKeyMap =
+    std::unordered_map<HashedKey, Value, HashedKeyHash, HashedKeyEqual>;
 
 }  // namespace
 
@@ -55,6 +59,7 @@ std::size_t CachedSolve::approx_bytes() const noexcept {
 /// deliberately unguarded.
 struct ResultCache::InFlight {
   RequestKey key;
+  std::uint64_t hash = 0;  ///< key.hash()
   common::Mutex mutex;
   common::CondVar cv;
   bool done WTAM_GUARDED_BY(mutex) = false;
@@ -63,7 +68,7 @@ struct ResultCache::InFlight {
 };
 
 /// One shard: an LRU list of stored entries + an index into it keyed by
-/// the entries' own keys (KeyPtrHash above), the in-flight map
+/// the entries' own keys (HashedKey above), the in-flight map
 /// for the coalescing protocol, and this shard's slice of the stats
 /// counters — all under one mutex, so any multi-field read taken inside
 /// a single critical section is a consistent snapshot. Lock ordering:
@@ -73,6 +78,7 @@ struct ResultCache::InFlight {
 struct ResultCache::Shard {
   struct Entry {
     RequestKey key;
+    std::uint64_t hash = 0;  ///< key.hash()
     CachedSolve value;
     std::size_t bytes = 0;
   };
@@ -80,17 +86,41 @@ struct ResultCache::Shard {
   mutable common::Mutex mutex;
   /// front = most recently used
   std::list<Entry> lru WTAM_GUARDED_BY(mutex);
-  std::unordered_map<const RequestKey*, std::list<Entry>::iterator,
-                     KeyPtrHash, KeyPtrEqual>
-      index WTAM_GUARDED_BY(mutex);
-  std::unordered_map<RequestKey, std::shared_ptr<InFlight>, KeyHash> inflight
-      WTAM_GUARDED_BY(mutex);
+  HashedKeyMap<std::list<Entry>::iterator> index WTAM_GUARDED_BY(mutex);
+  HashedKeyMap<std::shared_ptr<InFlight>> inflight WTAM_GUARDED_BY(mutex);
   std::size_t bytes WTAM_GUARDED_BY(mutex) = 0;
   std::uint64_t hits WTAM_GUARDED_BY(mutex) = 0;
   std::uint64_t misses WTAM_GUARDED_BY(mutex) = 0;
   std::uint64_t coalesced WTAM_GUARDED_BY(mutex) = 0;
   std::uint64_t insertions WTAM_GUARDED_BY(mutex) = 0;
   std::uint64_t evictions WTAM_GUARDED_BY(mutex) = 0;
+
+  /// Stores `value`, whose approx_bytes() is `size`, under `key`,
+  /// replacing an entry already there and evicting least recently used
+  /// entries to fit `budget`. An entry larger than the whole budget is
+  /// not stored: evicting the entire shard for one oversized result would
+  /// turn the cache into a one-slot buffer.
+  void store(const HashedKey& key, CachedSolve value, std::size_t size,
+             std::size_t budget) WTAM_REQUIRES(mutex) {
+    if (const auto it = index.find(key); it != index.end()) {
+      const auto entry = it->second;
+      bytes -= entry->bytes;
+      index.erase(it);
+      lru.erase(entry);
+    }
+    if (size > budget) return;
+    while (bytes + size > budget && !lru.empty()) {
+      const Entry& oldest = lru.back();
+      bytes -= oldest.bytes;
+      index.erase({&oldest.key, oldest.hash});  // before the node it names
+      lru.pop_back();
+      ++evictions;
+    }
+    lru.push_front(Entry{*key.key, key.hash, std::move(value), size});
+    index.emplace(HashedKey{&lru.front().key, key.hash}, lru.begin());
+    bytes += size;
+    ++insertions;
+  }
 };
 
 ResultCache::ResultCache(ResultCacheOptions options)
@@ -106,19 +136,19 @@ ResultCache::ResultCache(ResultCacheOptions options)
 
 ResultCache::~ResultCache() = default;
 
-ResultCache::Shard& ResultCache::shard_for(const RequestKey& key) noexcept {
-  return *shards_[static_cast<std::size_t>(key.hash()) %
-                  shards_.size()];
+ResultCache::Shard& ResultCache::shard_for(std::uint64_t hash) noexcept {
+  return *shards_[static_cast<std::size_t>(hash) % shards_.size()];
 }
 
 ResultCache::Fetch ResultCache::begin_fetch(const RequestKey& key,
                                             const InterruptFn& interrupt) {
-  Shard& shard = shard_for(key);
+  const HashedKey hashed{&key, key.hash()};
+  Shard& shard = shard_for(hashed.hash);
   for (;;) {
     std::shared_ptr<InFlight> flight;
     {
       const common::MutexLock lock(shard.mutex);
-      if (const auto it = shard.index.find(&key); it != shard.index.end()) {
+      if (const auto it = shard.index.find(hashed); it != shard.index.end()) {
         shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
         ++shard.hits;
         Fetch fetch;
@@ -126,13 +156,14 @@ ResultCache::Fetch ResultCache::begin_fetch(const RequestKey& key,
         fetch.value = it->second->value;
         return fetch;
       }
-      if (const auto it = shard.inflight.find(key);
+      if (const auto it = shard.inflight.find(hashed);
           it != shard.inflight.end()) {
         flight = it->second;
       } else {
         flight = std::make_shared<InFlight>();
         flight->key = key;
-        shard.inflight.emplace(key, flight);
+        flight->hash = hashed.hash;
+        shard.inflight.emplace(HashedKey{&flight->key, hashed.hash}, flight);
         ++shard.misses;
         Fetch fetch;
         fetch.outcome = FetchOutcome::Lead;
@@ -177,22 +208,25 @@ ResultCache::Fetch ResultCache::begin_fetch(const RequestKey& key,
 
 std::optional<std::vector<CachedSolve>> ResultCache::lookup(
     const std::vector<RequestKey>& keys) {
+  std::vector<HashedKey> hashed;
+  hashed.reserve(keys.size());
   std::vector<CachedSolve> values;
   values.reserve(keys.size());
   for (const RequestKey& key : keys) {
-    Shard& shard = shard_for(key);
+    hashed.push_back({&key, key.hash()});
+    Shard& shard = shard_for(hashed.back().hash);
     const common::MutexLock lock(shard.mutex);
-    const auto it = shard.index.find(&key);
+    const auto it = shard.index.find(hashed.back());
     if (it == shard.index.end()) return std::nullopt;
     values.push_back(it->second->value);
   }
   // Every key answered: only now refresh recency and count, so a probe
   // that answers nothing leaves the cache as it found it. An entry evicted
   // in between still served its copy, which is a hit.
-  for (const RequestKey& key : keys) {
-    Shard& shard = shard_for(key);
+  for (const HashedKey& key : hashed) {
+    Shard& shard = shard_for(key.hash);
     const common::MutexLock lock(shard.mutex);
-    if (const auto it = shard.index.find(&key); it != shard.index.end())
+    if (const auto it = shard.index.find(key); it != shard.index.end())
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     ++shard.hits;
   }
@@ -202,34 +236,14 @@ std::optional<std::vector<CachedSolve>> ResultCache::lookup(
 void ResultCache::publish(const Fetch& fetch, CachedSolve value) {
   if (fetch.ticket == nullptr) return;
   const auto flight = std::static_pointer_cast<InFlight>(fetch.ticket);
-  Shard& shard = shard_for(flight->key);
+  const HashedKey hashed{&flight->key, flight->hash};
+  Shard& shard = shard_for(hashed.hash);
   {
     const common::MutexLock lock(shard.mutex);
-    shard.inflight.erase(flight->key);
-    const std::size_t bytes = value.approx_bytes();
-    if (const auto it = shard.index.find(&flight->key);
-        it != shard.index.end()) {
-      // A clear()+recompute race can re-publish a key; replace in place.
-      const auto entry = it->second;
-      shard.bytes -= entry->bytes;
-      shard.index.erase(it);
-      shard.lru.erase(entry);
-    }
-    if (bytes <= shard_budget_) {
-      while (shard.bytes + bytes > shard_budget_ && !shard.lru.empty()) {
-        shard.bytes -= shard.lru.back().bytes;
-        shard.index.erase(&shard.lru.back().key);
-        shard.lru.pop_back();
-        ++shard.evictions;
-      }
-      shard.lru.push_front(Shard::Entry{flight->key, value, bytes});
-      shard.index.emplace(&shard.lru.front().key, shard.lru.begin());
-      shard.bytes += bytes;
-      ++shard.insertions;
-    }
-    // An entry larger than a whole shard's budget is simply not stored:
-    // evicting the entire shard for one oversized result would turn the
-    // cache into a one-slot buffer.
+    shard.inflight.erase(hashed);
+    // A clear()+recompute race can re-publish a key; it is replaced.
+    const std::size_t size = value.approx_bytes();
+    shard.store(hashed, value, size, shard_budget_);
   }
   {
     const common::MutexLock lock(flight->mutex);
@@ -243,10 +257,10 @@ void ResultCache::publish(const Fetch& fetch, CachedSolve value) {
 void ResultCache::abandon(const Fetch& fetch) {
   if (fetch.ticket == nullptr) return;
   const auto flight = std::static_pointer_cast<InFlight>(fetch.ticket);
-  Shard& shard = shard_for(flight->key);
+  Shard& shard = shard_for(flight->hash);
   {
     const common::MutexLock lock(shard.mutex);
-    shard.inflight.erase(flight->key);
+    shard.inflight.erase({&flight->key, flight->hash});
   }
   {
     const common::MutexLock lock(flight->mutex);
@@ -276,28 +290,11 @@ void ResultCache::reset_stats() {
 }
 
 void ResultCache::insert(const RequestKey& key, CachedSolve value) {
-  Shard& shard = shard_for(key);
+  const HashedKey hashed{&key, key.hash()};
+  Shard& shard = shard_for(hashed.hash);
+  const std::size_t size = value.approx_bytes();
   const common::MutexLock lock(shard.mutex);
-  const std::size_t bytes = value.approx_bytes();
-  if (const auto it = shard.index.find(&key); it != shard.index.end()) {
-    const auto entry = it->second;
-    shard.bytes -= entry->bytes;
-    shard.index.erase(it);
-    shard.lru.erase(entry);
-  }
-  // Same storage rules as publish(): evict LRU tails to fit, and never
-  // store an entry bigger than the whole shard budget.
-  if (bytes > shard_budget_) return;
-  while (shard.bytes + bytes > shard_budget_ && !shard.lru.empty()) {
-    shard.bytes -= shard.lru.back().bytes;
-    shard.index.erase(&shard.lru.back().key);
-    shard.lru.pop_back();
-    ++shard.evictions;
-  }
-  shard.lru.push_front(Shard::Entry{key, std::move(value), bytes});
-  shard.index.emplace(&shard.lru.front().key, shard.lru.begin());
-  shard.bytes += bytes;
-  ++shard.insertions;
+  shard.store(hashed, std::move(value), size, shard_budget_);
 }
 
 std::vector<std::pair<RequestKey, CachedSolve>> ResultCache::export_entries()

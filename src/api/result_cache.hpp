@@ -161,7 +161,8 @@ class ResultCache {
   struct Shard;
   struct InFlight;
 
-  [[nodiscard]] Shard& shard_for(const RequestKey& key) noexcept;
+  /// The shard of the key whose hash() is `hash`.
+  [[nodiscard]] Shard& shard_for(std::uint64_t hash) noexcept;
 
   ResultCacheOptions options_;
   std::size_t shard_budget_ = 0;
