@@ -1,33 +1,13 @@
 #include "api/request_key.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
-#include <utility>
 
 #include "api/solver.hpp"
 #include "soc/soc_io.hpp"
 
 namespace wtam::api {
-
-namespace {
-
-/// Renders the sorted "k=v,k=v" form from explicit pairs.
-std::string render_options(
-    std::vector<std::pair<std::string, std::string>> pairs) {
-  std::sort(pairs.begin(), pairs.end());
-  std::string out;
-  for (const auto& [key, value] : pairs) {
-    if (!out.empty()) out += ',';
-    out += key;
-    out += '=';
-    out += value;
-  }
-  return out;
-}
-
-}  // namespace
 
 std::uint64_t RequestKey::hash() const noexcept {
   std::uint64_t h = soc_hash.word();
@@ -104,28 +84,35 @@ RequestKey RequestKey::parse(std::string_view text) {
 
 std::string canonical_options(const std::string& backend,
                               const core::BackendOptions& options) {
-  std::vector<std::pair<std::string, std::string>> pairs;
+  // Unknown backends render every field, so distinct options never alias.
   const bool known = backend == "enumerative" || backend == "rectpack";
-  if (backend == "enumerative" || !known) {
-    pairs.emplace_back("min_tams", std::to_string(options.min_tams));
-    pairs.emplace_back("max_tams", std::to_string(options.max_tams));
-    pairs.emplace_back("run_final_step",
-                       options.run_final_step ? "1" : "0");
-  }
-  if (backend == "rectpack" || !known) {
-    pairs.emplace_back(
-        "rectpack_iterations",
-        std::to_string(options.rectpack.local_search_iterations));
-    pairs.emplace_back("rectpack_seed", std::to_string(options.rectpack.seed));
-  }
-  // Constraints change the feasible set for every backend, so their
-  // canonical (normalized) form is always part of the identity — the
-  // cache must never conflate constrained and unconstrained asks. Empty
-  // constraints render nothing, keeping pre-constraint keys stable.
+  const bool tams = backend == "enumerative" || !known;
+  const bool walks = backend == "rectpack" || !known;
+  std::string out;
+  const auto field = [&out](std::string_view key, std::string_view value) {
+    if (!out.empty()) out += ',';
+    out += key;
+    out += '=';
+    out += value;
+  };
+  // The fields go out in sorted key order. Constraints change the
+  // feasible set for every backend, so their canonical (normalized) form
+  // is always part of the identity — the cache must never conflate
+  // constrained and unconstrained asks. Empty constraints render
+  // nothing, keeping pre-constraint keys stable.
   if (!options.constraints.empty())
-    pairs.emplace_back("constraints",
-                       core::canonical_constraints(options.constraints));
-  return render_options(std::move(pairs));
+    field("constraints", core::canonical_constraints(options.constraints));
+  if (tams) {
+    field("max_tams", std::to_string(options.max_tams));
+    field("min_tams", std::to_string(options.min_tams));
+  }
+  if (walks) {
+    field("rectpack_iterations",
+          std::to_string(options.rectpack.local_search_iterations));
+    field("rectpack_seed", std::to_string(options.rectpack.seed));
+  }
+  if (tams) field("run_final_step", options.run_final_step ? "1" : "0");
+  return out;
 }
 
 RequestKey make_request_key(const soc::Soc& soc, int width,
