@@ -1,6 +1,8 @@
 #include "api/solver.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <deque>
 #include <mutex>
 #include <numeric>
@@ -326,6 +328,33 @@ SolveResult execute_impl(const SolveRequest& request, std::size_t index,
   return result;
 }
 
+/// One counter per value of a result enum, named `prefix` and the
+/// value's text. Each is registered the first time its value is counted,
+/// so a scrape lists only the values seen, and is reached without the
+/// registry after that.
+template <class Enum, Enum kLast>
+class CounterPerValue {
+ public:
+  explicit CounterPerValue(std::string prefix) : prefix_(std::move(prefix)) {}
+
+  void increment(Enum value) {
+    std::atomic<obs::Counter*>& slot = slots_[static_cast<std::size_t>(value)];
+    obs::Counter* counter = slot.load(std::memory_order_acquire);
+    if (counter == nullptr) {
+      // Threads that race here all get the registry's one counter.
+      counter = &obs::MetricsRegistry::instance().counter(
+          prefix_ + std::string(to_string(value)));
+      slot.store(counter, std::memory_order_release);
+    }
+    counter->increment();
+  }
+
+ private:
+  const std::string prefix_;
+  std::array<std::atomic<obs::Counter*>, static_cast<std::size_t>(kLast) + 1>
+      slots_{};
+};
+
 /// execute_impl plus process-wide metrics: every job — whatever its
 /// status — bumps solver.requests and its per-status/per-cache-outcome
 /// counters, moves the in-flight gauge, and records its latency into
@@ -341,6 +370,10 @@ std::optional<SolveResult> execute(const SolveRequest& request,
   static obs::Counter& requests_total = registry.counter("solver.requests");
   static obs::Gauge& inflight = registry.gauge("solver.inflight");
   static obs::Histogram& solve_hist = registry.histogram("solver.solve_ns");
+  static CounterPerValue<Status, Status::Overloaded> status_counts(
+      "solver.status.");
+  static CounterPerValue<CacheOutcome, CacheOutcome::Hit> cache_counts(
+      "solver.cache.");
 
   inflight.add(1);
   const common::Stopwatch watch;
@@ -350,11 +383,8 @@ std::optional<SolveResult> execute(const SolveRequest& request,
   if (stored_only && result.cache != CacheOutcome::Hit) return std::nullopt;
   solve_hist.record_ns(watch.elapsed_ns());
   requests_total.increment();
-  registry
-      .counter("solver.status." + std::string(to_string(result.status)))
-      .increment();
-  registry.counter("solver.cache." + std::string(to_string(result.cache)))
-      .increment();
+  status_counts.increment(result.status);
+  cache_counts.increment(result.cache);
   if (trace != nullptr) result.trace = trace->spans();
   return result;
 }

@@ -319,14 +319,15 @@ Service::Action Service::handle_line(const std::string& line,
     return Action::Continue;
   }
 
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
+  static obs::Counter& jobs_accepted =
+      obs::MetricsRegistry::instance().counter("serve.jobs_accepted");
   // A stored job needs no engine: answered here, it never waits behind
   // cold solves in the pool's queue and is never shed.
   const common::Stopwatch started;
   if (std::optional<api::SolveResult> stored =
           cache_ ? solver_->solve_stored(request) : std::nullopt) {
     const std::uint64_t job_number = accounting_->try_accept(0);
-    registry.counter("serve.jobs_accepted").increment();
+    jobs_accepted.increment();
     if (request.id.empty()) stored->id = "job-" + std::to_string(job_number);
     accounting_->job_started();
     finish_job(*stored, started, sink, {});  // the reading loop flushes
@@ -339,11 +340,11 @@ Service::Action Service::handle_line(const std::string& line,
     // Admission control: the queue is at its limit — shed instead of
     // stalling. The job was well-formed, the service just declined it
     // right now.
-    registry.counter("serve.jobs_shed").increment();
+    obs::MetricsRegistry::instance().counter("serve.jobs_shed").increment();
     sink(bounded_answer(shed_answer(request.id)));
     return Action::Continue;
   }
-  registry.counter("serve.jobs_accepted").increment();
+  jobs_accepted.increment();
   if (request.id.empty()) request.id = "job-" + std::to_string(job_number);
   submit_job(std::move(request), sink, flush);
   return Action::Continue;
@@ -376,9 +377,12 @@ void Service::finish_job(const api::SolveResult& result,
                          const Flush& flush) {
   sink(bounded_answer(api::result_line(result, write_options_), result.id));
   if (flush) flush();
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
-  registry.histogram("serve.job_ns").record_ns(since.elapsed_ns());
-  registry.counter("serve.jobs_completed").increment();
+  static obs::Histogram& job_ns =
+      obs::MetricsRegistry::instance().histogram("serve.job_ns");
+  static obs::Counter& jobs_completed =
+      obs::MetricsRegistry::instance().counter("serve.jobs_completed");
+  job_ns.record_ns(since.elapsed_ns());
+  jobs_completed.increment();
   accounting_->job_completed();
 }
 

@@ -213,6 +213,14 @@ TEST(Service, StoredJobsAreAnsweredOnTheReadingThread) {
   EXPECT_EQ(delta("solver.cache.hit"), 1);
   EXPECT_EQ(delta("solver.cache.miss"), 3);
   EXPECT_EQ(delta("solver.cache.bypass"), 1);
+  EXPECT_EQ(delta("solver.status.ok"), 4);
+  EXPECT_EQ(delta("solver.status.deadline_exceeded"), 1);
+  const auto job_ns_samples = [](const api::JsonValue& answer) {
+    const api::JsonValue* job_ns =
+        answer.find("histograms")->find("serve.job_ns");
+    return job_ns ? job_ns->find("count")->as_int() : 0;
+  };
+  EXPECT_EQ(job_ns_samples(metrics) - job_ns_samples(before), 5);
 }
 
 TEST(Service, StoredJobsAreNeverShed) {
