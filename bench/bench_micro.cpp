@@ -6,7 +6,9 @@
 //   * partition enumeration is negligible next to evaluation;
 //   * partition_evaluate at 1/2/4/8 threads returns bit-identical results
 //     while the wall clock drops with available cores;
-//   * a rectpack walker repack costs microseconds (per-repack kernels).
+//   * a rectpack walker repack costs microseconds (per-repack kernels);
+//   * a cache hit costs a wtam_serve worker microseconds (stored-hit
+//     kernels).
 //
 // Results are printed as a table and written to BENCH_micro.json so the
 // performance trajectory is machine-readable across PRs.
@@ -19,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/job_io.hpp"
 #include "bench_util.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
@@ -34,7 +37,9 @@
 #include "pack/rectpack.hpp"
 #include "pack/skyline.hpp"
 #include "partition/partition.hpp"
+#include "serve/service.hpp"
 #include "soc/benchmarks.hpp"
+#include "soc/soc_io.hpp"
 #include "wrapper/wrapper.hpp"
 
 namespace {
@@ -349,6 +354,40 @@ int main() {
     measurements.push_back(m);
   }
 
+  // A stored hit, as a wtam_serve worker answers it on its reading
+  // thread: parse the job line, resolve the SOC, key it, probe the cache,
+  // count the job and write the answer line. In-process, so no pipe or
+  // router hop is timed. One cold solve fills the cache first; the sink
+  // keeps the last answer, which must be a hit.
+  std::string missed_hit;
+  {
+    serve::ServiceOptions options;
+    options.threads = 1;
+    serve::Service service(options);
+    std::string last_answer;
+    const serve::Service::Sink sink = [&last_answer](const std::string& line) {
+      last_answer = line;
+    };
+    api::SolveRequest job;
+    job.id = "hit";
+    job.soc = "d695";
+    job.width = 32;
+    const std::string builtin_line = api::job_to_json(job).dump_compact_string();
+    job.soc.clear();
+    job.soc_inline = soc::write_soc_string(d695);
+    const std::string inline_line = api::job_to_json(job).dump_compact_string();
+    for (const auto& [name, line] :
+         {std::pair{"serve_stored_hit_builtin", &builtin_line},
+          std::pair{"serve_stored_hit_inline", &inline_line}}) {
+      (void)service.handle_line(*line, 1, sink);
+      service.drain_and_save();  // the first ask solves in the pool
+      measurements.push_back(measure(
+          name, [&] { (void)service.handle_line(*line, 1, sink); }));
+      if (last_answer.find(R"("cache": "hit")") == std::string::npos)
+        missed_hit = name;
+    }
+  }
+
   common::TextTable micro_table("Micro benchmarks (per-call wall clock)");
   micro_table.set_header({"benchmark", "iterations", "total (s)", "per call (us)"},
                          {common::Align::Left, common::Align::Right,
@@ -436,6 +475,10 @@ int main() {
   bench::write_json_file(path, document);
   std::cout << "wrote " << path << "\n";
 
+  if (!missed_hit.empty()) {
+    std::cerr << "FATAL: " << missed_hit << " timed jobs that missed the cache\n";
+    return 1;
+  }
   // Parallel correctness is part of this bench's contract: fail loudly if
   // any thread count diverged from serial.
   for (const auto& comparison : comparisons)
