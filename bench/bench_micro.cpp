@@ -372,10 +372,12 @@ int main() {
     job.id = "hit";
     job.soc = "d695";
     job.width = 32;
-    const std::string builtin_line = api::job_to_json(job).dump_compact_string();
+    const std::string builtin_line =
+        api::job_to_json(job).dump_compact_string();
     job.soc.clear();
     job.soc_inline = soc::write_soc_string(d695);
-    const std::string inline_line = api::job_to_json(job).dump_compact_string();
+    const std::string inline_line =
+        api::job_to_json(job).dump_compact_string();
     for (const auto& [name, line] :
          {std::pair{"serve_stored_hit_builtin", &builtin_line},
           std::pair{"serve_stored_hit_inline", &inline_line}}) {
@@ -476,7 +478,8 @@ int main() {
   std::cout << "wrote " << path << "\n";
 
   if (!missed_hit.empty()) {
-    std::cerr << "FATAL: " << missed_hit << " timed jobs that missed the cache\n";
+    std::cerr << "FATAL: " << missed_hit
+              << " timed jobs that missed the cache\n";
     return 1;
   }
   // Parallel correctness is part of this bench's contract: fail loudly if

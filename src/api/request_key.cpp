@@ -86,8 +86,8 @@ std::string canonical_options(const std::string& backend,
                               const core::BackendOptions& options) {
   // Unknown backends render every field, so distinct options never alias.
   const bool known = backend == "enumerative" || backend == "rectpack";
-  const bool tams = backend == "enumerative" || !known;
-  const bool walks = backend == "rectpack" || !known;
+  const bool tam_fields = backend == "enumerative" || !known;
+  const bool rectpack_fields = backend == "rectpack" || !known;
   std::string out;
   const auto field = [&out](std::string_view key, std::string_view value) {
     if (!out.empty()) out += ',';
@@ -102,16 +102,16 @@ std::string canonical_options(const std::string& backend,
   // nothing, keeping pre-constraint keys stable.
   if (!options.constraints.empty())
     field("constraints", core::canonical_constraints(options.constraints));
-  if (tams) {
+  if (tam_fields) {
     field("max_tams", std::to_string(options.max_tams));
     field("min_tams", std::to_string(options.min_tams));
   }
-  if (walks) {
+  if (rectpack_fields) {
     field("rectpack_iterations",
           std::to_string(options.rectpack.local_search_iterations));
     field("rectpack_seed", std::to_string(options.rectpack.seed));
   }
-  if (tams) field("run_final_step", options.run_final_step ? "1" : "0");
+  if (tam_fields) field("run_final_step", options.run_final_step ? "1" : "0");
   return out;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <deque>
 #include <mutex>
 #include <numeric>
@@ -338,21 +337,22 @@ class CounterPerValue {
   explicit CounterPerValue(std::string prefix) : prefix_(std::move(prefix)) {}
 
   void increment(Enum value) {
-    std::atomic<obs::Counter*>& slot = slots_[static_cast<std::size_t>(value)];
-    obs::Counter* counter = slot.load(std::memory_order_acquire);
-    if (counter == nullptr) {
-      // Threads that race here all get the registry's one counter.
-      counter = &obs::MetricsRegistry::instance().counter(
+    Slot& slot = slots_[static_cast<std::size_t>(value)];
+    std::call_once(slot.once, [&] {
+      slot.counter = &obs::MetricsRegistry::instance().counter(
           prefix_ + std::string(to_string(value)));
-      slot.store(counter, std::memory_order_release);
-    }
-    counter->increment();
+    });
+    slot.counter->increment();
   }
 
  private:
+  struct Slot {
+    std::once_flag once;
+    obs::Counter* counter = nullptr;  // written once, under `once`
+  };
+
   const std::string prefix_;
-  std::array<std::atomic<obs::Counter*>, static_cast<std::size_t>(kLast) + 1>
-      slots_{};
+  std::array<Slot, static_cast<std::size_t>(kLast) + 1> slots_;
 };
 
 /// execute_impl plus process-wide metrics: every job — whatever its
