@@ -327,10 +327,10 @@ SolveResult execute_impl(const SolveRequest& request, std::size_t index,
   return result;
 }
 
-/// One counter per value of a result enum, named `prefix` and the
-/// value's text. Each is registered the first time its value is counted,
-/// so a scrape lists only the values seen, and is reached without the
-/// registry after that.
+/// One counter per value of a result enum (`kLast` is its last value),
+/// named `prefix` and the value's text. Each is registered the first time
+/// its value is counted, so a scrape lists only the values seen, and is
+/// reached without the registry after that.
 template <class Enum, Enum kLast>
 class CounterPerValue {
  public:
