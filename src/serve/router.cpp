@@ -564,7 +564,7 @@ void Router::route_job(
   const std::size_t worker = shard_for(line, std::move(value));
 
   // The wire line leads with the internal id, so every job response
-  // leads with it too (result_to_json and the workers' error objects
+  // leads with it too (result_line and the workers' error objects
   // write "id" first; an echoing worker copies the line), and
   // handle_worker_line splices the client's id back without a parse.
   std::shared_ptr<WorkerLink> link;
