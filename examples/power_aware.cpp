@@ -24,8 +24,8 @@ int main(int argc, char** argv) {
   const auto& arch = result.architecture;
 
   const core::PowerVector power = core::scan_activity_power(soc);
-  const auto unconstrained = core::build_schedule(table, arch);
-  const std::int64_t peak0 = core::peak_power(unconstrained, power);
+  const std::int64_t peak0 =
+      pack::packed_peak_power(pack::from_architecture(table, arch), power);
   const std::int64_t largest = *std::max_element(power.begin(), power.end());
 
   std::cout << soc.name << " at W=" << width << ", partition "

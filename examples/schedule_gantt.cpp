@@ -1,6 +1,7 @@
-// Test-schedule visualization: co-optimize a SOC, then print the per-TAM
-// schedule as a Gantt chart together with the wire-utilization report
-// that quantifies the paper's §1 "idle TAM wires" motivation.
+// Test-schedule visualization: co-optimize a SOC, then print its static
+// TAM lanes as a wire-level Gantt chart together with the strip
+// utilization, which quantifies the paper's §1 "idle TAM wires"
+// motivation.
 
 #include <iostream>
 #include <string>
@@ -36,20 +37,12 @@ int main(int argc, char** argv) {
             << core::format_partition(arch.widths) << ", testing time "
             << arch.testing_time << " cycles\n\n";
 
-  const auto schedule =
-      core::build_schedule(table, arch, core::ScheduleOrder::LongestFirst);
-  std::cout << core::render_gantt(schedule, soc, 64) << "\n";
-
-  common::TextTable util("Wire utilization per TAM");
-  util.set_header({"TAM", "width", "max used", "idle wires", "utilization"});
-  for (const auto& u : core::wire_utilization(table, arch)) {
-    util.add_row({std::to_string(u.tam + 1), std::to_string(u.width),
-                  std::to_string(u.max_used_width),
-                  std::to_string(u.idle_wires),
-                  common::format_fixed(u.time_weighted_utilization * 100.0, 1) +
-                      "%"});
-  }
-  std::cout << util;
+  const auto schedule = pack::from_architecture(table, arch);
+  std::cout << pack::render_packed_gantt(schedule, soc, 64)
+            << "strip utilization "
+            << common::format_fixed(pack::strip_utilization(schedule) * 100.0,
+                                    1)
+            << "%\n";
 
   const auto bounds = core::testing_time_lower_bounds(table, width);
   std::cout << "\nlower bounds: bottleneck core "

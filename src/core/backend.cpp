@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "core/co_optimizer.hpp"
 #include "core/power.hpp"
@@ -70,10 +71,10 @@ class EnumerativeBackend final : public OptimizerBackend {
 
     if (constraints.has_power()) {
       // Honor the budget on the architecture the power-blind search
-      // chose: sessions are delayed just enough (greedy list scheduling,
-      // core/power.hpp) and the delayed test-bus schedule is lowered to
-      // the unified packing. The makespan can only grow.
-      const PowerConstrainedResult limited = schedule_with_power_limit(
+      // chose: the sessions on its static TAM lanes are delayed just
+      // enough (greedy list scheduling, core/power.hpp). The makespan can
+      // only grow.
+      PowerConstrainedResult limited = schedule_with_power_limit(
           table, result.architecture, constraints.power,
           constraints.power_budget);
       if (!limited.feasible)
@@ -82,9 +83,8 @@ class EnumerativeBackend final : public OptimizerBackend {
         throw std::invalid_argument(
             "enumerative backend: power budget infeasible (a single core "
             "exceeds it)");
-      outcome.schedule = pack::from_schedule(result.architecture,
-                                             limited.schedule);
-      outcome.testing_time = limited.schedule.makespan;
+      outcome.schedule = std::move(limited.schedule);
+      outcome.testing_time = outcome.schedule.makespan;
       outcome.details.emplace_back("power budget",
                                    std::to_string(constraints.power_budget));
       outcome.details.emplace_back("peak power",

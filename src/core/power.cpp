@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <queue>
 #include <stdexcept>
+#include <tuple>
 
 namespace wtam::core {
 
@@ -179,64 +181,38 @@ PowerVector scan_activity_power(const soc::Soc& soc) {
   return power;
 }
 
-std::vector<PowerStep> power_profile(const TestSchedule& schedule,
-                                     const PowerVector& power) {
-  // Sweep line over session starts/ends.
-  std::map<std::int64_t, std::int64_t> delta;  // time -> power change
-  for (const auto& entry : schedule.entries) {
-    if (entry.core < 0 ||
-        entry.core >= static_cast<int>(power.size()))
-      throw std::invalid_argument("power_profile: power vector too small");
-    const std::int64_t p = power[static_cast<std::size_t>(entry.core)];
-    delta[entry.start] += p;
-    delta[entry.end] -= p;
-  }
-  std::vector<PowerStep> profile;
-  std::int64_t current = 0;
-  std::int64_t previous_time = 0;
-  bool first = true;
-  for (const auto& [time, change] : delta) {
-    if (!first && time > previous_time && current != 0)
-      profile.push_back({previous_time, time, current});
-    current += change;
-    previous_time = time;
-    first = false;
-  }
-  return profile;
-}
-
-std::int64_t peak_power(const TestSchedule& schedule,
-                        const PowerVector& power) {
-  std::int64_t peak = 0;
-  for (const auto& step : power_profile(schedule, power))
-    peak = std::max(peak, step.power);
-  return peak;
-}
-
 PowerConstrainedResult schedule_with_power_limit(
     const TestTimeTable& table, const TamArchitecture& architecture,
-    const PowerVector& power, std::int64_t limit, ScheduleOrder order) {
+    const PowerVector& power, std::int64_t limit) {
   if (static_cast<int>(power.size()) != table.core_count())
     throw std::invalid_argument(
         "schedule_with_power_limit: power vector size != core count");
+  if (std::any_of(power.begin(), power.end(),
+                  [](std::int64_t p) { return p < 0; }))
+    throw std::invalid_argument(
+        "schedule_with_power_limit: negative power draw");
+
+  // Each TAM's static lane with its sessions back to back in core order;
+  // the greedy below only moves their start times.
+  pack::PackedSchedule lanes = pack::from_architecture(table, architecture);
 
   PowerConstrainedResult result;
-
-  // The per-TAM sequences come from the unconstrained scheduler.
-  const TestSchedule base = build_schedule(table, architecture, order);
-  const int tams = architecture.tam_count();
-  std::vector<std::vector<ScheduledTest>> sequence(
-      static_cast<std::size_t>(tams));
-  for (const auto& entry : base.entries)
-    sequence[static_cast<std::size_t>(entry.tam)].push_back(entry);
-
   // Feasibility: every single core must fit under the budget.
-  for (const auto& entry : base.entries) {
-    if (power[static_cast<std::size_t>(entry.core)] > limit) {
-      result.feasible = false;
-      return result;
-    }
-  }
+  if (std::any_of(power.begin(), power.end(),
+                  [limit](std::int64_t p) { return p > limit; }))
+    return result;
+
+  // Per TAM, its sessions in core-index order, the order its lane runs
+  // them.
+  std::vector<std::size_t> slot(lanes.placements.size());
+  for (std::size_t k = 0; k < lanes.placements.size(); ++k)
+    slot[static_cast<std::size_t>(lanes.placements[k].core)] = k;
+  const int tams = architecture.tam_count();
+  std::vector<std::vector<std::size_t>> sequence(
+      static_cast<std::size_t>(tams));
+  for (std::size_t i = 0; i < slot.size(); ++i)
+    sequence[static_cast<std::size_t>(architecture.assignment[i])].push_back(
+        slot[i]);
 
   std::vector<std::size_t> next(static_cast<std::size_t>(tams), 0);
   std::vector<std::int64_t> busy_until(static_cast<std::size_t>(tams), 0);
@@ -244,20 +220,10 @@ PowerConstrainedResult schedule_with_power_limit(
   using Running = std::tuple<std::int64_t, int, std::int64_t>;
   std::priority_queue<Running, std::vector<Running>, std::greater<>> running;
 
-  TestSchedule out;
-  out.tam_finish.assign(static_cast<std::size_t>(tams), 0);
+  std::size_t waiting = lanes.placements.size();
   std::int64_t clock = 0;
   std::int64_t current_power = 0;
-
-  const auto all_done = [&] {
-    for (int tam = 0; tam < tams; ++tam)
-      if (next[static_cast<std::size_t>(tam)] <
-          sequence[static_cast<std::size_t>(tam)].size())
-        return false;
-    return true;
-  };
-
-  while (!all_done() || !running.empty()) {
+  while (waiting > 0 || !running.empty()) {
     // Start every session that fits right now (ascending TAM index).
     bool started = true;
     while (started) {
@@ -266,42 +232,37 @@ PowerConstrainedResult schedule_with_power_limit(
         const auto t = static_cast<std::size_t>(tam);
         if (next[t] >= sequence[t].size()) continue;
         if (busy_until[t] > clock) continue;
-        const auto& session = sequence[t][next[t]];
+        pack::PackedPlacement& session = lanes.placements[sequence[t][next[t]]];
         const std::int64_t p = power[static_cast<std::size_t>(session.core)];
         if (current_power + p > limit) continue;
-        const std::int64_t duration = session.end - session.start;
-        out.entries.push_back({session.core, tam, clock, clock + duration});
-        busy_until[t] = clock + duration;
-        out.tam_finish[t] = clock + duration;
-        running.emplace(clock + duration, tam, p);
+        session.end = clock + (session.end - session.start);
+        session.start = clock;
+        busy_until[t] = session.end;
+        running.emplace(session.end, tam, p);
         current_power += p;
         ++next[t];
+        --waiting;
         started = true;
       }
     }
     if (running.empty()) break;  // cannot happen while work remains
     // Advance to the next completion.
-    const auto [end, tam, p] = running.top();
+    clock = std::get<0>(running.top());
+    current_power -= std::get<2>(running.top());
     running.pop();
-    clock = end;
-    current_power -= p;
-    (void)tam;
   }
 
-  out.makespan = 0;
-  for (const auto finish : out.tam_finish)
-    out.makespan = std::max(out.makespan, finish);
-  // Inserted idle time = constrained busy span minus pure test time per TAM.
-  std::int64_t idle = 0;
-  for (int tam = 0; tam < tams; ++tam) {
-    const auto t = static_cast<std::size_t>(tam);
-    std::int64_t busy = 0;
-    for (const auto& session : sequence[t]) busy += session.end - session.start;
-    idle += out.tam_finish[t] - busy;
-  }
+  // Inserted idle time = the TAMs' delayed finishes minus their pure test
+  // time.
+  lanes.makespan = *std::max_element(busy_until.begin(), busy_until.end());
+  std::int64_t idle =
+      std::accumulate(busy_until.begin(), busy_until.end(), std::int64_t{0});
+  for (const pack::PackedPlacement& session : lanes.placements)
+    idle -= session.end - session.start;
+  pack::sort_placements(lanes.placements);
 
-  result.schedule = std::move(out);
-  result.peak = peak_power(result.schedule, power);
+  result.peak = pack::packed_peak_power(lanes, power);
+  result.schedule = std::move(lanes);
   result.feasible = true;
   result.idle_cycles = idle;
   return result;

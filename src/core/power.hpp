@@ -5,14 +5,17 @@
 // adds on top of the test-bus model: every concurrently tested core
 // dissipates scan power, and the SOC-level peak must stay under a budget.
 // Cores on one TAM already run sequentially; cores on different TAMs
-// overlap, so the schedule's *order* and *start offsets* determine the
-// peak. We provide:
+// overlap, so the sessions' start offsets determine the peak. We provide:
 //   * a default scan-activity power model (toggling bits per cycle ~
 //     wrapper cells + scan flip-flops);
-//   * the exact peak/profile of a schedule;
-//   * a greedy power-constrained scheduler that delays test sessions
-//     just enough to respect the budget (classic list scheduling with a
-//     resource constraint), trading testing time for peak power.
+//   * peak-power helpers over span lists and an incremental power
+//     timeline, shared by the packers and the validator;
+//   * a greedy power-constrained scheduler that delays the sessions on
+//     each TAM's static wire lane (pack::from_architecture) just enough
+//     to respect the budget (classic list scheduling with a resource
+//     constraint), trading testing time for peak power. Its result is a
+//     pack::PackedSchedule, the one schedule type; the schedule's exact
+//     peak is pack::packed_peak_power.
 
 #pragma once
 
@@ -21,9 +24,9 @@
 #include <vector>
 
 #include "core/constraints.hpp"  // PowerVector lives with the constraints
-#include "core/schedule.hpp"
 #include "core/tam_types.hpp"
 #include "core/test_time_table.hpp"
+#include "pack/packed_schedule.hpp"
 
 namespace wtam::core {
 
@@ -145,36 +148,24 @@ class PowerTimeline {
 /// (every wrapper/scan cell toggles each shift cycle).
 [[nodiscard]] PowerVector scan_activity_power(const soc::Soc& soc);
 
-/// One step of the SOC power profile: [start, end) at `power`.
-struct PowerStep {
-  std::int64_t start = 0;
-  std::int64_t end = 0;
-  std::int64_t power = 0;
-};
-
-/// Exact piecewise-constant SOC power profile of a schedule.
-[[nodiscard]] std::vector<PowerStep> power_profile(const TestSchedule& schedule,
-                                                   const PowerVector& power);
-
-/// Maximum of the profile (0 for an empty schedule).
-[[nodiscard]] std::int64_t peak_power(const TestSchedule& schedule,
-                                      const PowerVector& power);
-
 struct PowerConstrainedResult {
-  TestSchedule schedule;
+  /// The delayed TAM lanes; empty when infeasible.
+  pack::PackedSchedule schedule;
   std::int64_t peak = 0;       ///< achieved peak (<= limit on success)
   bool feasible = false;       ///< false if some single core exceeds the limit
   std::int64_t idle_cycles = 0;  ///< total delay inserted vs unconstrained
 };
 
-/// Schedules the architecture under a peak-power budget: per TAM the
-/// cores keep their (order-selected) sequence, but a session is delayed
-/// until enough power headroom is available. Greedy earliest-start list
-/// scheduling; with limit >= sum of all powers it reproduces
-/// build_schedule exactly.
+/// Schedules the architecture under a peak-power budget: each TAM keeps
+/// its static wire lane and its core sequence from
+/// pack::from_architecture, but a session is delayed until enough power
+/// headroom is available. Greedy earliest-start list scheduling; with
+/// limit >= sum of all powers it reproduces from_architecture exactly.
+/// Throws std::invalid_argument for a power vector whose size differs
+/// from the core count or that holds a negative draw, and for an
+/// architecture from_architecture rejects.
 [[nodiscard]] PowerConstrainedResult schedule_with_power_limit(
     const TestTimeTable& table, const TamArchitecture& architecture,
-    const PowerVector& power, std::int64_t limit,
-    ScheduleOrder order = ScheduleOrder::AsAssigned);
+    const PowerVector& power, std::int64_t limit);
 
 }  // namespace wtam::core

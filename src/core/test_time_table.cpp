@@ -16,23 +16,16 @@ TestTimeTable::TestTimeTable(const soc::Soc& soc, int max_width)
 
   const auto columns = static_cast<std::size_t>(max_width);
   times_.resize(static_cast<std::size_t>(core_count_) * columns);
-  used_widths_.resize(times_.size());
   for (std::size_t i = 0; i < soc.cores.size(); ++i) {
     const auto& core = soc.cores[i];
     const std::int64_t floor_time = soc::min_test_time_bound(core);
     std::int64_t best = -1;
-    int best_width = 1;
     for (int w = 1; w <= max_width; ++w) {
       if (best < 0 || best > floor_time) {
         const std::int64_t raw = wrapper::test_time(core, w);
-        if (best < 0 || raw < best) {
-          best = raw;
-          best_width = w;
-        }
+        if (best < 0 || raw < best) best = raw;
       }
-      const std::size_t at = i * columns + static_cast<std::size_t>(w - 1);
-      times_[at] = best;
-      used_widths_[at] = best_width;
+      times_[i * columns + static_cast<std::size_t>(w - 1)] = best;
     }
   }
 }
@@ -48,7 +41,6 @@ TestTimeTable::TestTimeTable(const std::vector<int>& widths,
   }
   const auto columns = static_cast<std::size_t>(max_width_);
   times_.assign(rows.size() * columns, -1);
-  used_widths_.assign(times_.size(), 0);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     if (rows[i].size() != widths.size())
       throw std::invalid_argument("TestTimeTable: row size mismatch");
@@ -60,7 +52,6 @@ TestTimeTable::TestTimeTable(const std::vector<int>& widths,
       if (rows[i][c] < 0)
         throw std::invalid_argument("TestTimeTable: time must be >= 0");
       times_[at] = rows[i][c];
-      used_widths_[at] = widths[c];
     }
   }
 }
@@ -80,10 +71,6 @@ std::size_t TestTimeTable::cell(int core, int width) const {
 
 std::int64_t TestTimeTable::time(int core, int width) const {
   return times_[cell(core, width)];
-}
-
-int TestTimeTable::used_width(int core, int width) const {
-  return used_widths_[cell(core, width)];
 }
 
 std::int64_t TestTimeTable::total_time(int width) const {

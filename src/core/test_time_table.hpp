@@ -6,8 +6,7 @@
 // and the rectangle model all read this table. Built from an SOC, it
 // precomputes the *effective* (monotone-envelope) testing time for every
 // core at every width 1..max_width: a TAM may always leave wires idle, so
-// T_i(w) = min over w' <= w of the raw Design_wrapper time. The width that
-// attains the minimum is recorded as the used width (priority (ii) of P_W).
+// T_i(w) = min over w' <= w of the raw Design_wrapper time.
 //
 // Times are stored flat and core-major, so row(i) is core i's whole
 // staircase and the engines read it without a call per cell. A table can
@@ -32,7 +31,7 @@ class TestTimeTable {
   TestTimeTable(const soc::Soc& soc, int max_width);
 
   /// Hand-given times: `rows[i][c]` is core i's testing time at width
-  /// `widths[c]`, which is also its used width. Other widths have no time.
+  /// `widths[c]`. Other widths have no time.
   /// Throws std::invalid_argument for no widths or cores, a width < 1, a
   /// duplicate width, a row of the wrong size or a negative time.
   TestTimeTable(const std::vector<int>& widths,
@@ -45,10 +44,6 @@ class TestTimeTable {
   /// Throws std::out_of_range for a bad core, or a width the table has no
   /// time for.
   [[nodiscard]] std::int64_t time(int core, int width) const;
-
-  /// Wrapper width actually used when core is put on a TAM of `width`
-  /// wires (<= width; the rest idle). Throws like time().
-  [[nodiscard]] int used_width(int core, int width) const;
 
   /// Sum over all cores of time(core, width) — total work at a width.
   [[nodiscard]] std::int64_t total_time(int width) const;
@@ -74,7 +69,6 @@ class TestTimeTable {
   /// times_[core * max_width_ + width - 1]; envelope-monotone
   /// non-increasing per core when built from an SOC.
   std::vector<std::int64_t> times_;
-  std::vector<int> used_widths_;  ///< same layout as times_
 };
 
 }  // namespace wtam::core

@@ -215,6 +215,16 @@ void require_valid(const core::TestTimeTable& table,
 
 PackedSchedule from_architecture(const core::TestTimeTable& table,
                                  const core::TamArchitecture& architecture) {
+  table.require_widths(architecture.widths, "from_architecture");
+  if (static_cast<int>(architecture.assignment.size()) != table.core_count())
+    throw std::invalid_argument(
+        "from_architecture: assignment size != core count");
+  for (const int tam : architecture.assignment)
+    if (tam < 0 || tam >= architecture.tam_count())
+      throw std::invalid_argument(
+          "from_architecture: core assigned to TAM " + std::to_string(tam) +
+          " outside the architecture");
+
   PackedSchedule schedule;
   schedule.total_width = architecture.total_width();
 
@@ -235,37 +245,6 @@ PackedSchedule from_architecture(const core::TestTimeTable& table,
 
   sort_placements(schedule.placements);
   return schedule;
-}
-
-PackedSchedule from_schedule(const core::TamArchitecture& architecture,
-                             const core::TestSchedule& schedule) {
-  PackedSchedule packed;
-  packed.total_width = architecture.total_width();
-
-  // Lane start of each TAM: the widths stacked left to right, exactly as
-  // from_architecture lays them out.
-  std::vector<int> lane_start(
-      static_cast<std::size_t>(architecture.tam_count()), 0);
-  int offset = 0;
-  for (int tam = 0; tam < architecture.tam_count(); ++tam) {
-    lane_start[static_cast<std::size_t>(tam)] = offset;
-    offset += architecture.widths[static_cast<std::size_t>(tam)];
-  }
-
-  for (const auto& entry : schedule.entries) {
-    if (entry.tam < 0 || entry.tam >= architecture.tam_count())
-      throw std::invalid_argument(
-          "from_schedule: entry references TAM " + std::to_string(entry.tam) +
-          " outside the architecture");
-    packed.placements.push_back(
-        {entry.core, architecture.widths[static_cast<std::size_t>(entry.tam)],
-         lane_start[static_cast<std::size_t>(entry.tam)], entry.start,
-         entry.end});
-    packed.makespan = std::max(packed.makespan, entry.end);
-  }
-
-  sort_placements(packed.placements);
-  return packed;
 }
 
 double strip_utilization(const PackedSchedule& schedule) {

@@ -1,13 +1,15 @@
 // Wire-level test schedules ("packings") and their strict validator.
 //
 // A PackedSchedule places every core's chosen rectangle at an explicit
-// wire interval and time interval of the W x time strip. It generalizes
-// the fixed-TAM schedules of core/schedule.hpp: a test-bus architecture
-// is the special case where the wire intervals are the static TAM lanes
-// (see from_architecture), while rectangle packing reassigns wires over
-// time. The validator is deliberately strict — every geometric and
-// model-consistency property is checked, so optimizer bugs surface as
-// hard errors instead of silently optimistic makespans.
+// wire interval and time interval of the W x time strip. It is the one
+// schedule type: every backend returns one, the power-constrained
+// test-bus scheduler (core::schedule_with_power_limit) delays its
+// sessions in one, and the Gantt chart and power peak read one. A test-bus
+// architecture is the special case where the wire intervals are the
+// static TAM lanes (see from_architecture), while rectangle packing
+// reassigns wires over time. The validator is deliberately strict — every
+// geometric and model-consistency property is checked, so optimizer bugs
+// surface as hard errors instead of silently optimistic makespans.
 
 #pragma once
 
@@ -16,7 +18,6 @@
 #include <vector>
 
 #include "core/constraints.hpp"
-#include "core/schedule.hpp"
 #include "core/tam_types.hpp"
 #include "core/test_time_table.hpp"
 #include "soc/soc.hpp"
@@ -85,19 +86,13 @@ void require_valid(const core::TestTimeTable& table,
 
 /// Lowers a test-bus architecture to a packing: TAM j becomes the static
 /// wire lane [sum of widths before j, +width_j), with its cores placed
-/// sequentially in assignment order. The result has the architecture's
-/// testing time as makespan and always validates.
+/// sequentially in core-index order. The result has the architecture's
+/// testing time as makespan and always validates. Throws
+/// std::invalid_argument for an architecture with no TAMs, an assignment
+/// whose size differs from the core count, a TAM width the table has no
+/// times for, or a core assigned to a TAM outside the architecture.
 [[nodiscard]] PackedSchedule from_architecture(
     const core::TestTimeTable& table, const core::TamArchitecture& architecture);
-
-/// Lowers an explicit test-bus schedule (possibly with power-constrained
-/// start delays, core::schedule_with_power_limit) to a packing: each
-/// entry keeps its scheduled [start, end) on its TAM's static wire lane.
-/// Throws std::invalid_argument when an entry's TAM index is outside the
-/// architecture.
-[[nodiscard]] PackedSchedule from_schedule(
-    const core::TamArchitecture& architecture,
-    const core::TestSchedule& schedule);
 
 /// Fraction of the occupied strip (total_width * makespan wire-cycles)
 /// covered by placements — the rectangle-packing efficiency metric.
@@ -105,8 +100,7 @@ void require_valid(const core::TestTimeTable& table,
 
 /// ASCII Gantt chart of the packing: time on the x-axis, one row per wire
 /// (runs of wires with identical occupancy are collapsed into "wires a-b"
-/// rows), `columns` wide. Cores are labeled A..Z cyclically with a legend,
-/// as in core::render_gantt.
+/// rows), `columns` wide. Cores are labeled A..Z cyclically with a legend.
 [[nodiscard]] std::string render_packed_gantt(const PackedSchedule& schedule,
                                               const soc::Soc& soc,
                                               int columns = 64);

@@ -23,7 +23,6 @@
 #include "core/lower_bounds.hpp"        // IWYU pragma: export
 #include "core/partition_evaluate.hpp"  // IWYU pragma: export
 #include "core/power.hpp"               // IWYU pragma: export
-#include "core/schedule.hpp"            // IWYU pragma: export
 #include "core/solve_context.hpp"       // IWYU pragma: export
 #include "core/tam_types.hpp"           // IWYU pragma: export
 #include "core/test_time_table.hpp"     // IWYU pragma: export

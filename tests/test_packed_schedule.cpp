@@ -115,21 +115,99 @@ TEST(PackedSchedule, FromArchitectureMatchesTestBusSemantics) {
   }
 }
 
-TEST(PackedSchedule, FromScheduleLowersPowerDelayedTestBusSchedules) {
+TEST(PackedSchedule, FromArchitectureLanesRunBackToBack) {
+  // Test-bus semantics per lane: a TAM's cores run back to back from cycle
+  // 0 in core-index order, and the lane ends at the TAM's summed time.
   const soc::Soc soc_data = soc::d695();
-  const core::TestTimeTable table(soc_data, 24);
-  const auto arch = core::co_optimize(table, 24, {}).architecture;
-  const core::TestSchedule base = core::build_schedule(table, arch);
-  const auto packed = from_schedule(arch, base);
-  // With no delays the lowering agrees with from_architecture.
-  const auto reference = from_architecture(table, arch);
-  ASSERT_EQ(packed.placements.size(), reference.placements.size());
-  EXPECT_EQ(packed.makespan, reference.makespan);
-  EXPECT_TRUE(validate_packed_schedule(table, packed).empty());
+  const core::TestTimeTable table(soc_data, 32);
+  const auto arch = core::co_optimize_fixed_b(table, 32, 3, {}).architecture;
+  const auto schedule = from_architecture(table, arch);
+  ASSERT_TRUE(validate_packed_schedule(table, schedule).empty());
+  EXPECT_EQ(schedule.makespan, arch.testing_time);
 
-  core::TestSchedule bad = base;
-  bad.entries.front().tam = arch.tam_count();
-  EXPECT_THROW((void)from_schedule(arch, bad), std::invalid_argument);
+  int lane_start = 0;
+  for (int tam = 0; tam < arch.tam_count(); ++tam) {
+    std::int64_t clock = 0;
+    int previous_core = -1;
+    for (const auto& p : schedule.placements) {
+      if (p.wire != lane_start) continue;
+      EXPECT_EQ(arch.assignment[static_cast<std::size_t>(p.core)], tam);
+      EXPECT_EQ(p.start, clock);  // back to back, no gaps
+      EXPECT_GT(p.core, previous_core);
+      clock = p.end;
+      previous_core = p.core;
+    }
+    EXPECT_EQ(clock, arch.tam_times[static_cast<std::size_t>(tam)]);
+    lane_start += arch.widths[static_cast<std::size_t>(tam)];
+  }
+}
+
+TEST(PackedSchedule, FromArchitectureGanttShowsEveryLaneAndCore) {
+  const soc::Soc soc_data = soc::d695();
+  const core::TestTimeTable table(soc_data, 32);
+  const auto arch = core::co_optimize_fixed_b(table, 32, 3, {}).architecture;
+  const std::string gantt =
+      render_packed_gantt(from_architecture(table, arch), soc_data, 40);
+  // Each lane's wires carry one sequence, so they collapse to one row.
+  int lane_start = 0;
+  for (const int width : arch.widths) {
+    EXPECT_NE(gantt.find("wires " + std::to_string(lane_start + 1) + "-" +
+                         std::to_string(lane_start + width) + "\t"),
+              std::string::npos)
+        << gantt;
+    lane_start += width;
+  }
+  for (const auto& core : soc_data.cores)
+    EXPECT_NE(gantt.find("=" + core.name), std::string::npos) << core.name;
+}
+
+/// d695 at W = 24 and the architecture co_optimize chooses there.
+struct D695At24 {
+  soc::Soc soc_data = soc::d695();
+  core::TestTimeTable table{soc_data, 24};
+  core::TamArchitecture arch = core::co_optimize(table, 24, {}).architecture;
+};
+
+TEST(PackedSchedule, FromArchitectureRejectsNoTams) {
+  const D695At24 d695;
+  core::TamArchitecture empty;
+  empty.assignment = d695.arch.assignment;
+  EXPECT_THROW((void)from_architecture(d695.table, empty),
+               std::invalid_argument);
+}
+
+TEST(PackedSchedule, FromArchitectureRejectsAnAssignmentOfTheWrongSize) {
+  const D695At24 d695;
+  core::TamArchitecture short_assignment = d695.arch;
+  short_assignment.assignment.resize(3);
+  EXPECT_THROW((void)from_architecture(d695.table, short_assignment),
+               std::invalid_argument);
+  core::TamArchitecture long_assignment = d695.arch;
+  long_assignment.assignment.push_back(0);
+  EXPECT_THROW((void)from_architecture(d695.table, long_assignment),
+               std::invalid_argument);
+}
+
+TEST(PackedSchedule, FromArchitectureRejectsAWidthOutsideTheTable) {
+  const D695At24 d695;
+  for (const int width : {0, 25}) {
+    core::TamArchitecture bad = d695.arch;
+    bad.widths.front() = width;
+    EXPECT_THROW((void)from_architecture(d695.table, bad),
+                 std::invalid_argument)
+        << "width " << width;
+  }
+}
+
+TEST(PackedSchedule, FromArchitectureRejectsATamIndexOutOfRange) {
+  const D695At24 d695;
+  for (const int tam : {-1, d695.arch.tam_count()}) {
+    core::TamArchitecture bad = d695.arch;
+    bad.assignment.back() = tam;
+    EXPECT_THROW((void)from_architecture(d695.table, bad),
+                 std::invalid_argument)
+        << "TAM " << tam;
+  }
 }
 
 TEST(PackedSchedule, ConstraintValidatorCorruptionMatrix) {

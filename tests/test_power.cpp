@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
 
 #include "core/co_optimizer.hpp"
 #include "core/power.hpp"
 #include "core/test_time_table.hpp"
+#include "pack/packed_schedule.hpp"
 #include "soc/benchmarks.hpp"
 
 namespace wtam::core {
@@ -35,38 +37,57 @@ TEST_F(PowerFixture, ScanActivityModelValues) {
   EXPECT_EQ(p[3], 36 + 39 + 212);
 }
 
+/// The unconstrained schedule's power profile: the timeline of its lanes.
+PowerTimeline profile_of(const pack::PackedSchedule& schedule,
+                         const PowerVector& power) {
+  PowerTimeline timeline;
+  for (const auto& p : schedule.placements)
+    timeline.add(p.start, p.end, power[static_cast<std::size_t>(p.core)]);
+  return timeline;
+}
+
+/// The placements of `schedule` grouped by lane (their wire), each lane
+/// in start order.
+std::map<int, std::vector<pack::PackedPlacement>> lanes_of(
+    const pack::PackedSchedule& schedule) {
+  std::map<int, std::vector<pack::PackedPlacement>> lanes;
+  for (const auto& p : schedule.placements) lanes[p.wire].push_back(p);
+  return lanes;
+}
+
 TEST_F(PowerFixture, ProfileStepsAreConsistent) {
-  const auto schedule = build_schedule(table(), architecture());
-  const auto profile = power_profile(schedule, power());
+  const auto schedule = pack::from_architecture(table(), architecture());
+  const auto profile = profile_of(schedule, power()).breakpoints();
   ASSERT_FALSE(profile.empty());
-  for (const auto& step : profile) {
-    EXPECT_LT(step.start, step.end);
-    EXPECT_GT(step.power, 0);
+  // Steps are ordered, every step but the closing one draws power, and the
+  // profile falls back to zero once the last session ends.
+  for (std::size_t i = 0; i + 1 < profile.size(); ++i) {
+    EXPECT_LT(profile[i].time, profile[i + 1].time);
+    EXPECT_GT(profile[i].load, 0);
   }
-  // Steps are non-overlapping and ordered.
-  for (std::size_t i = 1; i < profile.size(); ++i)
-    EXPECT_LE(profile[i - 1].end, profile[i].start);
+  EXPECT_EQ(profile.back().load, 0);
+  EXPECT_EQ(profile.back().time, schedule.makespan);
 }
 
 TEST_F(PowerFixture, InitialPowerIsSumOfFirstSessions) {
   // At t=0 every TAM starts its first core, so the first step's power is
   // the sum of those cores' powers.
   const auto arch = architecture();
-  const auto schedule = build_schedule(table(), arch);
+  const auto schedule = pack::from_architecture(table(), arch);
   const auto p = power();
   std::int64_t expected = 0;
-  for (const auto& entry : schedule.entries)
+  for (const auto& entry : schedule.placements)
     if (entry.start == 0) expected += p[static_cast<std::size_t>(entry.core)];
-  const auto profile = power_profile(schedule, p);
+  const auto profile = profile_of(schedule, p).breakpoints();
   ASSERT_FALSE(profile.empty());
-  EXPECT_EQ(profile.front().start, 0);
-  EXPECT_EQ(profile.front().power, expected);
+  EXPECT_EQ(profile.front().time, 0);
+  EXPECT_EQ(profile.front().load, expected);
 }
 
 TEST_F(PowerFixture, PeakBoundsSanity) {
-  const auto schedule = build_schedule(table(), architecture());
+  const auto schedule = pack::from_architecture(table(), architecture());
   const auto p = power();
-  const std::int64_t peak = peak_power(schedule, p);
+  const std::int64_t peak = pack::packed_peak_power(schedule, p);
   const std::int64_t total = std::accumulate(p.begin(), p.end(), std::int64_t{0});
   const std::int64_t largest = *std::max_element(p.begin(), p.end());
   EXPECT_GE(peak, largest);  // the largest core is active at some point
@@ -77,17 +98,34 @@ TEST_F(PowerFixture, UnlimitedBudgetReproducesUnconstrainedSchedule) {
   const auto arch = architecture();
   const auto p = power();
   const std::int64_t total = std::accumulate(p.begin(), p.end(), std::int64_t{0});
-  const auto result = schedule_with_power_limit(table(), arch, p, total);
-  ASSERT_TRUE(result.feasible);
-  EXPECT_EQ(result.idle_cycles, 0);
-  EXPECT_EQ(result.schedule.makespan, arch.testing_time);
+  const auto lanes = pack::from_architecture(table(), arch);
+  for (const std::int64_t limit : {total, total + 1, 2 * total}) {
+    const auto result = schedule_with_power_limit(table(), arch, p, limit);
+    ASSERT_TRUE(result.feasible);
+    EXPECT_EQ(result.idle_cycles, 0);
+    EXPECT_EQ(result.schedule.makespan, arch.testing_time);
+    EXPECT_EQ(result.peak, pack::packed_peak_power(lanes, p));
+    // Placement for placement the static lanes, undelayed.
+    EXPECT_EQ(result.schedule.total_width, lanes.total_width);
+    EXPECT_EQ(result.schedule.makespan, lanes.makespan);
+    ASSERT_EQ(result.schedule.placements.size(), lanes.placements.size());
+    for (std::size_t k = 0; k < lanes.placements.size(); ++k) {
+      const auto& got = result.schedule.placements[k];
+      const auto& want = lanes.placements[k];
+      EXPECT_EQ(got.core, want.core) << "placement " << k;
+      EXPECT_EQ(got.width, want.width) << "placement " << k;
+      EXPECT_EQ(got.wire, want.wire) << "placement " << k;
+      EXPECT_EQ(got.start, want.start) << "placement " << k;
+      EXPECT_EQ(got.end, want.end) << "placement " << k;
+    }
+  }
 }
 
 TEST_F(PowerFixture, TightBudgetRespectedAtCostOfTime) {
   const auto arch = architecture();
   const auto p = power();
   const std::int64_t unconstrained_peak =
-      peak_power(build_schedule(table(), arch), p);
+      pack::packed_peak_power(pack::from_architecture(table(), arch), p);
   const std::int64_t limit = unconstrained_peak - 1;  // force serialization
   const auto result = schedule_with_power_limit(table(), arch, p, limit);
   ASSERT_TRUE(result.feasible);
@@ -124,17 +162,45 @@ TEST_F(PowerFixture, ConstrainedScheduleStillRunsEveryCoreOnce) {
   const auto result = schedule_with_power_limit(table(), arch, p, largest + 500);
   ASSERT_TRUE(result.feasible);
   std::vector<int> count(static_cast<std::size_t>(table().core_count()), 0);
-  for (const auto& entry : result.schedule.entries)
+  for (const auto& entry : result.schedule.placements)
     ++count[static_cast<std::size_t>(entry.core)];
   for (const int c : count) EXPECT_EQ(c, 1);
-  // Per-TAM sequences stay disjoint.
-  for (int tam = 0; tam < arch.tam_count(); ++tam) {
+  // Per-TAM sequences stay disjoint, each on its own static lane.
+  const auto lanes = lanes_of(result.schedule);
+  EXPECT_EQ(lanes.size(), static_cast<std::size_t>(arch.tam_count()));
+  for (const auto& [wire, sessions] : lanes) {
     std::int64_t clock = -1;
-    for (const auto& entry : result.schedule.entries) {
-      if (entry.tam != tam) continue;
+    for (const auto& entry : sessions) {
       EXPECT_GE(entry.start, clock);
       clock = entry.end;
     }
+  }
+}
+
+TEST_F(PowerFixture, EveryBudgetYieldsAValidSchedule) {
+  const auto arch = architecture();
+  ScheduleConstraints constraints;
+  constraints.power = power();
+  const std::int64_t largest = *std::max_element(constraints.power.begin(),
+                                                 constraints.power.end());
+  const std::int64_t total = std::accumulate(
+      constraints.power.begin(), constraints.power.end(), std::int64_t{0});
+  for (std::int64_t limit = largest; limit <= total + 1;
+       limit += (total - largest) / 23 + 1) {
+    const auto result =
+        schedule_with_power_limit(table(), arch, constraints.power, limit);
+    ASSERT_TRUE(result.feasible) << "budget " << limit;
+    constraints.power_budget = limit;
+    const auto issues =
+        pack::validate_packed_schedule(table(), result.schedule, constraints);
+    EXPECT_TRUE(issues.empty())
+        << "budget " << limit << ": " << (issues.empty() ? "" : issues.front());
+    EXPECT_EQ(result.peak,
+              pack::packed_peak_power(result.schedule, constraints.power));
+    // The same lanes, only delayed.
+    for (const auto& [wire, sessions] : lanes_of(result.schedule))
+      for (const auto& entry : sessions)
+        EXPECT_EQ(entry.width, sessions.front().width) << "lane " << wire;
   }
 }
 
@@ -146,11 +212,27 @@ TEST_F(PowerFixture, PowerVectorSizeChecked) {
       std::invalid_argument);
 }
 
-TEST(PowerProfile, ThrowsOnShortPowerVector) {
-  TestSchedule schedule;
-  schedule.entries.push_back({5, 0, 0, 10});
+TEST_F(PowerFixture, NegativeDrawCheckedUpFront) {
+  // Refused before any scheduling: at a budget of 0 every other draw
+  // would make the architecture infeasible rather than throw.
+  const auto arch = architecture();
+  PowerVector negative = power();
+  negative[2] = -1;
+  for (const std::int64_t limit : {std::int64_t{0}, std::int64_t{1} << 40})
+    EXPECT_THROW(
+        (void)schedule_with_power_limit(table(), arch, negative, limit),
+        std::invalid_argument)
+        << "budget " << limit;
+}
+
+TEST(PackedPeakPower, ThrowsOnShortPowerVector) {
+  pack::PackedSchedule schedule;
+  schedule.total_width = 1;
+  schedule.placements.push_back({5, 1, 0, 0, 10});
+  schedule.makespan = 10;
   PowerVector p(2, 1);
-  EXPECT_THROW((void)power_profile(schedule, p), std::invalid_argument);
+  EXPECT_THROW((void)pack::packed_peak_power(schedule, p),
+               std::invalid_argument);
 }
 
 // --- Span-level window helpers (shared by the packers and validator) ---

@@ -12,7 +12,6 @@
 #include "core/exhaustive.hpp"
 #include "core/lower_bounds.hpp"
 #include "core/power.hpp"
-#include "core/schedule.hpp"
 #include "core/test_time_table.hpp"
 #include "pack/packed_schedule.hpp"
 #include "pack/rectpack.hpp"
@@ -110,11 +109,11 @@ TEST_P(RandomSocTest, ScheduleAndPowerInvariants) {
   const soc::Soc soc = random_soc(static_cast<std::uint64_t>(GetParam()));
   const core::TestTimeTable table(soc, 12);
   const auto arch = core::co_optimize(table, 12, {}).architecture;
-  const auto schedule = core::build_schedule(table, arch);
+  const auto schedule = pack::from_architecture(table, arch);
   EXPECT_EQ(schedule.makespan, arch.testing_time);
 
   const core::PowerVector power = core::scan_activity_power(soc);
-  const std::int64_t peak = core::peak_power(schedule, power);
+  const std::int64_t peak = pack::packed_peak_power(schedule, power);
   const std::int64_t total =
       std::accumulate(power.begin(), power.end(), std::int64_t{0});
   EXPECT_LE(peak, total);

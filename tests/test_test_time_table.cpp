@@ -33,17 +33,19 @@ TEST(TestTimeTable, MatchesBestDesign) {
   }
 }
 
-TEST(TestTimeTable, UsedWidthAttainsTheTime) {
+TEST(TestTimeTable, TimeIsTheBestDesignAtOrBelowTheWidth) {
+  // The monotone envelope: a TAM may leave wires idle, so T_i(w) is the
+  // fastest raw wrapper design at any width up to w, and some such width
+  // attains it.
   const soc::Soc soc = soc::d695();
   const TestTimeTable table(soc, 40);
   for (int i = 0; i < table.core_count(); ++i) {
+    const auto& core = soc.cores[static_cast<std::size_t>(i)];
     for (int w : {5, 16, 40}) {
-      const int used = table.used_width(i, w);
-      EXPECT_GE(used, 1);
-      EXPECT_LE(used, w);
-      EXPECT_EQ(
-          wrapper::test_time(soc.cores[static_cast<std::size_t>(i)], used),
-          table.time(i, w));
+      std::int64_t best = wrapper::test_time(core, 1);
+      for (int used = 2; used <= w; ++used)
+        best = std::min(best, wrapper::test_time(core, used));
+      EXPECT_EQ(table.time(i, w), best) << core.name << " w=" << w;
     }
   }
 }
@@ -82,7 +84,6 @@ TEST(TestTimeTable, HandGivenLooksUpByWidth) {
   EXPECT_EQ(table.max_width(), 32);
   EXPECT_EQ(table.time(0, 16), 100);
   EXPECT_EQ(table.time(1, 8), 200);
-  EXPECT_EQ(table.used_width(1, 32), 32);
   EXPECT_EQ(table.total_time(16), 195);
   EXPECT_EQ(table.row(1)[15], 95);
 }
@@ -91,7 +92,6 @@ TEST(TestTimeTable, HandGivenRejectsAbsentWidthAndBadCore) {
   const TestTimeTable table({8, 16}, {{3, 1}});
   EXPECT_THROW((void)table.time(0, 17), std::out_of_range);
   EXPECT_THROW((void)table.time(0, 12), std::out_of_range);  // not given
-  EXPECT_THROW((void)table.used_width(0, 12), std::out_of_range);
   EXPECT_THROW((void)table.time(1, 8), std::out_of_range);
   EXPECT_LT(table.row(0)[11], 0);
 }
