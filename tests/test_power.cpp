@@ -37,7 +37,7 @@ TEST_F(PowerFixture, ScanActivityModelValues) {
   EXPECT_EQ(p[3], 36 + 39 + 212);
 }
 
-/// The unconstrained schedule's power profile: the timeline of its lanes.
+/// A schedule's power profile: the timeline of its placements.
 PowerTimeline profile_of(const pack::PackedSchedule& schedule,
                          const PowerVector& power) {
   PowerTimeline timeline;
@@ -185,8 +185,9 @@ TEST_F(PowerFixture, EveryBudgetYieldsAValidSchedule) {
                                                  constraints.power.end());
   const std::int64_t total = std::accumulate(
       constraints.power.begin(), constraints.power.end(), std::int64_t{0});
-  for (std::int64_t limit = largest; limit <= total + 1;
-       limit += (total - largest) / 23 + 1) {
+  // 24 budgets from the largest draw to the summed draws, both included.
+  for (std::int64_t step = 0; step <= 23; ++step) {
+    const std::int64_t limit = largest + (total - largest) * step / 23;
     const auto result =
         schedule_with_power_limit(table(), arch, constraints.power, limit);
     ASSERT_TRUE(result.feasible) << "budget " << limit;
