@@ -104,61 +104,24 @@ TEST(PackedSchedule, FromArchitectureMatchesTestBusSemantics) {
   ASSERT_EQ(static_cast<int>(schedule.placements.size()), table.core_count());
 
   // Every placement sits inside its TAM's static wire lane at the TAM's
-  // width.
+  // width, and a lane runs its cores back to back from cycle 0 in
+  // core-index order, ending at the TAM's summed time.
   std::vector<int> lane_start(arch.widths.size(), 0);
   for (std::size_t t = 1; t < arch.widths.size(); ++t)
     lane_start[t] = lane_start[t - 1] + arch.widths[t - 1];
+  std::vector<std::int64_t> clock(arch.widths.size(), 0);
+  std::vector<int> previous_core(arch.widths.size(), -1);
   for (const auto& p : schedule.placements) {
-    const int tam = arch.assignment[static_cast<std::size_t>(p.core)];
-    EXPECT_EQ(p.width, arch.widths[static_cast<std::size_t>(tam)]);
-    EXPECT_EQ(p.wire, lane_start[static_cast<std::size_t>(tam)]);
+    const auto tam = static_cast<std::size_t>(
+        arch.assignment[static_cast<std::size_t>(p.core)]);
+    EXPECT_EQ(p.width, arch.widths[tam]);
+    EXPECT_EQ(p.wire, lane_start[tam]);
+    EXPECT_EQ(p.start, clock[tam]);
+    EXPECT_GT(p.core, previous_core[tam]);
+    clock[tam] = p.end;
+    previous_core[tam] = p.core;
   }
-}
-
-TEST(PackedSchedule, FromArchitectureLanesRunBackToBack) {
-  // Test-bus semantics per lane: a TAM's cores run back to back from cycle
-  // 0 in core-index order, and the lane ends at the TAM's summed time.
-  const soc::Soc soc_data = soc::d695();
-  const core::TestTimeTable table(soc_data, 32);
-  const auto arch = core::co_optimize_fixed_b(table, 32, 3, {}).architecture;
-  const auto schedule = from_architecture(table, arch);
-  ASSERT_TRUE(validate_packed_schedule(table, schedule).empty());
-  EXPECT_EQ(schedule.makespan, arch.testing_time);
-
-  int lane_start = 0;
-  for (int tam = 0; tam < arch.tam_count(); ++tam) {
-    std::int64_t clock = 0;
-    int previous_core = -1;
-    for (const auto& p : schedule.placements) {
-      if (p.wire != lane_start) continue;
-      EXPECT_EQ(arch.assignment[static_cast<std::size_t>(p.core)], tam);
-      EXPECT_EQ(p.start, clock);  // back to back, no gaps
-      EXPECT_GT(p.core, previous_core);
-      clock = p.end;
-      previous_core = p.core;
-    }
-    EXPECT_EQ(clock, arch.tam_times[static_cast<std::size_t>(tam)]);
-    lane_start += arch.widths[static_cast<std::size_t>(tam)];
-  }
-}
-
-TEST(PackedSchedule, FromArchitectureGanttShowsEveryLaneAndCore) {
-  const soc::Soc soc_data = soc::d695();
-  const core::TestTimeTable table(soc_data, 32);
-  const auto arch = core::co_optimize_fixed_b(table, 32, 3, {}).architecture;
-  const std::string gantt =
-      render_packed_gantt(from_architecture(table, arch), soc_data, 40);
-  // Each lane's wires carry one sequence, so they collapse to one row.
-  int lane_start = 0;
-  for (const int width : arch.widths) {
-    EXPECT_NE(gantt.find("wires " + std::to_string(lane_start + 1) + "-" +
-                         std::to_string(lane_start + width) + "\t"),
-              std::string::npos)
-        << gantt;
-    lane_start += width;
-  }
-  for (const auto& core : soc_data.cores)
-    EXPECT_NE(gantt.find("=" + core.name), std::string::npos) << core.name;
+  EXPECT_EQ(clock, arch.tam_times);
 }
 
 /// d695 at W = 24 and the architecture co_optimize chooses there.
@@ -167,6 +130,23 @@ struct D695At24 {
   core::TestTimeTable table{soc_data, 24};
   core::TamArchitecture arch = core::co_optimize(table, 24, {}).architecture;
 };
+
+TEST(PackedSchedule, FromArchitectureGanttShowsEveryLaneAndCore) {
+  const D695At24 d695;
+  const std::string gantt = render_packed_gantt(
+      from_architecture(d695.table, d695.arch), d695.soc_data, 40);
+  // Each lane's wires carry one sequence, so they collapse to one row.
+  int lane_start = 0;
+  for (const int width : d695.arch.widths) {
+    EXPECT_NE(gantt.find("wires " + std::to_string(lane_start + 1) + "-" +
+                         std::to_string(lane_start + width) + "\t"),
+              std::string::npos)
+        << gantt;
+    lane_start += width;
+  }
+  for (const auto& core : d695.soc_data.cores)
+    EXPECT_NE(gantt.find("=" + core.name), std::string::npos) << core.name;
+}
 
 TEST(PackedSchedule, FromArchitectureRejectsNoTams) {
   const D695At24 d695;

@@ -33,23 +33,6 @@ TEST(TestTimeTable, MatchesBestDesign) {
   }
 }
 
-TEST(TestTimeTable, TimeIsTheBestDesignAtOrBelowTheWidth) {
-  // The monotone envelope: a TAM may leave wires idle, so T_i(w) is the
-  // fastest raw wrapper design at any width up to w, and some such width
-  // attains it.
-  const soc::Soc soc = soc::d695();
-  const TestTimeTable table(soc, 40);
-  for (int i = 0; i < table.core_count(); ++i) {
-    const auto& core = soc.cores[static_cast<std::size_t>(i)];
-    for (int w : {5, 16, 40}) {
-      std::int64_t best = wrapper::test_time(core, 1);
-      for (int used = 2; used <= w; ++used)
-        best = std::min(best, wrapper::test_time(core, used));
-      EXPECT_EQ(table.time(i, w), best) << core.name << " w=" << w;
-    }
-  }
-}
-
 TEST(TestTimeTable, IndexChecks) {
   const soc::Soc soc = soc::d695();
   const TestTimeTable table(soc, 16);
