@@ -140,6 +140,13 @@ TEST(PartitionEvaluate, RejectsBadArguments) {
   bad.min_tams = 3;
   bad.max_tams = 2;
   EXPECT_THROW((void)partition_evaluate(table, 16, bad), std::invalid_argument);
+  // More TAMs than wires: no partition exists, and that is the caller's
+  // error, not an empty search.
+  PartitionEvaluateOptions too_many;
+  too_many.min_tams = 17;
+  too_many.max_tams = 17;
+  EXPECT_THROW((void)partition_evaluate(table, 16, too_many),
+               std::invalid_argument);
   PartitionEvaluateOptions bad_floor;
   bad_floor.min_tam_width = 0;
   EXPECT_THROW((void)partition_evaluate(table, 16, bad_floor),
