@@ -68,7 +68,6 @@ void run_paw_comparison(const core::TestTimeTable& table,
     row.width = width;
     core::ExhaustiveOptions old_options;
     old_options.time_budget_s = exhaustive_budget_s();
-    old_options.threads = threads;
     row.exhaustive = core::exhaustive_paw(table, width, config.tams, old_options);
     core::CoOptimizeOptions flow_options;
     flow_options.search.threads = threads;
@@ -143,7 +142,6 @@ void run_paw_comparison(const core::TestTimeTable& table,
       core::ExhaustiveOptions ilp_options;
       ilp_options.time_budget_s = exhaustive_budget_s();
       ilp_options.engine = core::ExactEngine::Ilp;
-      ilp_options.threads = bench_threads();
       const auto baseline =
           core::exhaustive_paw(table, row.width, config.tams, ilp_options);
       if (baseline.completed) {
@@ -205,7 +203,6 @@ void run_pnpaw(const core::TestTimeTable& table, const PnpawRun& config) {
 
     core::ExhaustiveOptions reference_options;
     reference_options.time_budget_s = exhaustive_budget_s();
-    reference_options.threads = bench_threads();
     const auto reference = core::exhaustive_pnpaw(
         table, width, config.reference_max_tams, reference_options);
 

@@ -30,12 +30,10 @@ namespace wtam::bench {
 /// were cut off after two days).
 [[nodiscard]] double exhaustive_budget_s(double fallback = 30.0);
 
-/// Worker threads for the table benches' searches; override with the
-/// WTAM_BENCH_THREADS environment variable (0 = one per hardware
-/// thread). Heuristic-search results are thread-count-invariant; the
-/// budgeted exhaustive baselines stay timing-dependent (which partitions
-/// get solved before the WTAM_BENCH_BUDGET deadline can shift with
-/// throughput), exactly as they are serially.
+/// Worker threads for the table benches' partition searches; override
+/// with the WTAM_BENCH_THREADS environment variable (0 = one per hardware
+/// thread). Search results are thread-count-invariant. The exhaustive
+/// baselines always run serially, as [8]'s did.
 [[nodiscard]] int bench_threads(int fallback = 1);
 
 /// JSON document model for machine-readable bench artifacts

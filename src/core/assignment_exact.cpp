@@ -45,13 +45,14 @@ class CombinatorialSearch {
       suffix_min_[k] = suffix_min_[k + 1] + row_min[order_[k]];
   }
 
-  /// `incumbent` holds the heuristic assignment on entry; it is replaced
-  /// whenever the search finds an assignment strictly better than
-  /// `prune_bound`. Returns false when a node/time limit fired.
-  bool run(std::vector<int>& incumbent, std::int64_t prune_bound,
+  /// `incumbent` holds the heuristic assignment on entry and
+  /// `incumbent_time` its testing time; the assignment is replaced
+  /// whenever the search finds a strictly better one. Returns false when
+  /// a node/time limit fired.
+  bool run(std::vector<int>& incumbent, std::int64_t incumbent_time,
            std::int64_t& nodes) {
     best_ = &incumbent;
-    best_time_ = prune_bound;
+    best_time_ = incumbent_time;
     loads_.assign(columns_.size(), 0);
     current_.assign(order_.size(), -1);
     limit_hit_ = false;
@@ -228,12 +229,10 @@ ExactResult solve_assignment_exact(const TestTimeTable& table,
 
   if (options.engine == ExactEngine::BranchAndBound) {
     std::vector<int> assignment = heuristic.architecture.assignment;
-    std::int64_t prune_bound = heuristic.architecture.testing_time;
-    if (options.upper_bound_hint)
-      prune_bound = std::min(prune_bound, *options.upper_bound_hint);
     CombinatorialSearch search(table, widths, options);
     std::int64_t nodes = 0;
-    const bool complete = search.run(assignment, prune_bound, nodes);
+    const bool complete =
+        search.run(assignment, heuristic.architecture.testing_time, nodes);
     ExactResult out = finish_result(table, widths, std::move(assignment));
     out.proven_optimal = complete;
     out.nodes = nodes;

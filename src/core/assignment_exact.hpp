@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <span>
 
 #include "core/core_assign.hpp"
@@ -41,12 +40,6 @@ struct ExactOptions {
   /// the node/time limits; when it fires the solve stops like a limit
   /// (proven_optimal = false, incumbent returned). nullptr = limits only.
   const SolveContext* context = nullptr;
-  /// External upper bound: search only for strictly better assignments.
-  /// When it is tighter than this partition's optimum the heuristic
-  /// assignment is returned unchanged. Lets the exhaustive-baseline
-  /// ablation share the best time across partitions (BranchAndBound only;
-  /// the ILP engine ignores it). std::nullopt = no external bound.
-  std::optional<std::int64_t> upper_bound_hint;
 };
 
 struct ExactResult {

@@ -3,13 +3,13 @@
 // *exactly*; optimal, but the per-partition cost is an ILP and the number
 // of partitions explodes with B — the paper reports multi-day
 // non-termination for B >= 4 on the Philips SOCs. A wall-clock budget
-// reproduces that behaviour gracefully.
+// reproduces that behaviour gracefully. The enumeration is one serial
+// loop, as [8]'s was, so its cpu_s (a wall clock) is [8]'s cost.
 
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 #include "core/assignment_exact.hpp"
 #include "core/solve_context.hpp"
@@ -21,24 +21,11 @@ namespace wtam::core {
 struct ExhaustiveOptions {
   /// Budget for the whole enumeration; on expiry the search stops and
   /// `completed` is false (the paper's "did not run to completion").
+  /// Every partition is solved from scratch: [8] could not carry the
+  /// best-known time into the next solve ("execution of the ILP model
+  /// cannot be halted prematurely", §2).
   double time_budget_s = std::numeric_limits<double>::infinity();
   ExactEngine engine = ExactEngine::BranchAndBound;
-  /// Carry the best-known time into each exact solve as an upper bound?
-  /// [8] could not ("execution of the ILP model cannot be halted
-  /// prematurely", §2) — so the faithful baseline solves every partition
-  /// from scratch; switching this on is the ablation.
-  bool share_incumbent = false;
-  /// Worker threads for the enumeration. 1 = serial; 0 = one per hardware
-  /// thread. Partitions are enumerated in canonical order into fixed-size
-  /// chunks solved concurrently; results are merged in enumeration order,
-  /// so an unbudgeted run returns the same best architecture (first
-  /// minimum in enumeration order) regardless of thread count. Under a
-  /// budget, which partitions get solved before expiry is timing-
-  /// dependent — exactly as it is serially.
-  int threads = 1;
-  /// Partitions per dispatched chunk in parallel mode; exact solves are
-  /// expensive, so chunks are small to balance load.
-  int chunk_size = 8;
   /// Cooperative cancellation/deadline, checked wherever the wall-clock
   /// budget is (a fired context behaves exactly like budget expiry:
   /// `completed` is false, `best` is the incumbent so far). nullptr =
@@ -54,7 +41,9 @@ struct ExhaustiveResult {
   double cpu_s = 0.0;
 };
 
-/// P_PAW by exhaustive enumeration: fixed number of TAMs.
+/// P_PAW by exhaustive enumeration: fixed number of TAMs. The best
+/// architecture is the first minimum in enumeration order. Throws
+/// std::invalid_argument unless 1 <= tams <= total_width.
 [[nodiscard]] ExhaustiveResult exhaustive_paw(const TestTimeTable& table,
                                               int total_width, int tams,
                                               const ExhaustiveOptions& options = {});

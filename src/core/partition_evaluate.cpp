@@ -53,9 +53,8 @@ void search_b_serial(const TestTimeTable& table, int total_width, int b,
   // global best across B values.
   std::int64_t tau = options.reset_tau_per_b ? kInfinity : global_best;
 
-  partition::for_each_partition_min(
-      total_width, b, options.min_tam_width,
-      [&](std::span<const int> widths) {
+  partition::for_each_partition(
+      total_width, b, [&](std::span<const int> widths) {
         // Poll for cancellation/deadline once an incumbent exists (the
         // very first partition is always evaluated so an interrupted
         // search still returns a complete best-so-far architecture).
@@ -195,8 +194,8 @@ void search_b_parallel(const TestTimeTable& table, int total_width, int b,
   // always enumerated first (and the leading partition of the first B
   // never tau-aborts), so an interrupted run still has a complete best.
   std::uint64_t enumerated = 0;
-  partition::for_each_partition_min(
-      total_width, b, options.min_tam_width, [&](std::span<const int> widths) {
+  partition::for_each_partition(
+      total_width, b, [&](std::span<const int> widths) {
         if (options.context != nullptr &&
             (enumerated > 0 || global_best != kInfinity)) {
           const SolveInterrupt fired = options.context->poll();
@@ -247,12 +246,9 @@ PartitionEvaluateResult partition_evaluate(
         "partition_evaluate: total_width outside table range");
   if (options.min_tams < 1 || options.max_tams < options.min_tams)
     throw std::invalid_argument("partition_evaluate: bad TAM range");
-  if (options.min_tam_width < 1 || options.min_tam_width > total_width)
-    throw std::invalid_argument("partition_evaluate: bad min_tam_width");
-  if (static_cast<std::int64_t>(options.min_tams) * options.min_tam_width >
-      total_width)
+  if (options.min_tams > total_width)
     throw std::invalid_argument(
-        "partition_evaluate: min_tams * min_tam_width exceeds total width");
+        "partition_evaluate: min_tams exceeds total width");
   if (options.threads < 0)
     throw std::invalid_argument("partition_evaluate: threads must be >= 0");
   if (options.chunk_size < 1)

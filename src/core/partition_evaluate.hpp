@@ -28,9 +28,6 @@ namespace wtam::core {
 struct PartitionEvaluateOptions {
   int min_tams = 1;
   int max_tams = 10;
-  /// Routing floor on every TAM's width (the paper's reference [4]
-  /// studies place-and-route constraints of this kind). 1 = unrestricted.
-  int min_tam_width = 1;
   /// Pruning level 2 (tau early abort). Off only in the ablation bench.
   bool prune_with_tau = true;
   /// Tie-break switches forwarded to Core_assign (ablation).
@@ -86,7 +83,8 @@ struct PartitionEvaluateResult {
   SolveInterrupt interrupt = SolveInterrupt::None;
 };
 
-/// Runs the search. total_width must be within the table's range.
+/// Runs the search. total_width must be within the table's range, and
+/// min_tams at most total_width (std::invalid_argument otherwise).
 [[nodiscard]] PartitionEvaluateResult partition_evaluate(
     const TestTimeTable& table, int total_width,
     const PartitionEvaluateOptions& options = {});

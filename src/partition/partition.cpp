@@ -14,7 +14,6 @@ void check_args(int total, int parts) {
 }
 
 bool visit_recursive(std::vector<int>& prefix, int remaining, int parts_left,
-                     int min_part,
                      const std::function<bool(std::span<const int>)>& visit,
                      std::uint64_t& count) {
   if (parts_left == 1) {
@@ -26,13 +25,12 @@ bool visit_recursive(std::vector<int>& prefix, int remaining, int parts_left,
     prefix.pop_back();
     return keep_going;
   }
-  const int lo = prefix.empty() ? min_part : prefix.back();
+  const int lo = prefix.empty() ? 1 : prefix.back();
   const int hi = remaining / parts_left;  // Figure 3, Line 1 upper bound
   for (int w = lo; w <= hi; ++w) {
     prefix.push_back(w);
-    const bool keep_going = visit_recursive(prefix, remaining - w,
-                                            parts_left - 1, min_part, visit,
-                                            count);
+    const bool keep_going =
+        visit_recursive(prefix, remaining - w, parts_left - 1, visit, count);
     prefix.pop_back();
     if (!keep_going) return false;
   }
@@ -44,32 +42,13 @@ bool visit_recursive(std::vector<int>& prefix, int remaining, int parts_left,
 std::uint64_t for_each_partition(
     int total, int parts,
     const std::function<bool(std::span<const int>)>& visit) {
-  return for_each_partition_min(total, parts, 1, visit);
-}
-
-std::uint64_t for_each_partition_min(
-    int total, int parts, int min_part,
-    const std::function<bool(std::span<const int>)>& visit) {
   check_args(total, parts);
-  if (min_part < 1)
-    throw std::invalid_argument("partition: min_part must be >= 1");
-  if (static_cast<std::int64_t>(parts) * min_part > total) return 0;
+  if (parts > total) return 0;
   std::uint64_t count = 0;
   std::vector<int> prefix;
   prefix.reserve(static_cast<std::size_t>(parts));
-  visit_recursive(prefix, total, parts, min_part, visit, count);
+  visit_recursive(prefix, total, parts, visit, count);
   return count;
-}
-
-std::uint64_t count_exact_min(int total, int parts, int min_part) {
-  check_args(total, parts);
-  if (min_part < 1)
-    throw std::invalid_argument("partition: min_part must be >= 1");
-  const std::int64_t reduced =
-      static_cast<std::int64_t>(total) -
-      static_cast<std::int64_t>(parts) * (min_part - 1);
-  if (reduced < parts) return 0;
-  return count_exact(static_cast<int>(reduced), parts);
 }
 
 std::uint64_t count_exact(int total, int parts) {

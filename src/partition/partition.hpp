@@ -34,16 +34,6 @@ namespace wtam::partition {
 std::uint64_t for_each_partition(
     int total, int parts, const std::function<bool(std::span<const int>)>& visit);
 
-/// Same, but every part must be >= min_part (place-and-route floors on
-/// TAM width, cf. the paper's reference [4]). min_part >= 1.
-std::uint64_t for_each_partition_min(
-    int total, int parts, int min_part,
-    const std::function<bool(std::span<const int>)>& visit);
-
-/// p(total, parts) with every part >= min_part: equals
-/// count_exact(total - parts*(min_part-1), parts).
-[[nodiscard]] std::uint64_t count_exact_min(int total, int parts, int min_part);
-
 /// p(total, parts): number of partitions of `total` into exactly `parts`
 /// positive parts. p(n, k) = p(n-1, k-1) + p(n-k, k).
 [[nodiscard]] std::uint64_t count_exact(int total, int parts);

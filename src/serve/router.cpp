@@ -238,7 +238,7 @@ Router::Router(RouterOptions options, Sink sink, Diag diag, Flush flush)
   slots_.reserve(options_.workers.size());
   for (const WorkerSpec& spec : options_.workers) {
     auto slot = std::make_unique<Slot>();
-    slot->link = make_worker_link(spec, options_.connect_wait);
+    slot->link = make_worker_link(spec);
     slots_.push_back(std::move(slot));
   }
   // Readers start only after every spawn/connect succeeded, so a boot
@@ -787,7 +787,7 @@ void Router::reader_loop(std::size_t index) {
 
     std::shared_ptr<WorkerLink> fresh;
     try {
-      fresh = make_worker_link(options_.workers[index], options_.connect_wait);
+      fresh = make_worker_link(options_.workers[index]);
     } catch (const std::exception& e) {
       // Respawn/reconnect failed (binary gone? host down past the
       // backoff budget?): the slot dies for good and its in-flight jobs
@@ -1003,7 +1003,7 @@ void Router::handle_resize(const api::JsonValue& value) {
     fresh.reserve(new_specs.size());
     for (const WorkerSpec& spec : new_specs) {
       auto slot = std::make_unique<Slot>();
-      slot->link = make_worker_link(spec, options_.connect_wait);
+      slot->link = make_worker_link(spec);
       fresh.push_back(std::move(slot));
     }
   } catch (const std::exception& e) {

@@ -106,8 +106,6 @@ struct RouterOptions {
   /// A worker whose pong is older than this when the next tick fires is
   /// severed and its jobs replayed.
   std::chrono::milliseconds ping_deadline{2000};
-  /// Budget for connecting (and reconnecting) to remote workers.
-  std::chrono::milliseconds connect_wait{5000};
   /// Builds the worker specs for a fleet of the given size — what the
   /// resize verb boots after re-sharding. Must return exactly `count`
   /// specs. Without a factory, resize is refused.

@@ -1,6 +1,7 @@
 #include "serve/worker_link.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -27,6 +28,9 @@ WorkerSpec WorkerSpec::connect(std::string endpoint) {
 }
 
 namespace {
+
+/// How long a remote link keeps retrying its connect.
+constexpr std::chrono::milliseconds kConnectWait(5000);
 
 class SubprocessLink final : public WorkerLink {
  public:
@@ -81,8 +85,7 @@ class SocketLink final : public WorkerLink {
 
 }  // namespace
 
-std::unique_ptr<WorkerLink> make_worker_link(
-    const WorkerSpec& spec, std::chrono::milliseconds connect_wait) {
+std::unique_ptr<WorkerLink> make_worker_link(const WorkerSpec& spec) {
   if (!spec.remote()) {
     if (spec.command.empty())
       throw std::invalid_argument("worker spec has neither command nor "
@@ -91,10 +94,10 @@ std::unique_ptr<WorkerLink> make_worker_link(
   }
 
   const net::Endpoint endpoint = net::parse_endpoint(spec.endpoint);
-  // Doubling backoff until the budget runs out: covers the router
-  // booting a beat before its workers and reconnects to a worker that is
-  // restarting. The final attempt's error is the one reported.
-  const auto deadline = common::steady_now() + connect_wait;
+  // Doubling backoff for 5 s: covers the router booting a beat before its
+  // workers and reconnects to a worker that is restarting. The final
+  // attempt's error is the one reported.
+  const auto deadline = common::steady_now() + kConnectWait;
   std::chrono::milliseconds backoff(25);
   for (;;) {
     try {

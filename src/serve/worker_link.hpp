@@ -22,7 +22,6 @@
 
 #pragma once
 
-#include <chrono>
 #include <memory>
 #include <optional>
 #include <string>
@@ -82,12 +81,10 @@ class WorkerLink {
 };
 
 /// Builds the link a spec describes. Local specs spawn; remote specs
-/// connect, retrying with doubling backoff until `connect_wait` has
-/// elapsed (covering both boot-before-worker races and reconnects to a
-/// restarting worker). Throws std::runtime_error when the worker cannot
-/// be reached.
+/// connect, retrying with doubling backoff for up to 5 s (covering both
+/// boot-before-worker races and reconnects to a restarting worker).
+/// Throws std::runtime_error when the worker cannot be reached.
 [[nodiscard]] std::unique_ptr<WorkerLink> make_worker_link(
-    const WorkerSpec& spec,
-    std::chrono::milliseconds connect_wait = std::chrono::milliseconds(5000));
+    const WorkerSpec& spec);
 
 }  // namespace wtam::serve

@@ -60,36 +60,16 @@ void distribute_cells(std::vector<WrapperChain>& chains, std::int64_t cells,
   }
 }
 
-/// Counts how few wrapper chains suffice to reach the same (si, so):
-/// fill chains in index order up to the si/so water levels, opening a new
-/// chain only when every open one is full ("reluctance", priority ii).
-int compact_width(const soc::Core& core,
-                  const std::vector<std::int64_t>& scan_loads,
-                  std::int64_t si, std::int64_t so, int width) {
-  std::int64_t need_in = core.num_inputs;
-  std::int64_t need_out = core.num_outputs;
-  std::int64_t need_bid = core.num_bidirs;
-  int used = 0;
-  for (int b = 0; b < width; ++b) {
-    const std::int64_t scan =
-        b < static_cast<int>(scan_loads.size()) ? scan_loads[static_cast<std::size_t>(b)] : 0;
-    std::int64_t room_in = std::max<std::int64_t>(0, si - scan);
-    std::int64_t room_out = std::max<std::int64_t>(0, so - scan);
-    // Bidir cells consume a slot on both sides of the same chain.
-    const std::int64_t bid = std::min({need_bid, room_in, room_out});
-    need_bid -= bid;
-    room_in -= bid;
-    room_out -= bid;
-    const std::int64_t in = std::min(need_in, room_in);
-    need_in -= in;
-    const std::int64_t out = std::min(need_out, room_out);
-    need_out -= out;
-    if (scan > 0 || bid > 0 || in > 0 || out > 0) used = b + 1;
-    if (need_in == 0 && need_out == 0 && need_bid == 0 &&
-        b + 1 >= static_cast<int>(scan_loads.size()))
-      break;
+/// Sets si, so and T from the finished wrapper chains.
+void measure(const soc::Core& core, WrapperDesign& design) {
+  for (const auto& chain : design.chains) {
+    design.scan_in_length = std::max(design.scan_in_length, chain.scan_in_length());
+    design.scan_out_length =
+        std::max(design.scan_out_length, chain.scan_out_length());
   }
-  return used;
+  design.test_time = test_time_formula(core.test_patterns,
+                                       design.scan_in_length,
+                                       design.scan_out_length);
 }
 
 }  // namespace
@@ -149,22 +129,7 @@ WrapperDesign design_wrapper(const soc::Core& core, int width) {
       [](const WrapperChain& c) { return c.scan_out_length(); },
       [](WrapperChain& c) { ++c.output_cells; });
 
-  for (const auto& chain : design.chains) {
-    design.scan_in_length = std::max(design.scan_in_length, chain.scan_in_length());
-    design.scan_out_length =
-        std::max(design.scan_out_length, chain.scan_out_length());
-  }
-  design.test_time = test_time_formula(core.test_patterns,
-                                       design.scan_in_length,
-                                       design.scan_out_length);
-
-  // --- Priority (ii): report the width actually needed. -----------------
-  std::vector<std::int64_t> scan_loads;
-  for (const auto& chain : design.chains)
-    if (chain.scan_bits > 0) scan_loads.push_back(chain.scan_bits);
-  std::sort(scan_loads.begin(), scan_loads.end(), std::greater<>());
-  design.used_width = compact_width(core, scan_loads, design.scan_in_length,
-                                    design.scan_out_length, width);
+  measure(core, design);
   return design;
 }
 
@@ -205,18 +170,7 @@ WrapperDesign design_wrapper_naive(const soc::Core& core, int width) {
   for (int cell = 0; cell < core.num_outputs; ++cell)
     ++design.chains[static_cast<std::size_t>(cell % width)].output_cells;
 
-  int used = 0;
-  for (std::size_t c = 0; c < design.chains.size(); ++c) {
-    const auto& chain = design.chains[c];
-    design.scan_in_length = std::max(design.scan_in_length, chain.scan_in_length());
-    design.scan_out_length =
-        std::max(design.scan_out_length, chain.scan_out_length());
-    if (!chain.empty()) used = static_cast<int>(c) + 1;
-  }
-  design.used_width = used;
-  design.test_time = test_time_formula(core.test_patterns,
-                                       design.scan_in_length,
-                                       design.scan_out_length);
+  measure(core, design);
   return design;
 }
 

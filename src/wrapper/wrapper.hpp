@@ -16,9 +16,10 @@
 // used, via a built-in reluctance to open new wrapper chains. We implement
 // (i) with Best-Fit-Decreasing bin packing of the internal scan chains
 // (capacity = the bin-packing lower bound, relaxed until <= width bins
-// suffice) followed by water-filling of the I/O cells, and (ii) with a
-// compaction pass that counts how few wrapper chains reach the same
-// (si, so).
+// suffice) followed by water-filling of the I/O cells. (ii) is read off
+// the testing times' monotone envelope (`best_design`, `pareto_widths`,
+// core::TestTimeTable): a width that does not strictly lower T is never
+// worth its wires.
 
 #pragma once
 
@@ -51,8 +52,7 @@ struct WrapperChain {
 
 /// Result of designing a wrapper at a given TAM width.
 struct WrapperDesign {
-  int tam_width = 0;   ///< width the wrapper was designed for
-  int used_width = 0;  ///< wrapper chains actually needed for the same (si,so)
+  int tam_width = 0;  ///< width the wrapper was designed for
   std::int64_t scan_in_length = 0;   ///< si
   std::int64_t scan_out_length = 0;  ///< so
   std::int64_t test_time = 0;        ///< T
@@ -78,7 +78,7 @@ struct WrapperDesign {
 /// A TAM of width w can always leave wires idle, so the *effective* testing
 /// time at width w is the minimum over all widths <= w. This returns the
 /// best design with tam_width <= width (the monotone envelope used by all
-/// optimization algorithms; its used_width reports the winning width).
+/// optimization algorithms; its tam_width is the winning width).
 [[nodiscard]] WrapperDesign best_design(const soc::Core& core, int width);
 
 /// Widths 1..max_width at which the effective testing time strictly

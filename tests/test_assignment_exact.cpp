@@ -89,30 +89,6 @@ TEST(AssignmentExact, TamTimesConsistent) {
             *std::max_element(recomputed.begin(), recomputed.end()));
 }
 
-TEST(AssignmentExact, UpperBoundHintBelowOptimumKeepsHeuristic) {
-  const TestTimeTable matrix = figure2_matrix();
-  const std::vector<int> widths = {32, 16, 8};
-  const std::int64_t optimum = brute_force(matrix, widths);
-  ExactOptions options;
-  options.upper_bound_hint = optimum - 50;  // unattainable
-  const ExactResult result = solve_assignment_exact(matrix, widths, options);
-  // Nothing better than the hint exists; search completes with the
-  // heuristic assignment (time >= optimum).
-  EXPECT_TRUE(result.proven_optimal);
-  EXPECT_GE(result.architecture.testing_time, optimum);
-}
-
-TEST(AssignmentExact, UpperBoundHintAboveOptimumStillFindsOptimum) {
-  const TestTimeTable matrix = figure2_matrix();
-  const std::vector<int> widths = {32, 16, 8};
-  const std::int64_t optimum = brute_force(matrix, widths);
-  ExactOptions options;
-  options.upper_bound_hint = optimum + 100;
-  const ExactResult result = solve_assignment_exact(matrix, widths, options);
-  EXPECT_TRUE(result.proven_optimal);
-  EXPECT_EQ(result.architecture.testing_time, optimum);
-}
-
 TEST(AssignmentExact, NodeLimitReportsNotProven) {
   // Instance where the heuristic is provably suboptimal (LPT's classic
   // {3,3,2,2,2}-on-2-machines miss: heuristic 7, optimum 6), so the search

@@ -61,19 +61,6 @@ TEST(Exhaustive, ZeroBudgetDoesNotComplete) {
   EXPECT_LT(result.partitions_solved, result.partitions_total);
 }
 
-TEST(Exhaustive, SharedIncumbentSameAnswer) {
-  const soc::Soc soc = soc::d695();
-  const TestTimeTable table(soc, 20);
-  ExhaustiveOptions baseline;  // share_incumbent = false (faithful [8])
-  ExhaustiveOptions shared;
-  shared.share_incumbent = true;
-  const auto a = exhaustive_paw(table, 20, 2, baseline);
-  const auto b = exhaustive_paw(table, 20, 2, shared);
-  ASSERT_TRUE(a.completed);
-  ASSERT_TRUE(b.completed);
-  EXPECT_EQ(a.best.testing_time, b.best.testing_time);
-}
-
 TEST(Exhaustive, IlpEngineMatchesCombinatorial) {
   const soc::Soc soc = soc::d695();
   const TestTimeTable table(soc, 12);
@@ -90,6 +77,8 @@ TEST(Exhaustive, RejectsBadTams) {
   const soc::Soc soc = soc::d695();
   const TestTimeTable table(soc, 8);
   EXPECT_THROW((void)exhaustive_paw(table, 8, 0, {}), std::invalid_argument);
+  // More TAMs than wires has no partition: an error, not an empty answer.
+  EXPECT_THROW((void)exhaustive_paw(table, 8, 9, {}), std::invalid_argument);
   EXPECT_THROW((void)exhaustive_pnpaw(table, 8, 0, {}), std::invalid_argument);
 }
 

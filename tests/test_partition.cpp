@@ -152,35 +152,5 @@ TEST(ComparisonFilter, MemoryGrowsWithUnique) {
   EXPECT_GT(large.stored_bytes, small.stored_bytes);
 }
 
-TEST(MinPart, CountMatchesShiftedPartition) {
-  // Parts >= m of W  <=>  parts >= 1 of W - B(m-1).
-  EXPECT_EQ(count_exact_min(20, 3, 4), count_exact(11, 3));
-  EXPECT_EQ(count_exact_min(10, 4, 1), count_exact(10, 4));
-  EXPECT_EQ(count_exact_min(10, 4, 3), 0u);  // 4*3 > 10
-}
-
-TEST(MinPart, EnumerationHonorsFloor) {
-  std::uint64_t visited = 0;
-  const auto count =
-      for_each_partition_min(24, 3, 5, [&](std::span<const int> parts) {
-        ++visited;
-        for (const int p : parts) EXPECT_GE(p, 5);
-        int sum = 0;
-        for (const int p : parts) sum += p;
-        EXPECT_EQ(sum, 24);
-        return true;
-      });
-  EXPECT_EQ(count, visited);
-  EXPECT_EQ(count, count_exact_min(24, 3, 5));
-}
-
-TEST(MinPart, RejectsBadFloor) {
-  EXPECT_THROW((void)count_exact_min(10, 2, 0), std::invalid_argument);
-  EXPECT_THROW(
-      (void)for_each_partition_min(10, 2, 0,
-                                   [](std::span<const int>) { return true; }),
-      std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace wtam::partition

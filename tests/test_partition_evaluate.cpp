@@ -113,24 +113,6 @@ TEST(PartitionEvaluate, CarriedTauMatchesPerBReset) {
   EXPECT_LE(evaluated_carried, evaluated_reset);
 }
 
-TEST(PartitionEvaluate, MinTamWidthRestrictsTheSearch) {
-  const soc::Soc soc = soc::d695();
-  const TestTimeTable table(soc, 32);
-  PartitionEvaluateOptions floored;
-  floored.max_tams = 4;
-  floored.min_tam_width = 6;
-  const auto result = partition_evaluate(table, 32, floored);
-  for (const int w : result.best.widths) EXPECT_GE(w, 6);
-  for (const auto& stats : result.per_b)
-    EXPECT_EQ(stats.partitions_unique,
-              partition::count_exact_min(32, stats.tams, 6));
-  // The floor can only restrict the space: never better than unrestricted.
-  PartitionEvaluateOptions free = floored;
-  free.min_tam_width = 1;
-  EXPECT_GE(result.best.testing_time,
-            partition_evaluate(table, 32, free).best.testing_time);
-}
-
 TEST(PartitionEvaluate, RejectsBadArguments) {
   const soc::Soc soc = soc::d695();
   const TestTimeTable table(soc, 16);
@@ -146,13 +128,6 @@ TEST(PartitionEvaluate, RejectsBadArguments) {
   too_many.min_tams = 17;
   too_many.max_tams = 17;
   EXPECT_THROW((void)partition_evaluate(table, 16, too_many),
-               std::invalid_argument);
-  PartitionEvaluateOptions bad_floor;
-  bad_floor.min_tam_width = 0;
-  EXPECT_THROW((void)partition_evaluate(table, 16, bad_floor),
-               std::invalid_argument);
-  bad_floor.min_tam_width = 17;
-  EXPECT_THROW((void)partition_evaluate(table, 16, bad_floor),
                std::invalid_argument);
 }
 

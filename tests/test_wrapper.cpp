@@ -74,7 +74,6 @@ TEST(DesignWrapper, WidthOneConcatenatesEverything) {
   const WrapperDesign design = design_wrapper(core, 1);
   EXPECT_EQ(design.scan_in_length, 5 + 6 + 3);
   EXPECT_EQ(design.scan_out_length, 5 + 6 + 2);
-  EXPECT_EQ(design.used_width, 1);
 }
 
 TEST(DesignWrapper, CellsAreConserved) {
@@ -129,18 +128,11 @@ TEST(DesignWrapper, BidirCellsCountOnBothSides) {
   EXPECT_EQ(design.scan_out_length, 3);
 }
 
-TEST(DesignWrapper, UsedWidthReluctance) {
-  // One long chain and shorter ones that fit under it: few chains needed.
+TEST(DesignWrapper, WideWrapperScanInIsTheLongestChain) {
+  // One long chain and shorter ones that fit under it.
   const soc::Core core = make_core("c", 10, 0, 0, {100, 30, 30, 30});
   const WrapperDesign design = design_wrapper(core, 16);
   EXPECT_EQ(design.scan_in_length, 100);
-  EXPECT_LE(design.used_width, 2);  // {100} and {30+30+30}
-}
-
-TEST(DesignWrapper, UsedWidthNeverExceedsRequested) {
-  const soc::Core core = soc::d695().cores[4];  // s38584
-  for (int w = 1; w <= 40; ++w)
-    EXPECT_LE(design_wrapper(core, w).used_width, w);
 }
 
 TEST(DesignWrapper, ZeroPatternCore) {
@@ -202,7 +194,6 @@ TEST(DesignWrapper, BfdCapacityRelaxation) {
   const soc::Core core = make_core("relax", 10, 0, 0, {5, 4, 3, 3, 3});
   const WrapperDesign design = design_wrapper(core, 3);
   EXPECT_EQ(design.scan_in_length, 7);
-  EXPECT_LE(design.used_width, 3);
   int non_empty = 0;
   for (const auto& chain : design.chains)
     if (!chain.empty()) ++non_empty;
@@ -280,7 +271,6 @@ TEST_P(WrapperRandomTest, InvariantsHoldAcrossWidths) {
     EXPECT_EQ(design.test_time,
               test_time_formula(core.test_patterns, design.scan_in_length,
                                 design.scan_out_length));
-    EXPECT_LE(design.used_width, w);
     EXPECT_EQ(static_cast<int>(design.chains.size()), w);
   }
   // The envelope respects the absolute floor.

@@ -14,10 +14,10 @@
 //   --list-backends   print the registered backends and exit
 //   --max-tams B      search B in [1, B] (default 10)
 //   --fixed-tams B    pin the number of TAMs (overrides --max-tams)
-//   --threads N       worker threads for the partition search, the
-//                     rectpack walkers, and the exhaustive baseline
-//                     (default 1 = serial; 0 = one per hardware thread);
-//                     results are identical to serial at any thread count
+//   --threads N       worker threads for the partition search and the
+//                     rectpack walkers (default 1 = serial; 0 = one per
+//                     hardware thread); results are identical to serial
+//                     at any thread count
 //   --constraints F   JSON file with a scenario-constraints object
 //                     (power/power_budget/precedence/fixed/forbidden/
 //                     earliest_start — the jobs-file "constraints" block;
@@ -27,7 +27,7 @@
 //   --deadline S      wall-clock budget; an expired job returns its
 //                     best-so-far schedule with status deadline_exceeded
 //   --no-final-ilp    skip the exact re-optimization step
-//   --exhaustive      also run the exhaustive baseline of [8]
+//   --exhaustive      also run the exhaustive baseline of [8] (serial)
 //   --budget S        wall-clock budget for --exhaustive (default 30)
 //   --gantt           print the test schedule as a Gantt chart
 //   --quiet           only print the testing time (scripting)
@@ -258,8 +258,8 @@ int main(int argc, char** argv) {
       enumerative_flags.push_back(arg);
       single_only_flags.push_back(arg);
     } else if (arg == "--threads") {
-      // Honored by every backend (partition search, rectpack walkers)
-      // and the exhaustive baseline, so no backend-mismatch warning.
+      // Honored by every backend (partition search, rectpack walkers),
+      // so no backend-mismatch warning.
       threads = cli::parse_flag_value<int>(arg, value(), usage);
     } else if (arg == "--constraints") {
       constraints_path = value();
@@ -426,7 +426,6 @@ int main(int argc, char** argv) {
       const core::TestTimeTable table(soc, width);
       core::ExhaustiveOptions ex;
       ex.time_budget_s = budget;
-      ex.threads = threads;
       // --deadline bounds the whole invocation: the baseline stops at
       // whichever of --budget and the remaining deadline fires first.
       core::SolveContext deadline_context;
