@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -16,10 +17,10 @@
 #include <vector>
 
 #include <sys/socket.h>
+#include <time.h>
 #include <unistd.h>
 
 #include "common/subprocess.hpp"
-#include "common/timer.hpp"
 #include "net/endpoint.hpp"
 #include "net/socket.hpp"
 
@@ -233,17 +234,28 @@ TEST(Framing, ShutdownBothUnblocksABlockedReader) {
   EXPECT_FALSE(pair.connection->write_line("late"));
 }
 
+/// CPU time the calling thread has used, in seconds. Other processes
+/// sharing the CPU stretch the wall clock, not this.
+double thread_cpu_s() {
+  timespec now{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) +
+         static_cast<double>(now.tv_nsec) * 1e-9;
+}
+
 TEST(Framing, LinesJustUnderTheBoundFrameInLinearTime) {
   // Framers that searched their whole buffer for '\n' after every 4 KiB
   // read spent time quadratic in the line length: ~0.35 s for each of
   // these frames through a pipe or a socket in a Release build, so over
-  // 3 s per transport. A linear framer needs a few milliseconds each.
+  // 3 s per transport, all of it in the reading thread. A linear framer
+  // needs a few milliseconds each. The limit bounds that thread's CPU
+  // time, so a busy machine does not fail the test.
   constexpr int kFrames = 10;
   [[maybe_unused]] constexpr double kLimitS = 0.5;
   const std::string frame(Connection::kDefaultMaxLineBytes - 1, 'x');
 
   // A pipe: /bin/cat echoes the frames back through common::Subprocess.
-  const common::Stopwatch pipe_watch;
+  const double pipe_start = thread_cpu_s();
   {
     common::Subprocess cat({"/bin/cat"});
     std::thread writer([&cat, &frame] {
@@ -256,10 +268,10 @@ TEST(Framing, LinesJustUnderTheBoundFrameInLinearTime) {
     writer.join();
     EXPECT_EQ(lines, kFrames);
   }
-  [[maybe_unused]] const double pipe_s = pipe_watch.elapsed_s();
+  [[maybe_unused]] const double pipe_s = thread_cpu_s() - pipe_start;
 
   // A socketpair, read through net::Connection.
-  const common::Stopwatch socket_watch;
+  const double socket_start = thread_cpu_s();
   {
     FramedPair pair(Connection::kDefaultMaxLineBytes);
     std::thread writer([&pair, &frame] {
@@ -273,7 +285,7 @@ TEST(Framing, LinesJustUnderTheBoundFrameInLinearTime) {
     writer.join();
     EXPECT_EQ(lines, kFrames);
   }
-  [[maybe_unused]] const double socket_s = socket_watch.elapsed_s();
+  [[maybe_unused]] const double socket_s = thread_cpu_s() - socket_start;
 #if !defined(WTAM_UNDER_SANITIZERS)
   EXPECT_LT(pipe_s, kLimitS);
   EXPECT_LT(socket_s, kLimitS);
