@@ -79,6 +79,8 @@ ExhaustiveResult exhaustive_pnpaw(const TestTimeTable& table, int total_width,
                                   const ExhaustiveOptions& options) {
   if (max_tams < 1)
     throw std::invalid_argument("exhaustive_pnpaw: max_tams must be >= 1");
+  if (total_width < 1)
+    throw std::invalid_argument("exhaustive_pnpaw: total_width must be >= 1");
   common::Stopwatch watch;
   ExhaustiveResult result;
   for (int b = 1; b <= max_tams && b <= total_width; ++b)

@@ -48,7 +48,8 @@ struct ExhaustiveResult {
                                               int total_width, int tams,
                                               const ExhaustiveOptions& options = {});
 
-/// P_NPAW by exhaustive enumeration over B in [1, max_tams].
+/// P_NPAW by exhaustive enumeration over B in [1, max_tams]. Throws
+/// std::invalid_argument for max_tams < 1 or total_width < 1.
 [[nodiscard]] ExhaustiveResult exhaustive_pnpaw(
     const TestTimeTable& table, int total_width, int max_tams,
     const ExhaustiveOptions& options = {});

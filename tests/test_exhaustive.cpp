@@ -80,6 +80,7 @@ TEST(Exhaustive, RejectsBadTams) {
   // More TAMs than wires has no partition: an error, not an empty answer.
   EXPECT_THROW((void)exhaustive_paw(table, 8, 9, {}), std::invalid_argument);
   EXPECT_THROW((void)exhaustive_pnpaw(table, 8, 0, {}), std::invalid_argument);
+  EXPECT_THROW((void)exhaustive_pnpaw(table, 0, 3, {}), std::invalid_argument);
 }
 
 }  // namespace
