@@ -331,10 +331,10 @@ int main() {
   }
 
   // Observability overhead: the price a hot path pays to bump a counter
-  // or record a histogram sample (sharded slot, one uncontended mutex
-  // acquire). Bodies run kObsOps operations per call so the per-call
-  // column reads as per-operation cost — the instrumented solver paths
-  // budget low double-digit nanoseconds here.
+  // or record a histogram sample (one uncontended mutex acquire). Bodies
+  // run kObsOps operations per call so the per-call column reads as
+  // per-operation cost — the instrumented solver paths budget low
+  // double-digit nanoseconds here.
   constexpr std::int64_t kObsOps = 4096;
   obs::MetricsRegistry obs_registry;  // local, not the process instance
   obs::Counter& obs_counter = obs_registry.counter("bench.counter");

@@ -3,39 +3,7 @@
 #include <chrono>
 #include <utility>
 
-#include "common/thread_annotations.hpp"
-
 namespace wtam::api {
-
-namespace {
-
-/// A key and its hash(), which each call computes once: it picks the
-/// shard and the index bucket both. The index and the in-flight map are
-/// keyed by the address of a key they hold in place (a list node's or a
-/// flight's, for as long as that lives), so every stored key is held
-/// once; a lookup passes the address of the caller's key.
-struct HashedKey {
-  const RequestKey* key;
-  std::uint64_t hash;
-};
-
-struct HashedKeyHash {
-  std::size_t operator()(const HashedKey& key) const noexcept {
-    return static_cast<std::size_t>(key.hash);
-  }
-};
-
-struct HashedKeyEqual {
-  bool operator()(const HashedKey& a, const HashedKey& b) const noexcept {
-    return a.hash == b.hash && *a.key == *b.key;
-  }
-};
-
-template <class Value>
-using HashedKeyMap =
-    std::unordered_map<HashedKey, Value, HashedKeyHash, HashedKeyEqual>;
-
-}  // namespace
 
 std::size_t CachedSolve::approx_bytes() const noexcept {
   std::size_t bytes = sizeof(CachedSolve);
@@ -55,11 +23,10 @@ std::size_t CachedSolve::approx_bytes() const noexcept {
 /// A computation in flight: the leader fills `value` under `mutex`, sets
 /// `done`, and notifies; coalesced waiters block on `cv`. `published`
 /// distinguishes a real result from an abandoned one. `key` is set once
-/// at creation (under the shard lock) and immutable afterwards, so it is
+/// at creation (under the cache lock) and immutable afterwards, so it is
 /// deliberately unguarded.
 struct ResultCache::InFlight {
   RequestKey key;
-  std::uint64_t hash = 0;  ///< key.hash()
   common::Mutex mutex;
   common::CondVar cv;
   bool done WTAM_GUARDED_BY(mutex) = false;
@@ -67,109 +34,60 @@ struct ResultCache::InFlight {
   CachedSolve value WTAM_GUARDED_BY(mutex);
 };
 
-/// One shard: an LRU list of stored entries + an index into it keyed by
-/// the entries' own keys (HashedKey above), the in-flight map
-/// for the coalescing protocol, and this shard's slice of the stats
-/// counters — all under one mutex, so any multi-field read taken inside
-/// a single critical section is a consistent snapshot. Lock ordering:
-/// the shard mutex and a flight mutex are never held together (publish/
-/// abandon update the shard map first, then the flight, in disjoint
-/// critical sections).
-struct ResultCache::Shard {
-  struct Entry {
-    RequestKey key;
-    std::uint64_t hash = 0;  ///< key.hash()
-    CachedSolve value;
-    std::size_t bytes = 0;
-  };
-
-  mutable common::Mutex mutex;
-  /// front = most recently used
-  std::list<Entry> lru WTAM_GUARDED_BY(mutex);
-  HashedKeyMap<std::list<Entry>::iterator> index WTAM_GUARDED_BY(mutex);
-  HashedKeyMap<std::shared_ptr<InFlight>> inflight WTAM_GUARDED_BY(mutex);
-  std::size_t bytes WTAM_GUARDED_BY(mutex) = 0;
-  std::uint64_t hits WTAM_GUARDED_BY(mutex) = 0;
-  std::uint64_t misses WTAM_GUARDED_BY(mutex) = 0;
-  std::uint64_t coalesced WTAM_GUARDED_BY(mutex) = 0;
-  std::uint64_t insertions WTAM_GUARDED_BY(mutex) = 0;
-  std::uint64_t evictions WTAM_GUARDED_BY(mutex) = 0;
-
-  /// Stores `value`, whose approx_bytes() is `size`, under `key`,
-  /// replacing an entry already there and evicting least recently used
-  /// entries to fit `budget`. An entry larger than the whole budget is
-  /// not stored: evicting the entire shard for one oversized result would
-  /// turn the cache into a one-slot buffer.
-  void store(const HashedKey& key, CachedSolve value, std::size_t size,
-             std::size_t budget) WTAM_REQUIRES(mutex) {
-    if (const auto it = index.find(key); it != index.end()) {
-      const auto entry = it->second;
-      bytes -= entry->bytes;
-      index.erase(it);
-      lru.erase(entry);
-    }
-    if (size > budget) return;
-    while (bytes + size > budget && !lru.empty()) {
-      const Entry& oldest = lru.back();
-      bytes -= oldest.bytes;
-      index.erase({&oldest.key, oldest.hash});  // before the node it names
-      lru.pop_back();
-      ++evictions;
-    }
-    lru.push_front(Entry{*key.key, key.hash, std::move(value), size});
-    index.emplace(HashedKey{&lru.front().key, key.hash}, lru.begin());
-    bytes += size;
-    ++insertions;
-  }
-};
-
 ResultCache::ResultCache(ResultCacheOptions options)
-    : options_(options) {
-  if (options_.shards < 1) options_.shards = 1;
-  // Per-shard budget; at least one shard must be able to hold an entry,
-  // so the division never rounds the budget away entirely.
-  shard_budget_ = options_.max_bytes / static_cast<std::size_t>(options_.shards);
-  shards_.reserve(static_cast<std::size_t>(options_.shards));
-  for (int i = 0; i < options_.shards; ++i)
-    shards_.push_back(std::make_unique<Shard>());
-}
+    : max_bytes_(options.max_bytes) {}
 
 ResultCache::~ResultCache() = default;
 
-ResultCache::Shard& ResultCache::shard_for(std::uint64_t hash) noexcept {
-  return *shards_[static_cast<std::size_t>(hash) % shards_.size()];
+void ResultCache::store(const RequestKey& key, CachedSolve value,
+                        std::size_t size) {
+  const auto [it, added] = index_.try_emplace(key);
+  if (!added) {
+    bytes_ -= it->second->bytes;
+    lru_.erase(it->second);
+  }
+  if (size > max_bytes_) {
+    index_.erase(it);
+    return;
+  }
+  while (bytes_ + size > max_bytes_) {
+    const Entry& oldest = lru_.back();
+    bytes_ -= oldest.bytes;
+    index_.erase(index_.find(*oldest.key));
+    lru_.pop_back();
+    ++counts_.evictions;
+  }
+  lru_.push_front(Entry{&it->first, std::move(value), size});
+  it->second = lru_.begin();
+  bytes_ += size;
+  ++counts_.insertions;
 }
 
 ResultCache::Fetch ResultCache::begin_fetch(const RequestKey& key,
                                             const InterruptFn& interrupt) {
-  const HashedKey hashed{&key, key.hash()};
-  Shard& shard = shard_for(hashed.hash);
   for (;;) {
     std::shared_ptr<InFlight> flight;
     {
-      const common::MutexLock lock(shard.mutex);
-      if (const auto it = shard.index.find(hashed); it != shard.index.end()) {
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        ++shard.hits;
+      const common::MutexLock lock(mutex_);
+      if (const auto it = index_.find(key); it != index_.end()) {
+        lru_.splice(lru_.begin(), lru_, it->second);
+        ++counts_.hits;
         Fetch fetch;
         fetch.outcome = FetchOutcome::Hit;
         fetch.value = it->second->value;
         return fetch;
       }
-      if (const auto it = shard.inflight.find(hashed);
-          it != shard.inflight.end()) {
-        flight = it->second;
-      } else {
-        flight = std::make_shared<InFlight>();
-        flight->key = key;
-        flight->hash = hashed.hash;
-        shard.inflight.emplace(HashedKey{&flight->key, hashed.hash}, flight);
-        ++shard.misses;
+      const auto [it, leads] = inflight_.try_emplace(key);
+      if (leads) {
+        it->second = std::make_shared<InFlight>();
+        it->second->key = key;
+        ++counts_.misses;
         Fetch fetch;
         fetch.outcome = FetchOutcome::Lead;
-        fetch.ticket = std::static_pointer_cast<void>(flight);
+        fetch.ticket = std::static_pointer_cast<void>(it->second);
         return fetch;
       }
+      flight = it->second;
     }
     // Someone else is computing this key right now: wait for them —
     // with the caller's interrupt polled so a cancelled/deadlined
@@ -196,9 +114,9 @@ ResultCache::Fetch ResultCache::begin_fetch(const RequestKey& key,
       }
     }
     if (published) {
-      const common::MutexLock lock(shard.mutex);
-      ++shard.hits;
-      ++shard.coalesced;
+      const common::MutexLock lock(mutex_);
+      ++counts_.hits;
+      ++counts_.coalesced;
       return fetch;
     }
     // The leader abandoned (interrupted solve); loop so exactly one of
@@ -208,42 +126,35 @@ ResultCache::Fetch ResultCache::begin_fetch(const RequestKey& key,
 
 std::optional<std::vector<CachedSolve>> ResultCache::lookup(
     const std::vector<RequestKey>& keys) {
-  std::vector<HashedKey> hashed;
-  hashed.reserve(keys.size());
+  std::vector<std::list<Entry>::iterator> found;
+  found.reserve(keys.size());
   std::vector<CachedSolve> values;
   values.reserve(keys.size());
+  const common::MutexLock lock(mutex_);
   for (const RequestKey& key : keys) {
-    hashed.push_back({&key, key.hash()});
-    Shard& shard = shard_for(hashed.back().hash);
-    const common::MutexLock lock(shard.mutex);
-    const auto it = shard.index.find(hashed.back());
-    if (it == shard.index.end()) return std::nullopt;
-    values.push_back(it->second->value);
+    const auto it = index_.find(key);
+    if (it == index_.end()) return std::nullopt;
+    found.push_back(it->second);
   }
   // Every key answered: only now refresh recency and count, so a probe
-  // that answers nothing leaves the cache as it found it. An entry evicted
-  // in between still served its copy, which is a hit.
-  for (const HashedKey& key : hashed) {
-    Shard& shard = shard_for(key.hash);
-    const common::MutexLock lock(shard.mutex);
-    if (const auto it = shard.index.find(key); it != shard.index.end())
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    ++shard.hits;
+  // that answers nothing leaves the cache as it found it.
+  for (const auto entry : found) {
+    lru_.splice(lru_.begin(), lru_, entry);
+    values.push_back(entry->value);
   }
+  counts_.hits += keys.size();
   return values;
 }
 
 void ResultCache::publish(const Fetch& fetch, CachedSolve value) {
   if (fetch.ticket == nullptr) return;
   const auto flight = std::static_pointer_cast<InFlight>(fetch.ticket);
-  const HashedKey hashed{&flight->key, flight->hash};
-  Shard& shard = shard_for(hashed.hash);
+  const std::size_t size = value.approx_bytes();
   {
-    const common::MutexLock lock(shard.mutex);
-    shard.inflight.erase(hashed);
+    const common::MutexLock lock(mutex_);
+    inflight_.erase(flight->key);
     // A clear()+recompute race can re-publish a key; it is replaced.
-    const std::size_t size = value.approx_bytes();
-    shard.store(hashed, value, size, shard_budget_);
+    store(flight->key, value, size);
   }
   {
     const common::MutexLock lock(flight->mutex);
@@ -257,10 +168,9 @@ void ResultCache::publish(const Fetch& fetch, CachedSolve value) {
 void ResultCache::abandon(const Fetch& fetch) {
   if (fetch.ticket == nullptr) return;
   const auto flight = std::static_pointer_cast<InFlight>(fetch.ticket);
-  Shard& shard = shard_for(flight->hash);
   {
-    const common::MutexLock lock(shard.mutex);
-    shard.inflight.erase({&flight->key, flight->hash});
+    const common::MutexLock lock(mutex_);
+    inflight_.erase(flight->key);
   }
   {
     const common::MutexLock lock(flight->mutex);
@@ -270,64 +180,45 @@ void ResultCache::abandon(const Fetch& fetch) {
 }
 
 void ResultCache::clear() {
-  for (const auto& shard : shards_) {
-    const common::MutexLock lock(shard->mutex);
-    shard->index.clear();
-    shard->lru.clear();
-    shard->bytes = 0;
-  }
+  const common::MutexLock lock(mutex_);
+  index_.clear();
+  lru_.clear();
+  bytes_ = 0;
 }
 
 void ResultCache::reset_stats() {
-  for (const auto& shard : shards_) {
-    const common::MutexLock lock(shard->mutex);
-    shard->hits = 0;
-    shard->misses = 0;
-    shard->coalesced = 0;
-    shard->insertions = 0;
-    shard->evictions = 0;
-  }
+  const common::MutexLock lock(mutex_);
+  counts_ = {};
 }
 
 void ResultCache::insert(const RequestKey& key, CachedSolve value) {
-  const HashedKey hashed{&key, key.hash()};
-  Shard& shard = shard_for(hashed.hash);
   const std::size_t size = value.approx_bytes();
-  const common::MutexLock lock(shard.mutex);
-  shard.store(hashed, std::move(value), size, shard_budget_);
+  const common::MutexLock lock(mutex_);
+  store(key, std::move(value), size);
 }
 
 std::vector<std::pair<RequestKey, CachedSolve>> ResultCache::export_entries()
     const {
   std::vector<std::pair<RequestKey, CachedSolve>> entries;
-  for (const auto& shard : shards_) {
-    const common::MutexLock lock(shard->mutex);
-    // Least-recently-used first: re-insert()ing the sequence into a
-    // fresh cache reproduces each shard's recency order exactly, which
-    // makes save -> load -> save byte-identical (pinned by tests).
-    for (auto it = shard->lru.rbegin(); it != shard->lru.rend(); ++it)
-      entries.emplace_back(it->key, it->value);
-  }
+  const common::MutexLock lock(mutex_);
+  entries.reserve(lru_.size());
+  // Least-recently-used first: re-insert()ing the sequence into a fresh
+  // cache reproduces the recency order exactly, which makes save -> load
+  // -> save byte-identical (pinned by tests).
+  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it)
+    entries.emplace_back(*it->key, it->value);
   return entries;
 }
 
 ResultCacheStats ResultCache::stats() const {
-  ResultCacheStats total;
-  total.max_bytes = options_.max_bytes;
-  // One critical section per shard: each shard's counters and gauges are
-  // read as a consistent snapshot (no torn multi-field reads), then the
-  // per-shard snapshots sum.
-  for (const auto& shard : shards_) {
-    const common::MutexLock lock(shard->mutex);
-    total.hits += shard->hits;
-    total.misses += shard->misses;
-    total.coalesced += shard->coalesced;
-    total.insertions += shard->insertions;
-    total.evictions += shard->evictions;
-    total.entries += shard->lru.size();
-    total.bytes += shard->bytes;
-  }
-  return total;
+  const common::MutexLock lock(mutex_);
+  // One critical section: counters and gauges are one consistent
+  // snapshot, never torn multi-field reads.
+  ResultCacheStats stats = counts_;
+  stats.entries = lru_.size();
+  stats.bytes = bytes_;
+  stats.max_bytes = max_bytes_;
+  return stats;
 }
 
 }  // namespace wtam::api

@@ -7,19 +7,20 @@
 // verdict) under its RequestKey so an identical request is served
 // byte-identically in O(1):
 //
-//   * sharded: keys map to common::mix64-bucketed shards, each with its
-//     own mutex and LRU list, so concurrent batch workers do not contend
-//     on one lock;
-//   * bounded: a byte-size budget (approximated per entry from its
-//     schedule/details payload), enforced per shard by LRU eviction;
+//   * one lock: one mutex guards the LRU list, the key index, the
+//     in-flight map and the counters, held for a probe and a copy and
+//     never across a solve;
+//   * bounded: one byte budget for the whole cache (approximated per
+//     entry from its schedule/details payload), enforced by cache-wide
+//     LRU eviction; only an entry that alone exceeds it is refused;
 //   * coalescing: a second identical request arriving while the first is
 //     still computing blocks on the in-flight entry and receives the
 //     leader's published result instead of recomputing (begin_fetch /
 //     publish / abandon protocol);
 //   * observable: hit/miss/eviction/coalesce counters plus live
-//     entry/byte gauges (stats, one consistent snapshot per shard), and
-//     clear() for the server's cache_clear verb;
-//   * machine-checked: every shard and in-flight field is
+//     entry/byte gauges (stats, one consistent snapshot), and clear()
+//     for the server's cache_clear verb;
+//   * machine-checked: every cache and in-flight field is
 //     WTAM_GUARDED_BY its mutex (common/thread_annotations.hpp), so
 //     Clang's -Wthread-safety proves the coalescing protocol's locking.
 //
@@ -39,6 +40,7 @@
 #include <vector>
 
 #include "api/request_key.hpp"
+#include "common/thread_annotations.hpp"
 #include "core/backend.hpp"
 
 namespace wtam::api {
@@ -55,10 +57,8 @@ struct CachedSolve {
 };
 
 struct ResultCacheOptions {
-  /// Total byte budget across all shards (entries' approx_bytes sum).
+  /// Byte budget of the whole cache (entries' approx_bytes sum).
   std::size_t max_bytes = 64u << 20;
-  /// Shard count; clamped to >= 1. Each shard owns max_bytes / shards.
-  int shards = 8;
 };
 
 struct ResultCacheStats {
@@ -148,9 +148,8 @@ class ResultCache {
   /// in-flight protocol involved. Replaces an existing entry in place.
   void insert(const RequestKey& key, CachedSolve value);
 
-  /// Every stored entry, in deterministic order (shard index ascending,
-  /// then least- to most-recently used within the shard, so re-inserting
-  /// the sequence reproduces the recency order) — the persistence save
+  /// Every stored entry, least- to most-recently used, so re-inserting
+  /// the sequence reproduces the recency order — the persistence save
   /// path. Copies; the cache stays usable concurrently.
   [[nodiscard]] std::vector<std::pair<RequestKey, CachedSolve>>
   export_entries() const;
@@ -158,15 +157,41 @@ class ResultCache {
   [[nodiscard]] ResultCacheStats stats() const;
 
  private:
-  struct Shard;
   struct InFlight;
+  struct Entry {
+    const RequestKey* key = nullptr;  ///< its key, held by its index_ node
+    CachedSolve value;
+    std::size_t bytes = 0;  ///< value.approx_bytes()
+  };
+  struct KeyHash {
+    std::size_t operator()(const RequestKey& key) const noexcept {
+      return static_cast<std::size_t>(key.hash());
+    }
+  };
 
-  /// The shard of the key whose hash() is `hash`.
-  [[nodiscard]] Shard& shard_for(std::uint64_t hash) noexcept;
+  /// Stores `value`, whose approx_bytes() is `size`, under `key`,
+  /// replacing an entry already there and evicting least recently used
+  /// entries to fit the budget. An entry larger than the whole budget is
+  /// not stored: evicting the entire cache for one oversized result would
+  /// turn it into a one-slot buffer.
+  void store(const RequestKey& key, CachedSolve value, std::size_t size)
+      WTAM_REQUIRES(mutex_);
 
-  ResultCacheOptions options_;
-  std::size_t shard_budget_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const std::size_t max_bytes_;
+  /// Never held together with a flight's mutex: publish/abandon update
+  /// the cache first, then the flight, in disjoint critical sections.
+  mutable common::Mutex mutex_;
+  /// front = most recently used
+  std::list<Entry> lru_ WTAM_GUARDED_BY(mutex_);
+  /// Holds every stored key once. Its nodes never move, so an entry's
+  /// key pointer is valid for as long as the entry is in `lru_`.
+  std::unordered_map<RequestKey, std::list<Entry>::iterator, KeyHash> index_
+      WTAM_GUARDED_BY(mutex_);
+  std::unordered_map<RequestKey, std::shared_ptr<InFlight>, KeyHash>
+      inflight_ WTAM_GUARDED_BY(mutex_);
+  std::size_t bytes_ WTAM_GUARDED_BY(mutex_) = 0;
+  /// The counters; stats() fills in the gauges and the budget.
+  ResultCacheStats counts_ WTAM_GUARDED_BY(mutex_);
 };
 
 }  // namespace wtam::api

@@ -33,9 +33,9 @@
 //     one critical section per protection domain — never field-by-field —
 //     so observers get consistent snapshots, not torn ones.
 //   * Lock ordering: leaf mutexes only. No code path in this repo
-//     acquires two annotated mutexes at once except ResultCache's
-//     shard-then-flight hand-offs, which are documented at the site and
-//     never nest in the opposite order.
+//     acquires two annotated mutexes at once; ResultCache's
+//     cache-then-flight hand-offs take them in disjoint critical
+//     sections, as documented at the site.
 
 #pragma once
 

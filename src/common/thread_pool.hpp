@@ -1,18 +1,20 @@
-// A deliberately simple fixed-size thread pool plus an ordered chunk
-// pipeline — the concurrency substrate for the parallel partition search.
+// A deliberately simple fixed-size thread pool, a fan-out/join latch and
+// an ordered chunk pipeline — the concurrency substrate for the parallel
+// partition search, the rectpack walkers and Solver batches.
 //
 // Design notes:
-//   * no work stealing, no per-thread queues: the search dispatches
-//     fixed-size chunks whose cost is large next to one mutex round-trip,
-//     so a single locked deque is not a bottleneck;
-//   * for_each_chunk_ordered() is the pattern both parallel engines share:
-//     a producer enumerates work into chunks, workers process chunks
-//     concurrently, and outcomes are merged strictly in submission order.
-//     In-order merging is what lets the searches reproduce the serial
-//     algorithm's statistics bit for bit (see partition_evaluate.cpp);
-//   * the producer blocks once `max_in_flight` chunks are outstanding, so
-//     enumeration never races ahead of evaluation by more than a bounded
-//     amount of memory.
+//   * no work stealing, no per-thread queues: every task is large next to
+//     one mutex round-trip, so a single locked deque is not a bottleneck;
+//   * the rectpack walkers and Solver::solve_batch submit N tasks to a
+//     ThreadPool and wait for all N on a CompletionLatch;
+//   * OrderedChunkPipeline serves only the partition search: a producer
+//     enumerates work into chunks, workers process chunks concurrently,
+//     and outcomes are merged strictly in submission order. In-order
+//     merging is what lets the search reproduce the serial algorithm's
+//     statistics bit for bit (see partition_evaluate.cpp). The producer
+//     blocks once `max_in_flight` chunks are outstanding, so enumeration
+//     never races ahead of evaluation by more than a bounded amount of
+//     memory.
 //
 // All shared state is annotated for Clang's -Wthread-safety analysis
 // (see common/thread_annotations.hpp for the locking discipline).
@@ -59,7 +61,8 @@ class ThreadPool {
   }
 
   /// Enqueues a task. Tasks must not throw through the pool; wrap
-  /// exception-prone work (for_each_chunk_ordered does this for you).
+  /// exception-prone work (CompletionLatch::record_error and
+  /// OrderedChunkPipeline carry the error to the owner).
   void submit(std::function<void()> task) {
     {
       const MutexLock lock(mutex_);

@@ -21,18 +21,6 @@ std::int64_t power_at(std::span<const PowerSpan> spans, std::int64_t t) {
 
 }  // namespace
 
-std::int64_t peak_power_over_window(std::span<const PowerSpan> spans,
-                                    std::int64_t start,
-                                    std::int64_t duration) {
-  if (duration <= 0) return 0;
-  std::int64_t peak = power_at(spans, start);
-  for (const PowerSpan& span : spans) {
-    if (span.start <= start || span.start >= start + duration) continue;
-    peak = std::max(peak, power_at(spans, span.start));
-  }
-  return peak;
-}
-
 bool power_window_fits(std::span<const PowerSpan> spans, std::int64_t start,
                        std::int64_t duration, std::int64_t power,
                        std::int64_t budget) {
@@ -118,19 +106,6 @@ void PowerTimeline::add(std::int64_t start, std::int64_t end,
   };
   coalesce_at(j);
   coalesce_at(i);
-}
-
-std::int64_t PowerTimeline::peak_over_window(std::int64_t start,
-                                             std::int64_t duration) const {
-  if (duration <= 0 || points_.empty()) return 0;
-  std::ptrdiff_t seg = segment_before(start);
-  std::int64_t peak = seg >= 0 ? points_[static_cast<std::size_t>(seg)].load
-                               : 0;
-  for (++seg; seg < static_cast<std::ptrdiff_t>(points_.size()) &&
-              points_[static_cast<std::size_t>(seg)].time < start + duration;
-       ++seg)
-    peak = std::max(peak, points_[static_cast<std::size_t>(seg)].load);
-  return peak;
 }
 
 bool PowerTimeline::window_fits(std::int64_t start, std::int64_t duration,

@@ -8,8 +8,10 @@
 // overlap, so the sessions' start offsets determine the peak. We provide:
 //   * a default scan-activity power model (toggling bits per cycle ~
 //     wrapper cells + scan flip-flops);
-//   * peak-power helpers over span lists and an incremental power
-//     timeline, shared by the packers and the validator;
+//   * an incremental power timeline, the one power profile the packers
+//     and the validator keep. The span-list helpers power_window_fits
+//     and peak_power are its test oracles, not shared with the packers
+//     (power_window_fits is also a bench_micro kernel);
 //   * a greedy power-constrained scheduler that delays the sessions on
 //     each TAM's static wire lane (pack::from_architecture) just enough
 //     to respect the budget (classic list scheduling with a resource
@@ -31,25 +33,13 @@
 namespace wtam::core {
 
 /// One [start, end) interval drawing `power` — the unit of the
-/// peak-power-over-window helpers below, shared by every consumer of an
-/// instantaneous power profile (skyline placement, the hole-filling
-/// compaction, the packed-schedule validator). Half-open on the right:
-/// a span ending at t and a span starting at t never overlap.
+/// span-list oracles below. Half-open on the right: a span ending at t
+/// and a span starting at t never overlap.
 struct PowerSpan {
   std::int64_t start = 0;
   std::int64_t end = 0;
   std::int64_t power = 0;
 };
-
-/// Peak of the piecewise-constant sum of `spans` over the window
-/// [start, start + duration). The profile only changes at span starts,
-/// so it is evaluated at `start` and at every span start strictly inside
-/// the window — O(k^2) in the spans overlapping the window, O(1) extra
-/// space (the packers call this per candidate start, so no sweep-line
-/// allocation). Returns 0 for an empty window or no overlapping spans.
-[[nodiscard]] std::int64_t peak_power_over_window(
-    std::span<const PowerSpan> spans, std::int64_t start,
-    std::int64_t duration);
 
 /// True iff adding a `power`-draw rectangle over [start, start + duration)
 /// on top of `spans` keeps every instant within `budget`. budget <= 0
@@ -60,7 +50,7 @@ struct PowerSpan {
                                      std::int64_t power, std::int64_t budget);
 
 /// Exact peak of the whole span profile (sweep line over start/end
-/// events; 0 when empty). The validator's one-shot global check.
+/// events; 0 when empty). The oracle for PowerTimeline::peak().
 [[nodiscard]] std::int64_t peak_power(std::span<const PowerSpan> spans);
 
 /// Incremental piecewise-constant power profile — the constrained-packing
@@ -108,10 +98,6 @@ class PowerTimeline {
   /// Global peak of the profile, maintained incrementally (loads only
   /// ever grow, so the peak is the running max of every raised level).
   [[nodiscard]] std::int64_t peak() const noexcept { return peak_; }
-
-  /// Peak load over [start, start + duration); 0 for an empty window.
-  [[nodiscard]] std::int64_t peak_over_window(std::int64_t start,
-                                              std::int64_t duration) const;
 
   /// True iff adding `power` over [start, start + duration) keeps every
   /// instant within `budget`. budget <= 0 means unconstrained. Same

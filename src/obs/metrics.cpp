@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -9,42 +8,22 @@
 
 namespace wtam::obs {
 
-namespace detail {
-
-std::size_t thread_slot() noexcept {
-  // Threads take slots round-robin; a thread keeps its slot for life, so
-  // per-thread recording never migrates between shards mid-sequence.
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t slot =
-      next.fetch_add(1, std::memory_order_relaxed) % kMetricSlots;
-  return slot;
-}
-
-}  // namespace detail
-
 // ---------------------------------------------------------------------------
 // Counter
 
 void Counter::increment(std::int64_t delta) {
-  Slot& slot = slots_[detail::thread_slot()];
-  common::MutexLock lock(slot.mu);
-  slot.value += delta;
+  common::MutexLock lock(mu_);
+  value_ += delta;
 }
 
 std::int64_t Counter::value() const {
-  std::int64_t total = 0;
-  for (const Slot& slot : slots_) {
-    common::MutexLock lock(slot.mu);
-    total += slot.value;
-  }
-  return total;
+  common::MutexLock lock(mu_);
+  return value_;
 }
 
 void Counter::reset() {
-  for (Slot& slot : slots_) {
-    common::MutexLock lock(slot.mu);
-    slot.value = 0;
-  }
+  common::MutexLock lock(mu_);
+  value_ = 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -108,32 +87,26 @@ std::pair<std::int64_t, std::int64_t> Histogram::bucket_bounds(
 void Histogram::record(std::int64_t value) {
   if (value < 0) value = 0;
   const auto index = static_cast<std::size_t>(bucket_index(value));
-  Slot& slot = slots_[detail::thread_slot()];
-  common::MutexLock lock(slot.mu);
-  HistogramData& data = slot.data;
-  if (data.buckets.empty()) data.buckets.assign(kHistogramBuckets, 0);
-  if (data.count == 0 || value < data.min) data.min = value;
-  if (data.count == 0 || value > data.max) data.max = value;
-  data.count += 1;
-  data.sum += value;
-  data.buckets[index] += 1;
+  common::MutexLock lock(mu_);
+  if (data_.buckets.empty()) data_.buckets.assign(kHistogramBuckets, 0);
+  if (data_.count == 0 || value < data_.min) data_.min = value;
+  if (data_.count == 0 || value > data_.max) data_.max = value;
+  data_.count += 1;
+  data_.sum += value;
+  data_.buckets[index] += 1;
 }
 
 HistogramData Histogram::merged() const {
   HistogramData data;
   data.buckets.assign(kHistogramBuckets, 0);
-  for (const Slot& slot : slots_) {
-    common::MutexLock lock(slot.mu);
-    data.merge(slot.data);
-  }
+  common::MutexLock lock(mu_);
+  data.merge(data_);
   return data;
 }
 
 void Histogram::reset() {
-  for (Slot& slot : slots_) {
-    common::MutexLock lock(slot.mu);
-    slot.data = HistogramData{};
-  }
+  common::MutexLock lock(mu_);
+  data_ = HistogramData{};
 }
 
 namespace {

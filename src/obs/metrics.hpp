@@ -5,15 +5,14 @@
 //   * Exactness — counters must report precisely the number of events
 //     recorded, under any interleaving. The serve CI smoke asserts
 //     scraped counters equal jobs submitted.
-//   * Contention — metrics are recorded from the solver's worker pool, so
-//     a single hot mutex would serialize the very workload the histograms
-//     time. Counters and histograms shard state across kMetricSlots
-//     cache-line-aligned slots; each thread hashes to a stable slot, so a
-//     record is one uncontended lock round-trip (~15–25 ns, see the
-//     metrics_overhead kernels in BENCH_micro.json). Snapshots lock each
-//     slot in turn and merge.
-//   * Discipline — every shared field is WTAM_GUARDED_BY its slot mutex,
-//     same as the rest of the codebase; no raw atomics spread around
+//   * One lock per metric — every record site sits at a job or
+//     engine-call boundary (a stored hit records a handful of times on
+//     its reading thread, a cold solve a few times per engine call or
+//     rectpack walker), so each Counter, Gauge and Histogram is one value
+//     under one mutex, and a record is one uncontended lock round-trip
+//     (see the metrics_* kernels in BENCH_micro.json).
+//   * Discipline — every shared field is WTAM_GUARDED_BY its mutex, same
+//     as the rest of the codebase; no raw atomics spread around
 //     (CancelToken stays the one documented lock-free exception).
 //
 // Recording is always-on and cheap; *reporting* is opt-in (--metrics,
@@ -29,8 +28,6 @@
 
 #pragma once
 
-#include <array>
-#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -42,9 +39,6 @@
 
 namespace wtam::obs {
 
-/// Number of per-thread shards in each Counter/Histogram.
-inline constexpr std::size_t kMetricSlots = 16;
-
 /// Sub-bucket resolution: each power-of-two octave splits into
 /// 2^kHistogramSubBits buckets.
 inline constexpr int kHistogramSubBits = 3;
@@ -55,13 +49,7 @@ inline constexpr int kHistogramBuckets =
     (1 << kHistogramSubBits) * (64 - kHistogramSubBits - 1) +
     (1 << kHistogramSubBits);
 
-namespace detail {
-/// Stable per-thread shard index in [0, kMetricSlots).
-[[nodiscard]] std::size_t thread_slot() noexcept;
-}  // namespace detail
-
-/// Monotonically increasing event count. increment() takes one
-/// uncontended slot lock; value() merges all slots.
+/// Monotonically increasing event count.
 class Counter {
  public:
   Counter() = default;
@@ -73,15 +61,11 @@ class Counter {
   void reset();
 
  private:
-  struct alignas(64) Slot {
-    mutable common::Mutex mu;
-    std::int64_t value WTAM_GUARDED_BY(mu) = 0;
-  };
-  std::array<Slot, kMetricSlots> slots_;
+  mutable common::Mutex mu_;
+  std::int64_t value_ WTAM_GUARDED_BY(mu_) = 0;
 };
 
-/// Point-in-time level (in-flight jobs, queue depth). Unsharded: gauges
-/// are written at job boundaries, not in hot loops.
+/// Point-in-time level (in-flight jobs, queue depth).
 class Gauge {
  public:
   Gauge() = default;
@@ -110,8 +94,8 @@ struct HistogramData {
 
   /// Folds `other` in: totals add, [min, max] widens, buckets add
   /// index-wise. Exact — every histogram shares the one fixed bucket
-  /// layout — so merged shards or processes report the quantiles one
-  /// histogram holding every sample would.
+  /// layout — so merged processes report the quantiles one histogram
+  /// holding every sample would.
   void merge(const HistogramData& other);
 
   /// Quantile estimate for q in [0, 1]: cumulative walk to the target
@@ -148,11 +132,8 @@ class Histogram {
       int index) noexcept;
 
  private:
-  struct alignas(64) Slot {
-    mutable common::Mutex mu;
-    HistogramData data WTAM_GUARDED_BY(mu);  // buckets sized on first record
-  };
-  std::array<Slot, kMetricSlots> slots_;
+  mutable common::Mutex mu_;
+  HistogramData data_ WTAM_GUARDED_BY(mu_);  // buckets sized on first record
 };
 
 /// One named counter value in a snapshot.

@@ -202,17 +202,6 @@ std::vector<std::string> validate_packed_schedule(
   return issues;
 }
 
-void require_valid(const core::TestTimeTable& table,
-                   const PackedSchedule& schedule) {
-  const auto issues = validate_packed_schedule(table, schedule);
-  if (issues.empty()) return;
-  std::ostringstream out;
-  out << "invalid packed schedule (" << issues.size() << " issue"
-      << (issues.size() == 1 ? "" : "s") << "):";
-  for (const auto& issue : issues) out << "\n  - " << issue;
-  throw std::runtime_error(out.str());
-}
-
 PackedSchedule from_architecture(const core::TestTimeTable& table,
                                  const core::TamArchitecture& architecture) {
   table.require_widths(architecture.widths, "from_architecture");

@@ -80,10 +80,6 @@ void sort_placements(std::vector<PackedPlacement>& placements);
 [[nodiscard]] std::int64_t packed_peak_power(const PackedSchedule& schedule,
                                              const core::PowerVector& power);
 
-/// Throws std::runtime_error listing all violations; no-op when valid.
-void require_valid(const core::TestTimeTable& table,
-                   const PackedSchedule& schedule);
-
 /// Lowers a test-bus architecture to a packing: TAM j becomes the static
 /// wire lane [sum of widths before j, +width_j), with its cores placed
 /// sequentially in core-index order. The result has the architecture's

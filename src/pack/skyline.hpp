@@ -76,7 +76,7 @@
 #include <optional>
 #include <vector>
 
-#include "core/power.hpp"  // core::PowerSpan + the window-feasibility helpers
+#include "core/power.hpp"  // core::PowerTimeline
 
 namespace wtam::pack {
 

@@ -297,8 +297,8 @@ void Router::note(const std::string& message) {
   if (diag_) diag_(message);
 }
 
-std::size_t Router::shard_for(const std::string& line,
-                              api::JsonValue&& value) const {
+std::size_t Router::worker_for(const std::string& line,
+                               api::JsonValue&& value) const {
   // Route by cache identity so resubmissions hit the worker that cached
   // them: the job's first RequestKey (a sweep's lowest width) hashes to
   // a worker. Jobs whose key cannot be computed still route
@@ -561,7 +561,7 @@ void Router::route_job(
     }
     client_id = fields[id].second.as_string();
   }
-  const std::size_t worker = shard_for(line, std::move(value));
+  const std::size_t worker = worker_for(line, std::move(value));
 
   // The wire line leads with the internal id, so every job response
   // leads with it too (result_line and the workers' error objects

@@ -206,8 +206,8 @@ class Router {
                  const std::vector<api::JsonValue::MemberSpan>& members);
   /// The worker for job `line`, parsed as `value`, whose SOC text it
   /// takes.
-  [[nodiscard]] std::size_t shard_for(const std::string& line,
-                                      api::JsonValue&& value) const;
+  [[nodiscard]] std::size_t worker_for(const std::string& line,
+                                       api::JsonValue&& value) const;
   void handle_resize(const api::JsonValue& value);
   void stop_fleet_for_shutdown();
 

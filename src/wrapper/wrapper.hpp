@@ -44,10 +44,6 @@ struct WrapperChain {
   [[nodiscard]] std::int64_t scan_out_length() const noexcept {
     return scan_bits + output_cells + bidir_cells;
   }
-  [[nodiscard]] bool empty() const noexcept {
-    return scan_bits == 0 && input_cells == 0 && output_cells == 0 &&
-           bidir_cells == 0;
-  }
 };
 
 /// Result of designing a wrapper at a given TAM width.

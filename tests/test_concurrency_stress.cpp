@@ -80,9 +80,7 @@ TEST(ConcurrencyStress, CacheCoalescingUnderContention) {
   // and publishes; everyone else must be served the published value.
   // Between rounds the cache is cleared, so every round replays the
   // whole miss -> in-flight -> coalesce protocol.
-  api::ResultCacheOptions options;
-  options.shards = 2;  // force cross-shard and same-shard contention
-  api::ResultCache cache(options);
+  api::ResultCache cache;
 
   constexpr int kThreads = 6;
   std::atomic<int> mismatches{0};
@@ -242,7 +240,6 @@ TEST(ConcurrencyStress, StatsSnapshotsStayConsistentUnderWrites) {
   // consecutive snapshots (monotone counters), the gauges stay within
   // the configured budget, and the derived hit rate stays in [0, 1].
   api::ResultCacheOptions options;
-  options.shards = 4;
   options.max_bytes = 1 << 20;
   api::ResultCache cache(options);
 

@@ -2,7 +2,7 @@
 // histogram bucket boundaries, deterministic snapshots, exact snapshot
 // merges through the strict JSON wire format, and thread-safe trace
 // recording. The contention tests carry the `concurrency` ctest label
-// so the TSan CI job exercises the sharded-slot locking.
+// so the TSan CI job exercises each metric's one mutex.
 
 #include <gtest/gtest.h>
 

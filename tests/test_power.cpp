@@ -236,7 +236,7 @@ TEST(PackedPeakPower, ThrowsOnShortPowerVector) {
                std::invalid_argument);
 }
 
-// --- Span-level window helpers (shared by the packers and validator) ---
+// --- Span-level helpers (the test oracles for core::PowerTimeline) ---
 
 /// Brute force: max over every instant in [start, start + duration) of the
 /// sum of covering spans.
@@ -250,18 +250,6 @@ std::int64_t brute_peak(const std::vector<PowerSpan>& spans,
     peak = std::max(peak, total);
   }
   return peak;
-}
-
-TEST(PowerSpans, WindowPeakMatchesBruteForce) {
-  const std::vector<PowerSpan> spans = {
-      {0, 4, 3}, {2, 6, 5}, {5, 9, 2}, {1, 8, 1}, {10, 12, 7}};
-  for (std::int64_t start = 0; start <= 13; ++start)
-    for (std::int64_t duration = 1; duration <= 13; ++duration)
-      EXPECT_EQ(peak_power_over_window(spans, start, duration),
-                brute_peak(spans, start, duration))
-          << "window [" << start << ", " << start + duration << ")";
-  EXPECT_EQ(peak_power_over_window(spans, 0, 0), 0);
-  EXPECT_EQ(peak_power_over_window({}, 0, 100), 0);
 }
 
 TEST(PowerSpans, WindowFitsMatchesPeakDefinition) {

@@ -59,7 +59,6 @@ TEST(PowerTimeline, EmptyTimelineAnswersLikeEmptySpanList) {
   PowerTimeline timeline;
   EXPECT_TRUE(timeline.empty());
   EXPECT_EQ(timeline.peak(), 0);
-  EXPECT_EQ(timeline.peak_over_window(0, 100), 0);
   EXPECT_TRUE(timeline.window_fits(5, 10, 3, 4));
   EXPECT_FALSE(timeline.window_fits(5, 10, 5, 4));  // own draw over budget
   EXPECT_EQ(timeline.earliest_fit(7, 10, 3, 4), 7);
@@ -139,11 +138,6 @@ TEST(PowerTimeline, RandomizedDifferentialAgainstSpanOracle) {
       const std::int64_t q_duration = rng.uniform_int(0, 16);
       const std::int64_t q_power = rng.uniform_int(0, 6);
       const std::int64_t q_budget = rng.uniform_int(0, 14);
-      ASSERT_EQ(timeline.peak_over_window(q_start, q_duration),
-                q_duration <= 0
-                    ? 0
-                    : peak_power_over_window(spans, q_start, q_duration))
-          << "seed " << seed << " step " << step;
       ASSERT_EQ(
           timeline.window_fits(q_start, q_duration, q_power, q_budget),
           power_window_fits(spans, q_start, q_duration, q_power, q_budget))

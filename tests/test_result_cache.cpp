@@ -70,9 +70,7 @@ TEST(ResultCache, ProbeAnswersAllKeysOrNothing) {
   // A sweep's probe: every width stored, or no answer. A partial sweep
   // returns nothing and counts nothing, and leaves recency as it was; an
   // answered probe counts one hit per key.
-  ResultCacheOptions options;
-  options.shards = 1;
-  ResultCache cache(options);
+  ResultCache cache;
   for (const int width : {16, 17})
     lead_and_publish(cache, key_for(width), solve_of_size(width, 64));
   const ResultCacheStats before = cache.stats();
@@ -104,11 +102,10 @@ TEST(ResultCache, ProbeAnswersAllKeysOrNothing) {
 }
 
 TEST(ResultCache, LruEvictionUnderATightByteBudget) {
-  // One shard, a budget that holds exactly 3 of the equal-size entries:
-  // inserting the fourth must evict the least recently used, only that.
+  // A budget that holds exactly 3 of the equal-size entries: inserting
+  // the fourth must evict the least recently used, only that.
   const std::size_t entry_bytes = solve_of_size(1, 1024).approx_bytes();
   ResultCacheOptions options;
-  options.shards = 1;
   options.max_bytes = 3 * entry_bytes + entry_bytes / 2;
   ResultCache cache(options);
 
@@ -135,12 +132,37 @@ TEST(ResultCache, LruEvictionUnderATightByteBudget) {
 
 TEST(ResultCache, OversizedEntriesAreNotStored) {
   ResultCacheOptions options;
-  options.shards = 1;
   options.max_bytes = 4096;
   ResultCache cache(options);
   lead_and_publish(cache, key_for(1), solve_of_size(1, 1 << 20));
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_FALSE(cache.lookup({key_for(1)}).has_value());
+}
+
+TEST(ResultCache, TheByteBudgetCoversTheWholeCache) {
+  // A budget of exactly 8 entries holds 8 entries whose keys differ only
+  // in width: eviction is cache-wide, never within a slice of the budget.
+  const std::size_t entry_bytes = solve_of_size(1, 512).approx_bytes();
+  ResultCacheOptions options;
+  options.max_bytes = 8 * entry_bytes;
+  ResultCache cache(options);
+  for (int width = 1; width <= 8; ++width)
+    lead_and_publish(cache, key_for(width), solve_of_size(width, 512));
+  const ResultCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 8u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.bytes, options.max_bytes);
+}
+
+TEST(ResultCache, AnEntryWithinTheBudgetIsStored) {
+  // Only an entry that alone exceeds the budget is refused.
+  const CachedSolve solve = solve_of_size(1, 512);
+  ResultCacheOptions options;
+  options.max_bytes = 2 * solve.approx_bytes();
+  ResultCache cache(options);
+  cache.insert(key_for(1), solve);
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_TRUE(cache.lookup({key_for(1)}).has_value());
 }
 
 TEST(ResultCache, ClearDropsEverything) {
@@ -304,9 +326,7 @@ TEST(ResultCache, InsertAndExportRoundTrip) {
 TEST(ResultCache, PublishReplacesAnEntryStoredMeanwhile) {
   // A key inserted while its leader computes is replaced by the publish:
   // one entry, the published value, and only its bytes on the gauge.
-  ResultCacheOptions options;
-  options.shards = 1;
-  ResultCache cache(options);
+  ResultCache cache;
   const ResultCache::Fetch fetch = cache.begin_fetch(key_for(32));
   ASSERT_EQ(fetch.outcome, ResultCache::FetchOutcome::Lead);
   cache.insert(key_for(32), solve_of_size(100, 4096));
@@ -330,7 +350,6 @@ TEST(ResultCache, PublishReplacesAnEntryStoredMeanwhile) {
 
 TEST(ResultCache, InsertRespectsBudgetAndOversizeRules) {
   ResultCacheOptions options;
-  options.shards = 1;
   options.max_bytes = 4096;
   ResultCache cache(options);
   // An entry bigger than the whole budget is not stored.

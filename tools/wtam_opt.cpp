@@ -376,8 +376,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (!result.schedule_valid) {
-      // Same teeth pack::require_valid used to have: a backend emitting a
-      // geometrically invalid schedule is a runtime error, not a result.
+      // A backend emitting a geometrically invalid schedule is a runtime
+      // error, not a result.
       std::cerr << "error: backend " << request.backend
                 << " produced an invalid schedule\n";
       return 1;
