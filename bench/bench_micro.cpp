@@ -188,6 +188,14 @@ int main() {
     (void)core::solve_assignment_exact(d695_table, kWidths916_23, {})
         .architecture.testing_time;
   }));
+  // Unequal TAM widths, where the test-data-volume bound prunes: the
+  // exact step of the free-B flow on p93791 at W = 16.
+  const std::vector<int> kWidths3_3_4_6 = {3, 3, 4, 6};
+  std::int64_t p93791_b4_nodes = 0;
+  measurements.push_back(measure("exact_assign_bb_p93791_B4", [&] {
+    p93791_b4_nodes =
+        core::solve_assignment_exact(p93791_table, kWidths3_3_4_6, {}).nodes;
+  }));
 
   const std::vector<int> kWidths6_10 = {6, 10};
   measurements.push_back(measure("exact_assign_ilp_d695_B2", [&] {
@@ -398,7 +406,8 @@ int main() {
     micro_table.add_row({m.name, std::to_string(m.iterations),
                          common::format_fixed(m.seconds, 3),
                          common::format_fixed(m.per_iteration_us(), 2)});
-  std::cout << micro_table << '\n';
+  std::cout << micro_table << "exact_assign_bb_p93791_B4 searches "
+            << p93791_b4_nodes << " B&B nodes\n\n";
 
   // --- serial vs parallel partition search ---------------------------------
   const std::vector<SearchComparison> comparisons = {

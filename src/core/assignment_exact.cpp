@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -21,16 +22,24 @@ class CombinatorialSearch {
   CombinatorialSearch(const TestTimeTable& table, std::span<const int> widths,
                       const ExactOptions& options)
       : table_(table), options_(options) {
-    for (const int w : widths)
+    for (const int w : widths) {
       columns_.push_back(static_cast<std::size_t>(w - 1));
+      widths_.push_back(w);
+      total_width_ += w;
+    }
     const auto n = static_cast<std::size_t>(table_.core_count());
-    // Best-case (minimum over the TAMs) time of every core.
+    // Best-case (minimum over the TAMs) time and test-data volume (wires
+    // times cycles) of every core.
     std::vector<std::int64_t> row_min(n,
                                       std::numeric_limits<std::int64_t>::max());
+    std::vector<std::int64_t> area_min(n,
+                                       std::numeric_limits<std::int64_t>::max());
     for (std::size_t i = 0; i < n; ++i) {
       const auto row = table_.row(static_cast<int>(i));
-      for (const std::size_t column : columns_)
-        row_min[i] = std::min(row_min[i], row[column]);
+      for (std::size_t j = 0; j < columns_.size(); ++j) {
+        row_min[i] = std::min(row_min[i], row[columns_[j]]);
+        area_min[i] = std::min(area_min[i], row[columns_[j]] * widths_[j]);
+      }
     }
     order_.resize(n);
     std::iota(order_.begin(), order_.end(), 0);
@@ -39,10 +48,14 @@ class CombinatorialSearch {
                      [&row_min](std::size_t a, std::size_t b) {
                        return row_min[a] > row_min[b];
                      });
-    // Suffix sums of best-case times for the work-based lower bound.
+    // Suffix sums of best-case times and volumes for the lower bounds.
     suffix_min_.assign(n + 1, 0);
-    for (std::size_t k = n; k-- > 0;)
+    suffix_area_.assign(n + 1, 0);
+    for (std::size_t k = n; k-- > 0;) {
       suffix_min_[k] = suffix_min_[k + 1] + row_min[order_[k]];
+      suffix_area_[k] = suffix_area_[k + 1] + area_min[order_[k]];
+    }
+    tam_order_.resize(n * columns_.size());
   }
 
   /// `incumbent` holds the heuristic assignment on entry and
@@ -54,6 +67,7 @@ class CombinatorialSearch {
     best_ = &incumbent;
     best_time_ = incumbent_time;
     loads_.assign(columns_.size(), 0);
+    area_ = 0;
     current_.assign(order_.size(), -1);
     limit_hit_ = false;
     dfs(0, nodes);
@@ -78,7 +92,8 @@ class CombinatorialSearch {
     const auto row = table_.row(static_cast<int>(core));
 
     // Try TAMs in ascending resulting-load order for good incumbents early.
-    std::vector<int> tams(columns_.size());
+    const std::span<int> tams(tam_order_.data() + depth * columns_.size(),
+                              columns_.size());
     std::iota(tams.begin(), tams.end(), 0);
     std::sort(tams.begin(), tams.end(), [&](int a, int b) {
       return loads_[static_cast<std::size_t>(a)] +
@@ -106,7 +121,9 @@ class CombinatorialSearch {
       const std::int64_t time = row[columns_[static_cast<std::size_t>(j)]];
       if (loads_[static_cast<std::size_t>(j)] + time >= best_time_) continue;
 
+      const std::int64_t area = time * widths_[static_cast<std::size_t>(j)];
       loads_[static_cast<std::size_t>(j)] += time;
+      area_ += area;
       current_[core] = j;
 
       if (depth + 1 == order_.size()) {
@@ -121,13 +138,16 @@ class CombinatorialSearch {
       }
 
       loads_[static_cast<std::size_t>(j)] -= time;
+      area_ -= area;
       current_[core] = -1;
       if (limit_hit_) return;
     }
   }
 
-  /// Work-based bound: remaining best-case work spread over all TAMs can
-  /// never beat the current maximum load.
+  /// The makespan of any completion is at least the current maximum load,
+  /// the assigned plus best-case remaining time spread over the TAMs, and
+  /// the assigned plus best-case remaining test-data volume spread over
+  /// the wires (every TAM's load is at most the makespan).
   [[nodiscard]] std::int64_t lower_bound(std::size_t depth) const {
     const std::int64_t current_max =
         *std::max_element(loads_.begin(), loads_.end());
@@ -135,17 +155,26 @@ class CombinatorialSearch {
         std::accumulate(loads_.begin(), loads_.end(), std::int64_t{0});
     const std::int64_t spread = common::ceil_div(
         total_load + suffix_min_[depth], static_cast<std::int64_t>(loads_.size()));
-    return std::max(current_max, spread);
+    const std::int64_t volume =
+        common::ceil_div(area_ + suffix_area_[depth], total_width_);
+    return std::max({current_max, spread, volume});
   }
 
   const TestTimeTable& table_;
   /// Table column (width - 1) of each TAM; equal columns, equal widths.
   std::vector<std::size_t> columns_;
+  std::vector<std::int64_t> widths_;
+  std::int64_t total_width_ = 0;
   const ExactOptions& options_;
   common::Stopwatch watch_;
   std::vector<std::size_t> order_;
   std::vector<std::int64_t> suffix_min_;
+  std::vector<std::int64_t> suffix_area_;
+  /// The TAM try order of each depth, B entries per depth.
+  std::vector<int> tam_order_;
   std::vector<std::int64_t> loads_;
+  /// Sum over the TAMs of load times width: the assigned test-data volume.
+  std::int64_t area_ = 0;
   std::vector<int> current_;
   std::vector<int>* best_ = nullptr;
   std::int64_t best_time_ = 0;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/assignment_exact.hpp"
@@ -110,6 +112,29 @@ TEST(AssignmentExact, NodeLimitReportsNotProven) {
   const auto full = solve_assignment_exact(matrix, std::vector<int>{8, 9}, {});
   EXPECT_TRUE(full.proven_optimal);
   EXPECT_EQ(full.architecture.testing_time, 6);
+}
+
+TEST(AssignmentExact, NodeCountsStayUnderTheirCeilings) {
+  // Two p93791 partitions of unequal widths, the exact step of
+  // test_paper_tables' W = 16 rows (fixed B = 3, and free B). The
+  // test-data-volume bound prunes them to these node counts; the
+  // max-load and spread bounds alone search 662,672 and 4,821,983 nodes.
+  // A change that weakens a bound fails here instead of running slower.
+  struct Ceiling {
+    std::vector<int> widths;
+    std::int64_t testing_time;
+    std::int64_t max_nodes;
+  };
+  const TestTimeTable table(soc::p93791(), 16);
+  for (const auto& [widths, testing_time, max_nodes] :
+       {Ceiling{{5, 5, 6}, 1594197, 32'736},
+        Ceiling{{3, 3, 4, 6}, 1592380, 120'916}}) {
+    const ExactResult result = solve_assignment_exact(table, widths);
+    const std::string where = format_partition(widths);
+    EXPECT_TRUE(result.proven_optimal) << where;
+    EXPECT_EQ(result.architecture.testing_time, testing_time) << where;
+    EXPECT_LE(result.nodes, max_nodes) << where;
+  }
 }
 
 TEST(BuildAssignmentIlp, ModelShape) {
