@@ -39,8 +39,22 @@ ResultCache::ResultCache(ResultCacheOptions options)
 
 ResultCache::~ResultCache() = default;
 
-void ResultCache::store(const RequestKey& key, CachedSolve value,
-                        std::size_t size) {
+std::size_t ResultCache::charge(const RequestKey& key,
+                               const CachedSolve& value) noexcept {
+  // The list node: two links and the Entry, whose value approx_bytes()
+  // counts. The index node: a link, the key and the list iterator, plus
+  // one bucket pointer. The key's text is counted by length, which a
+  // copy keeps where its capacity may not.
+  constexpr std::size_t kNodes =
+      2 * sizeof(void*) + sizeof(Entry) - sizeof(CachedSolve) +
+      sizeof(void*) + sizeof(RequestKey) + sizeof(std::list<Entry>::iterator) +
+      sizeof(void*);
+  return kNodes + key.backend.size() + key.options.size() +
+         value.approx_bytes();
+}
+
+void ResultCache::store(const RequestKey& key, CachedSolve value) {
+  const std::size_t size = charge(key, value);
   const auto [it, added] = index_.try_emplace(key);
   if (!added) {
     bytes_ -= it->second->bytes;
@@ -149,12 +163,11 @@ std::optional<std::vector<CachedSolve>> ResultCache::lookup(
 void ResultCache::publish(const Fetch& fetch, CachedSolve value) {
   if (fetch.ticket == nullptr) return;
   const auto flight = std::static_pointer_cast<InFlight>(fetch.ticket);
-  const std::size_t size = value.approx_bytes();
   {
     const common::MutexLock lock(mutex_);
     inflight_.erase(flight->key);
     // A clear()+recompute race can re-publish a key; it is replaced.
-    store(flight->key, value, size);
+    store(flight->key, value);
   }
   {
     const common::MutexLock lock(flight->mutex);
@@ -192,9 +205,8 @@ void ResultCache::reset_stats() {
 }
 
 void ResultCache::insert(const RequestKey& key, CachedSolve value) {
-  const std::size_t size = value.approx_bytes();
   const common::MutexLock lock(mutex_);
-  store(key, std::move(value), size);
+  store(key, std::move(value));
 }
 
 std::vector<std::pair<RequestKey, CachedSolve>> ResultCache::export_entries()

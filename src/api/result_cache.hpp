@@ -10,9 +10,10 @@
 //   * one lock: one mutex guards the LRU list, the key index, the
 //     in-flight map and the counters, held for a probe and a copy and
 //     never across a solve;
-//   * bounded: one byte budget for the whole cache (approximated per
-//     entry from its schedule/details payload), enforced by cache-wide
-//     LRU eviction; only an entry that alone exceeds it is refused;
+//   * bounded: one byte budget for the whole cache, each entry charged
+//     for its value, its key and its list and index nodes (charge()),
+//     enforced by cache-wide LRU eviction; only an entry that alone
+//     exceeds it is refused;
 //   * coalescing: a second identical request arriving while the first is
 //     still computing blocks on the in-flight entry and receives the
 //     leader's published result instead of recomputing (begin_fetch /
@@ -52,12 +53,12 @@ struct CachedSolve {
   std::int64_t lower_bound = 0;
   bool schedule_valid = false;
 
-  /// Approximate heap footprint, the unit of the cache's byte budget.
+  /// Approximate footprint: the object and its heap payload.
   [[nodiscard]] std::size_t approx_bytes() const noexcept;
 };
 
 struct ResultCacheOptions {
-  /// Byte budget of the whole cache (entries' approx_bytes sum).
+  /// Byte budget of the whole cache (the sum of its entries' charges).
   std::size_t max_bytes = 64u << 20;
 };
 
@@ -68,7 +69,7 @@ struct ResultCacheStats {
   std::uint64_t insertions = 0;  ///< entries published
   std::uint64_t evictions = 0;   ///< entries dropped to fit the budget
   std::uint64_t entries = 0;     ///< live entries (gauge)
-  std::uint64_t bytes = 0;       ///< live approx bytes (gauge)
+  std::uint64_t bytes = 0;       ///< live entries' charges (gauge)
   std::uint64_t max_bytes = 0;   ///< configured budget
 
   [[nodiscard]] double hit_rate() const noexcept {
@@ -156,12 +157,18 @@ class ResultCache {
 
   [[nodiscard]] ResultCacheStats stats() const;
 
+  /// What storing `value` under `key` costs the byte budget: the value's
+  /// approx_bytes(), the key and its text, the LRU-list node and the
+  /// index node with its bucket slot.
+  [[nodiscard]] static std::size_t charge(const RequestKey& key,
+                                          const CachedSolve& value) noexcept;
+
  private:
   struct InFlight;
   struct Entry {
     const RequestKey* key = nullptr;  ///< its key, held by its index_ node
     CachedSolve value;
-    std::size_t bytes = 0;  ///< value.approx_bytes()
+    std::size_t bytes = 0;  ///< charge(key, value)
   };
   struct KeyHash {
     std::size_t operator()(const RequestKey& key) const noexcept {
@@ -169,13 +176,12 @@ class ResultCache {
     }
   };
 
-  /// Stores `value`, whose approx_bytes() is `size`, under `key`,
-  /// replacing an entry already there and evicting least recently used
-  /// entries to fit the budget. An entry larger than the whole budget is
-  /// not stored: evicting the entire cache for one oversized result would
-  /// turn it into a one-slot buffer.
-  void store(const RequestKey& key, CachedSolve value, std::size_t size)
-      WTAM_REQUIRES(mutex_);
+  /// Stores `value` under `key`, replacing an entry already there and
+  /// evicting least recently used entries to fit the budget. An entry
+  /// whose charge exceeds the whole budget is not stored: evicting the
+  /// entire cache for one oversized result would turn it into a one-slot
+  /// buffer.
+  void store(const RequestKey& key, CachedSolve value) WTAM_REQUIRES(mutex_);
 
   const std::size_t max_bytes_;
   /// Never held together with a flight's mutex: publish/abandon update

@@ -24,8 +24,8 @@ RequestKey key_for(int width) {
   return key;
 }
 
-/// A CachedSolve whose approx_bytes is dominated by `payload` bytes of
-/// detail text, so tests can reason about the byte budget.
+/// A CachedSolve whose charge is dominated by `payload` bytes of detail
+/// text, so tests can reason about the byte budget.
 CachedSolve solve_of_size(std::int64_t testing_time, std::size_t payload) {
   CachedSolve solve;
   solve.outcome.backend = "enumerative";
@@ -104,7 +104,8 @@ TEST(ResultCache, ProbeAnswersAllKeysOrNothing) {
 TEST(ResultCache, LruEvictionUnderATightByteBudget) {
   // A budget that holds exactly 3 of the equal-size entries: inserting
   // the fourth must evict the least recently used, only that.
-  const std::size_t entry_bytes = solve_of_size(1, 1024).approx_bytes();
+  const std::size_t entry_bytes =
+      ResultCache::charge(key_for(1), solve_of_size(1, 1024));
   ResultCacheOptions options;
   options.max_bytes = 3 * entry_bytes + entry_bytes / 2;
   ResultCache cache(options);
@@ -142,7 +143,8 @@ TEST(ResultCache, OversizedEntriesAreNotStored) {
 TEST(ResultCache, TheByteBudgetCoversTheWholeCache) {
   // A budget of exactly 8 entries holds 8 entries whose keys differ only
   // in width: eviction is cache-wide, never within a slice of the budget.
-  const std::size_t entry_bytes = solve_of_size(1, 512).approx_bytes();
+  const std::size_t entry_bytes =
+      ResultCache::charge(key_for(1), solve_of_size(1, 512));
   ResultCacheOptions options;
   options.max_bytes = 8 * entry_bytes;
   ResultCache cache(options);
@@ -154,11 +156,38 @@ TEST(ResultCache, TheByteBudgetCoversTheWholeCache) {
   EXPECT_EQ(stats.bytes, options.max_bytes);
 }
 
+TEST(ResultCache, ABudgetOfNChargesHoldsNEntries) {
+  // Each entry is charged for its key and its list and index nodes as
+  // well as its value: a budget of exactly N charges stores N entries, and
+  // the N+1st evicts one, the least recently used.
+  constexpr int kEntries = 5;
+  const CachedSolve solve = solve_of_size(1, 64);
+  const std::size_t entry_bytes = ResultCache::charge(key_for(1), solve);
+  EXPECT_GT(entry_bytes, solve.approx_bytes() + sizeof(RequestKey));
+  ResultCacheOptions options;
+  options.max_bytes = kEntries * entry_bytes;
+  ResultCache cache(options);
+  for (int width = 1; width <= kEntries; ++width)
+    lead_and_publish(cache, key_for(width), solve);
+  ResultCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, static_cast<std::uint64_t>(kEntries));
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.bytes, options.max_bytes);
+
+  lead_and_publish(cache, key_for(kEntries + 1), solve);
+  stats = cache.stats();
+  EXPECT_EQ(stats.entries, static_cast<std::uint64_t>(kEntries));
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.bytes, options.max_bytes);
+  EXPECT_FALSE(cache.lookup({key_for(1)}).has_value());
+  EXPECT_TRUE(cache.lookup({key_for(kEntries + 1)}).has_value());
+}
+
 TEST(ResultCache, AnEntryWithinTheBudgetIsStored) {
   // Only an entry that alone exceeds the budget is refused.
   const CachedSolve solve = solve_of_size(1, 512);
   ResultCacheOptions options;
-  options.max_bytes = 2 * solve.approx_bytes();
+  options.max_bytes = 2 * ResultCache::charge(key_for(1), solve);
   ResultCache cache(options);
   cache.insert(key_for(1), solve);
   EXPECT_EQ(cache.stats().entries, 1u);
@@ -333,7 +362,8 @@ TEST(ResultCache, PublishReplacesAnEntryStoredMeanwhile) {
   cache.insert(key_for(33), solve_of_size(200, 64));
   const CachedSolve published = solve_of_size(300, 64);
   const std::size_t expected_bytes =
-      published.approx_bytes() + solve_of_size(200, 64).approx_bytes();
+      ResultCache::charge(key_for(32), published) +
+      ResultCache::charge(key_for(33), solve_of_size(200, 64));
   cache.publish(fetch, published);
   const ResultCacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 2u);
