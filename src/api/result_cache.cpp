@@ -5,21 +5,6 @@
 
 namespace wtam::api {
 
-std::size_t CachedSolve::approx_bytes() const noexcept {
-  std::size_t bytes = sizeof(CachedSolve);
-  bytes += outcome.backend.capacity();
-  bytes += outcome.schedule.placements.capacity() *
-           sizeof(pack::PackedPlacement);
-  if (outcome.architecture.has_value()) {
-    bytes += outcome.architecture->widths.capacity() * sizeof(int);
-    bytes += outcome.architecture->assignment.capacity() * sizeof(int);
-    bytes += outcome.architecture->tam_times.capacity() * sizeof(std::int64_t);
-  }
-  for (const auto& [key, detail] : outcome.details)
-    bytes += sizeof(key) + key.capacity() + sizeof(detail) + detail.capacity();
-  return bytes;
-}
-
 /// A computation in flight: the leader fills `value` under `mutex`, sets
 /// `done`, and notifies; coalesced waiters block on `cv`. `published`
 /// distinguishes a real result from an abandoned one. `key` is set once
@@ -41,16 +26,26 @@ ResultCache::~ResultCache() = default;
 
 std::size_t ResultCache::charge(const RequestKey& key,
                                const CachedSolve& value) noexcept {
-  // The list node: two links and the Entry, whose value approx_bytes()
-  // counts. The index node: a link, the key and the list iterator, plus
-  // one bucket pointer. The key's text is counted by length, which a
-  // copy keeps where its capacity may not.
-  constexpr std::size_t kNodes =
-      2 * sizeof(void*) + sizeof(Entry) - sizeof(CachedSolve) +
-      sizeof(void*) + sizeof(RequestKey) + sizeof(std::list<Entry>::iterator) +
-      sizeof(void*);
-  return kNodes + key.backend.size() + key.options.size() +
-         value.approx_bytes();
+  // The list node: two links and the Entry, which holds the value. The
+  // index node: a link, the key and the list iterator, plus one bucket
+  // pointer. The key's text is counted by length, which a copy keeps
+  // where its capacity may not.
+  std::size_t bytes = 2 * sizeof(void*) + sizeof(Entry) + sizeof(void*) +
+                      sizeof(RequestKey) +
+                      sizeof(std::list<Entry>::iterator) + sizeof(void*) +
+                      key.backend.size() + key.options.size();
+  const core::BackendOutcome& outcome = value.outcome;
+  bytes += outcome.backend.capacity();
+  bytes += outcome.schedule.placements.capacity() *
+           sizeof(pack::PackedPlacement);
+  if (outcome.architecture.has_value()) {
+    bytes += outcome.architecture->widths.capacity() * sizeof(int);
+    bytes += outcome.architecture->assignment.capacity() * sizeof(int);
+    bytes += outcome.architecture->tam_times.capacity() * sizeof(std::int64_t);
+  }
+  for (const auto& [name, detail] : outcome.details)
+    bytes += sizeof(name) + name.capacity() + sizeof(detail) + detail.capacity();
+  return bytes;
 }
 
 void ResultCache::store(const RequestKey& key, CachedSolve value) {

@@ -52,9 +52,6 @@ struct CachedSolve {
   core::BackendOutcome outcome;
   std::int64_t lower_bound = 0;
   bool schedule_valid = false;
-
-  /// Approximate footprint: the object and its heap payload.
-  [[nodiscard]] std::size_t approx_bytes() const noexcept;
 };
 
 struct ResultCacheOptions {
@@ -157,9 +154,9 @@ class ResultCache {
 
   [[nodiscard]] ResultCacheStats stats() const;
 
-  /// What storing `value` under `key` costs the byte budget: the value's
-  /// approx_bytes(), the key and its text, the LRU-list node and the
-  /// index node with its bucket slot.
+  /// What storing `value` under `key` costs the byte budget, approximately:
+  /// the value and its heap payload, the key and its text, the LRU-list
+  /// node and the index node with its bucket slot.
   [[nodiscard]] static std::size_t charge(const RequestKey& key,
                                           const CachedSolve& value) noexcept;
 

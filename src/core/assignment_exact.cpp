@@ -24,7 +24,6 @@ class CombinatorialSearch {
       : table_(table), options_(options) {
     for (const int w : widths) {
       columns_.push_back(static_cast<std::size_t>(w - 1));
-      widths_.push_back(w);
       total_width_ += w;
     }
     const auto n = static_cast<std::size_t>(table_.core_count());
@@ -38,7 +37,7 @@ class CombinatorialSearch {
       const auto row = table_.row(static_cast<int>(i));
       for (std::size_t j = 0; j < columns_.size(); ++j) {
         row_min[i] = std::min(row_min[i], row[columns_[j]]);
-        area_min[i] = std::min(area_min[i], row[columns_[j]] * widths_[j]);
+        area_min[i] = std::min(area_min[i], row[columns_[j]] * widths[j]);
       }
     }
     order_.resize(n);
@@ -121,7 +120,9 @@ class CombinatorialSearch {
       const std::int64_t time = row[columns_[static_cast<std::size_t>(j)]];
       if (loads_[static_cast<std::size_t>(j)] + time >= best_time_) continue;
 
-      const std::int64_t area = time * widths_[static_cast<std::size_t>(j)];
+      const std::int64_t area =
+          time * static_cast<std::int64_t>(
+                     columns_[static_cast<std::size_t>(j)] + 1);
       loads_[static_cast<std::size_t>(j)] += time;
       area_ += area;
       current_[core] = j;
@@ -163,7 +164,6 @@ class CombinatorialSearch {
   const TestTimeTable& table_;
   /// Table column (width - 1) of each TAM; equal columns, equal widths.
   std::vector<std::size_t> columns_;
-  std::vector<std::int64_t> widths_;
   std::int64_t total_width_ = 0;
   const ExactOptions& options_;
   common::Stopwatch watch_;

@@ -141,8 +141,9 @@ TEST(ResultCache, OversizedEntriesAreNotStored) {
 }
 
 TEST(ResultCache, TheByteBudgetCoversTheWholeCache) {
-  // A budget of exactly 8 entries holds 8 entries whose keys differ only
+  // A budget of exactly 8 charges holds 8 entries whose keys differ only
   // in width: eviction is cache-wide, never within a slice of the budget.
+  // The 9th evicts one, the least recently used.
   const std::size_t entry_bytes =
       ResultCache::charge(key_for(1), solve_of_size(1, 512));
   ResultCacheOptions options;
@@ -150,37 +151,30 @@ TEST(ResultCache, TheByteBudgetCoversTheWholeCache) {
   ResultCache cache(options);
   for (int width = 1; width <= 8; ++width)
     lead_and_publish(cache, key_for(width), solve_of_size(width, 512));
-  const ResultCacheStats stats = cache.stats();
+  ResultCacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 8u);
   EXPECT_EQ(stats.evictions, 0u);
   EXPECT_EQ(stats.bytes, options.max_bytes);
-}
 
-TEST(ResultCache, ABudgetOfNChargesHoldsNEntries) {
-  // Each entry is charged for its key and its list and index nodes as
-  // well as its value: a budget of exactly N charges stores N entries, and
-  // the N+1st evicts one, the least recently used.
-  constexpr int kEntries = 5;
-  const CachedSolve solve = solve_of_size(1, 64);
-  const std::size_t entry_bytes = ResultCache::charge(key_for(1), solve);
-  EXPECT_GT(entry_bytes, solve.approx_bytes() + sizeof(RequestKey));
-  ResultCacheOptions options;
-  options.max_bytes = kEntries * entry_bytes;
-  ResultCache cache(options);
-  for (int width = 1; width <= kEntries; ++width)
-    lead_and_publish(cache, key_for(width), solve);
-  ResultCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.entries, static_cast<std::uint64_t>(kEntries));
-  EXPECT_EQ(stats.evictions, 0u);
-  EXPECT_EQ(stats.bytes, options.max_bytes);
-
-  lead_and_publish(cache, key_for(kEntries + 1), solve);
+  lead_and_publish(cache, key_for(9), solve_of_size(9, 512));
   stats = cache.stats();
-  EXPECT_EQ(stats.entries, static_cast<std::uint64_t>(kEntries));
+  EXPECT_EQ(stats.entries, 8u);
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.bytes, options.max_bytes);
   EXPECT_FALSE(cache.lookup({key_for(1)}).has_value());
-  EXPECT_TRUE(cache.lookup({key_for(kEntries + 1)}).has_value());
+  EXPECT_TRUE(cache.lookup({key_for(9)}).has_value());
+}
+
+TEST(ResultCache, TheChargeCountsTheKeyAndTheNodes) {
+  // Beyond the value and its payload, an entry is charged for its key,
+  // its key's text and its list and index nodes.
+  const CachedSolve solve = solve_of_size(1, 512);
+  const std::size_t entry_bytes = ResultCache::charge(key_for(1), solve);
+  EXPECT_GT(entry_bytes, sizeof(CachedSolve) + 512 + sizeof(RequestKey) +
+                             4 * sizeof(void*));
+  RequestKey longer = key_for(1);
+  longer.options += std::string(100, 'x');
+  EXPECT_EQ(ResultCache::charge(longer, solve), entry_bytes + 100);
 }
 
 TEST(ResultCache, AnEntryWithinTheBudgetIsStored) {
