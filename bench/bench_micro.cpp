@@ -169,10 +169,14 @@ int main() {
       (void)wrapper::design_wrapper(d695.cores[4], w).test_time;
   }));
 
-  measurements.push_back(measure("test_time_table_build_p93791_w64", [&] {
-    core::TestTimeTable table(p93791, 64);
-    (void)table.time(0, 1);
-  }));
+  const soc::Soc p21241 = soc::p21241();
+  const soc::Soc p31108 = soc::p31108();
+  for (const soc::Soc* soc : {&d695, &p21241, &p31108, &p93791})
+    measurements.push_back(
+        measure("test_time_table_build_" + soc->name + "_w64", [soc] {
+          core::TestTimeTable table(*soc, 64);
+          (void)table.time(0, 1);
+        }));
 
   const std::vector<int> kWidths916_23 = {9, 16, 23};
   measurements.push_back(measure("core_assign_d695_B3", [&] {

@@ -185,7 +185,8 @@ CachedSolve decode_cached_solve(std::string_view payload) {
   // corrupt length, not a huge schedule.
   if (static_cast<std::size_t>(placements) * 28 > payload.size())
     throw std::runtime_error("cache record: impossible placement count");
-  schedule.placements.reserve(placements);
+  std::vector<pack::PackedPlacement> placed;
+  placed.reserve(placements);
   for (std::uint32_t i = 0; i < placements; ++i) {
     pack::PackedPlacement p;
     p.core = in.i32();
@@ -193,8 +194,9 @@ CachedSolve decode_cached_solve(std::string_view payload) {
     p.wire = in.i32();
     p.start = in.i64();
     p.end = in.i64();
-    schedule.placements.push_back(p);
+    placed.push_back(p);
   }
+  schedule.placements = pack::PlacementList(std::move(placed));
 
   if (in.u8() != 0) {
     core::TamArchitecture arch;

@@ -36,7 +36,9 @@ std::size_t ResultCache::charge(const RequestKey& key,
                       key.backend.size() + key.options.size();
   const core::BackendOutcome& outcome = value.outcome;
   bytes += outcome.backend.capacity();
-  bytes += outcome.schedule.placements.capacity() *
+  // The placements count in full: the entry keeps its list alive, however
+  // many answers share it.
+  bytes += outcome.schedule.placements.size() *
            sizeof(pack::PackedPlacement);
   if (outcome.architecture.has_value()) {
     bytes += outcome.architecture->widths.capacity() * sizeof(int);

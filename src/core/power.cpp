@@ -179,9 +179,10 @@ PowerConstrainedResult schedule_with_power_limit(
 
   // Per TAM, its sessions in core-index order, the order its lane runs
   // them.
-  std::vector<std::size_t> slot(lanes.placements.size());
-  for (std::size_t k = 0; k < lanes.placements.size(); ++k)
-    slot[static_cast<std::size_t>(lanes.placements[k].core)] = k;
+  std::vector<pack::PackedPlacement> sessions = lanes.placements.to_vector();
+  std::vector<std::size_t> slot(sessions.size());
+  for (std::size_t k = 0; k < sessions.size(); ++k)
+    slot[static_cast<std::size_t>(sessions[k].core)] = k;
   const int tams = architecture.tam_count();
   std::vector<std::vector<std::size_t>> sequence(
       static_cast<std::size_t>(tams));
@@ -195,7 +196,7 @@ PowerConstrainedResult schedule_with_power_limit(
   using Running = std::tuple<std::int64_t, int, std::int64_t>;
   std::priority_queue<Running, std::vector<Running>, std::greater<>> running;
 
-  std::size_t waiting = lanes.placements.size();
+  std::size_t waiting = sessions.size();
   std::int64_t clock = 0;
   std::int64_t current_power = 0;
   while (waiting > 0 || !running.empty()) {
@@ -207,7 +208,7 @@ PowerConstrainedResult schedule_with_power_limit(
         const auto t = static_cast<std::size_t>(tam);
         if (next[t] >= sequence[t].size()) continue;
         if (busy_until[t] > clock) continue;
-        pack::PackedPlacement& session = lanes.placements[sequence[t][next[t]]];
+        pack::PackedPlacement& session = sessions[sequence[t][next[t]]];
         const std::int64_t p = power[static_cast<std::size_t>(session.core)];
         if (current_power + p > limit) continue;
         session.end = clock + (session.end - session.start);
@@ -232,9 +233,10 @@ PowerConstrainedResult schedule_with_power_limit(
   lanes.makespan = *std::max_element(busy_until.begin(), busy_until.end());
   std::int64_t idle =
       std::accumulate(busy_until.begin(), busy_until.end(), std::int64_t{0});
-  for (const pack::PackedPlacement& session : lanes.placements)
+  for (const pack::PackedPlacement& session : sessions)
     idle -= session.end - session.start;
-  pack::sort_placements(lanes.placements);
+  pack::sort_placements(sessions);
+  lanes.placements = pack::PlacementList(std::move(sessions));
 
   result.peak = pack::packed_peak_power(lanes, power);
   result.schedule = std::move(lanes);

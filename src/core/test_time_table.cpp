@@ -19,10 +19,11 @@ TestTimeTable::TestTimeTable(const soc::Soc& soc, int max_width)
   for (std::size_t i = 0; i < soc.cores.size(); ++i) {
     const auto& core = soc.cores[i];
     const std::int64_t floor_time = soc::min_test_time_bound(core);
+    wrapper::WrapperTimer timer(core);
     std::int64_t best = -1;
     for (int w = 1; w <= max_width; ++w) {
       if (best < 0 || best > floor_time) {
-        const std::int64_t raw = wrapper::test_time(core, w);
+        const std::int64_t raw = timer.test_time(w);
         if (best < 0 || raw < best) best = raw;
       }
       times_[i * columns + static_cast<std::size_t>(w - 1)] = best;

@@ -142,10 +142,12 @@ std::vector<std::string> validate_packed_schedule(
     // Sweep only the placements with known cores — an unknown index was
     // already reported above, and the validator's contract is to return
     // every violation, never to throw.
-    PackedSchedule known = schedule;
-    std::erase_if(known.placements, [&](const PackedPlacement& p) {
+    std::vector<PackedPlacement> placed = schedule.placements.to_vector();
+    std::erase_if(placed, [&](const PackedPlacement& p) {
       return p.core < 0 || p.core >= table.core_count();
     });
+    PackedSchedule known = schedule;
+    known.placements = PlacementList(std::move(placed));
     const std::int64_t peak = packed_peak_power(known, constraints.power);
     if (peak > constraints.power_budget)
       complain("peak power " + std::to_string(peak) +
@@ -216,6 +218,8 @@ PackedSchedule from_architecture(const core::TestTimeTable& table,
 
   PackedSchedule schedule;
   schedule.total_width = architecture.total_width();
+  std::vector<PackedPlacement> placements;
+  placements.reserve(static_cast<std::size_t>(table.core_count()));
 
   int lane_start = 0;
   for (int tam = 0; tam < architecture.tam_count(); ++tam) {
@@ -224,15 +228,15 @@ PackedSchedule from_architecture(const core::TestTimeTable& table,
     for (int i = 0; i < table.core_count(); ++i) {
       if (architecture.assignment[static_cast<std::size_t>(i)] != tam) continue;
       const std::int64_t duration = table.time(i, width);
-      schedule.placements.push_back(
-          {i, width, lane_start, clock, clock + duration});
+      placements.push_back({i, width, lane_start, clock, clock + duration});
       clock += duration;
     }
     schedule.makespan = std::max(schedule.makespan, clock);
     lane_start += width;
   }
 
-  sort_placements(schedule.placements);
+  sort_placements(placements);
+  schedule.placements = PlacementList(std::move(placements));
   return schedule;
 }
 

@@ -13,8 +13,11 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/constraints.hpp"
@@ -34,9 +37,46 @@ struct PackedPlacement {
   std::int64_t end = 0;
 };
 
+/// A schedule's placements, built once by the schedule's producer and
+/// immutable from then on. Copies share the one list: a cached result
+/// and every answer handed out from it hold the same placements, however
+/// long each of them lives. To change placements, copy them out
+/// (to_vector) and build a new list.
+class PlacementList {
+ public:
+  PlacementList() = default;
+  explicit PlacementList(std::vector<PackedPlacement> placements)
+      : items_(std::make_shared<const std::vector<PackedPlacement>>(
+            std::move(placements))) {}
+
+  [[nodiscard]] const PackedPlacement* data() const noexcept {
+    return items_ ? items_->data() : nullptr;
+  }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return items_ ? items_->size() : 0;
+  }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+  [[nodiscard]] const PackedPlacement* begin() const noexcept {
+    return data();
+  }
+  [[nodiscard]] const PackedPlacement* end() const noexcept {
+    return items_ ? items_->data() + items_->size() : nullptr;
+  }
+  /// Unchecked, like std::vector's.
+  [[nodiscard]] const PackedPlacement& operator[](std::size_t i) const {
+    return (*items_)[i];
+  }
+  [[nodiscard]] std::vector<PackedPlacement> to_vector() const {
+    return std::vector<PackedPlacement>(begin(), end());
+  }
+
+ private:
+  std::shared_ptr<const std::vector<PackedPlacement>> items_;
+};
+
 struct PackedSchedule {
   int total_width = 0;
-  std::vector<PackedPlacement> placements;  ///< sorted by (start, wire)
+  PlacementList placements;  ///< sorted by (start, wire)
   std::int64_t makespan = 0;
 };
 

@@ -222,10 +222,11 @@ class WalkPacker {
 
   /// The current pack in canonical (start, wire) order.
   [[nodiscard]] PackedSchedule schedule() const {
+    std::vector<PackedPlacement> placements = placed_;
+    sort_placements(placements);
     PackedSchedule schedule;
     schedule.total_width = model_.total_width;
-    schedule.placements = placed_;
-    sort_placements(schedule.placements);
+    schedule.placements = PlacementList(std::move(placements));
     schedule.makespan = makespan_;
     return schedule;
   }
@@ -316,7 +317,8 @@ PackedSchedule holefill_pack(const RectModel& model, const PackState& state,
                              const ConstraintPlan& plan) {
   PackedSchedule schedule;
   schedule.total_width = model.total_width;
-  schedule.placements.reserve(state.order.size());
+  std::vector<PackedPlacement> placed;
+  placed.reserve(state.order.size());
 
   const int width_total = model.total_width;
   std::vector<char> wire_free(static_cast<std::size_t>(width_total), 1);
@@ -332,7 +334,7 @@ PackedSchedule holefill_pack(const RectModel& model, const PackState& state,
     } else {
       std::fill(wire_free.begin(), wire_free.end(), char{1});
     }
-    for (const auto& p : schedule.placements) {
+    for (const auto& p : placed) {
       if (p.start >= start + time || start >= p.end) continue;
       for (int w = p.wire; w < p.wire + p.width; ++w)
         wire_free[static_cast<std::size_t>(w)] = 0;
@@ -349,8 +351,8 @@ PackedSchedule holefill_pack(const RectModel& model, const PackState& state,
       plan.any ? topo_project(state.order, plan) : state.order;
   std::vector<std::int64_t> core_end(state.order.size(), 0);
 
-  // Power profile of what is already placed, mirrored from
-  // schedule.placements (the hole-filler cannot rely on the skyline's
+  // Power profile of what is already placed, mirrored from `placed`
+  // (the hole-filler cannot rely on the skyline's
   // power timeline, so it keeps its own). Only fed under a budget;
   // feasibility is the timeline's window_fits — same values as the old
   // span-list core::power_window_fits check.
@@ -362,7 +364,7 @@ PackedSchedule holefill_pack(const RectModel& model, const PackState& state,
         plan.any ? start_floor(core, plan, core_end) : 0;
     const std::int64_t power = plan.any ? plan.core_power(core) : 0;
     starts.assign(1, min_start);
-    for (const auto& p : schedule.placements)
+    for (const auto& p : placed)
       if (p.end > min_start) starts.push_back(p.end);
     std::sort(starts.begin(), starts.end());
     starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
@@ -403,14 +405,15 @@ PackedSchedule holefill_pack(const RectModel& model, const PackState& state,
           "rectpack: hole-filling found no feasible placement for core " +
           std::to_string(core) +
           " (constraints should have been validated)");
-    schedule.placements.push_back(chosen);
+    placed.push_back(chosen);
     if (plan.budget > 0 && power > 0 && chosen.start < chosen.end)
       power_timeline.add(chosen.start, chosen.end, power);
     schedule.makespan = std::max(schedule.makespan, chosen.end);
     core_end[static_cast<std::size_t>(core)] = chosen.end;
   }
 
-  sort_placements(schedule.placements);
+  sort_placements(placed);
+  schedule.placements = PlacementList(std::move(placed));
   return schedule;
 }
 

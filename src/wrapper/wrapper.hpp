@@ -20,6 +20,24 @@
 // the testing times' monotone envelope (`best_design`, `pareto_widths`,
 // core::TestTimeTable): a width that does not strictly lower T is never
 // worth its wires.
+//
+// Both phases run in closed form, with the same result as the one-step
+// loops they replace:
+//
+//   * BFD's bins depend on the capacity only through its fit tests
+//     `load + length <= capacity`. A pass that needs a bin past `width`
+//     stops there, and the capacity jumps to the smallest `load + length`
+//     that failed a test: every capacity below that passes and fails the
+//     same tests, so it would fail the same way. The first capacity that
+//     fits is the one relaxing by +1 reaches, and its bins are the same.
+//   * Water-filling places the cells one at a time on the chain of least
+//     (length, index); each cell lengthens its chain by one. A chain
+//     below a level is always chosen before any chain at it, so the
+//     cells raise every chain to the largest level T with
+//     sum_i max(0, T - L_i) <= cells. The r cells left (fewer than the
+//     chains at T) go to the lowest-index chains at T, which is the
+//     order the one-at-a-time fill takes them in, since each then sits
+//     at T + 1.
 
 #pragma once
 
@@ -70,6 +88,27 @@ struct WrapperDesign {
 
 /// Testing time of `core` wrapped at exactly `width` (no envelope).
 [[nodiscard]] std::int64_t test_time(const soc::Core& core, int width);
+
+/// design_wrapper(core, w).test_time for one core at many widths, without
+/// building a WrapperDesign per width: the chain order is sorted once and
+/// the scratch is reused from call to call. Holds a reference to `core`,
+/// which must outlive it.
+class WrapperTimer {
+ public:
+  explicit WrapperTimer(const soc::Core& core);
+
+  /// Throws std::invalid_argument for width < 1.
+  [[nodiscard]] std::int64_t test_time(int width);
+
+ private:
+  const soc::Core& core_;
+  std::vector<int> order_;  ///< chain indices by decreasing length
+  std::int64_t longest_ = 0;
+  std::int64_t total_ = 0;
+  std::vector<std::int64_t> loads_;   ///< the wrapper chains' scan bits
+  std::vector<int> bin_of_;           ///< wrapper chain of order_[k]
+  std::vector<std::int64_t> levels_;  ///< the chains' lengths, ascending
+};
 
 /// A TAM of width w can always leave wires idle, so the *effective* testing
 /// time at width w is the minimum over all widths <= w. This returns the

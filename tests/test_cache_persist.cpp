@@ -49,9 +49,11 @@ CachedSolve full_solve(int seed) {
   solve.outcome.interrupt = core::SolveInterrupt::None;
   solve.outcome.schedule.total_width = 32;
   solve.outcome.schedule.makespan = 40000 + seed * 7;
+  std::vector<pack::PackedPlacement> placements;
   for (int i = 0; i < 3 + seed % 3; ++i)
-    solve.outcome.schedule.placements.push_back(
-        {i, 8, i * 8, i * 100, i * 100 + 900 + seed});
+    placements.push_back({i, 8, i * 8, i * 100, i * 100 + 900 + seed});
+  solve.outcome.schedule.placements =
+      pack::PlacementList(std::move(placements));
   core::TamArchitecture arch;
   arch.widths = {16, 8, 8};
   arch.assignment = {0, 1, 2, 0, 1};

@@ -16,14 +16,50 @@ PackedSchedule sequential_schedule(const core::TestTimeTable& table,
                                    int width) {
   PackedSchedule schedule;
   schedule.total_width = width;
+  std::vector<PackedPlacement> placements;
   std::int64_t clock = 0;
   for (int i = 0; i < table.core_count(); ++i) {
     const std::int64_t duration = table.time(i, width);
-    schedule.placements.push_back({i, width, 0, clock, clock + duration});
+    placements.push_back({i, width, 0, clock, clock + duration});
     clock += duration;
   }
+  schedule.placements = PlacementList(std::move(placements));
   schedule.makespan = clock;
   return schedule;
+}
+
+/// `schedule` with a new placement list: a copy of its own, changed by
+/// `edit`. The list `schedule` holds is never changed.
+template <typename Edit>
+PackedSchedule with_placements(PackedSchedule schedule, Edit edit) {
+  std::vector<PackedPlacement> placements = schedule.placements.to_vector();
+  edit(placements);
+  schedule.placements = PlacementList(std::move(placements));
+  return schedule;
+}
+
+TEST(PackedSchedule, CopiesShareOneImmutablePlacementList) {
+  const soc::Soc soc_data = soc::d695();
+  const core::TestTimeTable table(soc_data, 8);
+  const PackedSchedule schedule = sequential_schedule(table, 8);
+  const std::vector<PackedSchedule> copies(2, schedule);
+  for (const PackedSchedule& copy : copies) {
+    EXPECT_EQ(copy.placements.data(), schedule.placements.data());
+    EXPECT_EQ(copy.placements.size(), schedule.placements.size());
+  }
+
+  // An edit builds a new list and leaves the shared one as it was.
+  const std::int64_t start = schedule.placements[0].start;
+  const PackedSchedule edited = with_placements(
+      schedule, [](std::vector<PackedPlacement>& p) { p[0].start += 1; });
+  EXPECT_NE(edited.placements.data(), schedule.placements.data());
+  EXPECT_EQ(edited.placements[0].start, start + 1);
+  EXPECT_EQ(schedule.placements[0].start, start);
+
+  const PlacementList none;
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.begin(), none.end());
+  EXPECT_TRUE(none.to_vector().empty());
 }
 
 TEST(PackedSchedule, SequentialScheduleValidates) {
@@ -40,28 +76,26 @@ TEST(PackedSchedule, ValidatorCatchesEveryCorruption) {
   const auto good = sequential_schedule(table, 8);
 
   {  // overlap in wires and time
-    auto bad = good;
-    bad.placements[1].start = bad.placements[0].start;
-    bad.placements[1].end =
-        bad.placements[1].start + table.time(1, bad.placements[1].width);
+    const auto bad = with_placements(good, [&](auto& p) {
+      p[1].start = p[0].start;
+      p[1].end = p[1].start + table.time(1, p[1].width);
+    });
     const auto issues = validate_packed_schedule(table, bad);
     EXPECT_TRUE(std::any_of(issues.begin(), issues.end(), [](const auto& m) {
       return m.find("overlap") != std::string::npos;
     })) << "issues: " << issues.size();
   }
   {  // wire interval escaping the strip
-    auto bad = good;
-    bad.placements[0].wire = 1;
+    const auto bad = with_placements(good, [](auto& p) { p[0].wire = 1; });
     EXPECT_FALSE(validate_packed_schedule(table, bad).empty());
   }
   {  // dishonest duration
-    auto bad = good;
-    bad.placements[0].end -= 1;
+    const auto bad = with_placements(good, [](auto& p) { p[0].end -= 1; });
     EXPECT_FALSE(validate_packed_schedule(table, bad).empty());
   }
   {  // missing core / duplicated core
-    auto bad = good;
-    bad.placements[0].core = bad.placements[1].core;
+    const auto bad =
+        with_placements(good, [](auto& p) { p[0].core = p[1].core; });
     const auto issues = validate_packed_schedule(table, bad);
     EXPECT_TRUE(std::any_of(issues.begin(), issues.end(), [](const auto& m) {
       return m.find("never placed") != std::string::npos;
@@ -81,8 +115,7 @@ TEST(PackedSchedule, ValidatorCatchesEveryCorruption) {
     EXPECT_FALSE(validate_packed_schedule(table, bad).empty());
   }
   {  // placement width beyond the table's range must not throw
-    auto bad = good;
-    bad.placements[0].width = 300;
+    const auto bad = with_placements(good, [](auto& p) { p[0].width = 300; });
     const auto issues = validate_packed_schedule(table, bad);
     EXPECT_TRUE(std::any_of(issues.begin(), issues.end(), [](const auto& m) {
       return m.find("width outside the table's range") != std::string::npos;
@@ -252,8 +285,8 @@ TEST(PackedSchedule, ConstraintValidatorCorruptionMatrix) {
     EXPECT_TRUE(first_issue_containing(corrupted, "cycle"));
   }
   {  // an unknown core index is reported, never thrown, even with power
-    auto bad = good;
-    bad.placements[0].core = table.core_count();
+    const auto bad = with_placements(
+        good, [&](auto& p) { p[0].core = table.core_count(); });
     std::vector<std::string> issues;
     EXPECT_NO_THROW(issues =
                         validate_packed_schedule(table, bad, constraints));
@@ -268,9 +301,10 @@ TEST(PackedSchedule, ConstraintValidatorCorruptionMatrix) {
 TEST(PackedSchedule, PackedPeakPowerSweepsExactly) {
   PackedSchedule schedule;
   schedule.total_width = 4;
-  schedule.placements = {{0, 2, 0, 0, 10},   // power 5 over [0,10)
-                         {1, 2, 2, 5, 15},   // power 3 over [5,15)
-                         {2, 4, 0, 20, 30}};  // power 9 over [20,30)
+  schedule.placements =
+      PlacementList({{0, 2, 0, 0, 10},     // power 5 over [0,10)
+                     {1, 2, 2, 5, 15},     // power 3 over [5,15)
+                     {2, 4, 0, 20, 30}});  // power 9 over [20,30)
   schedule.makespan = 30;
   const core::PowerVector power = {5, 3, 9};
   EXPECT_EQ(packed_peak_power(schedule, power), 9);  // overlap 8, solo 9

@@ -229,7 +229,7 @@ TEST_F(PowerFixture, NegativeDrawCheckedUpFront) {
 TEST(PackedPeakPower, ThrowsOnShortPowerVector) {
   pack::PackedSchedule schedule;
   schedule.total_width = 1;
-  schedule.placements.push_back({5, 1, 0, 0, 10});
+  schedule.placements = pack::PlacementList({{5, 1, 0, 0, 10}});
   schedule.makespan = 10;
   PowerVector p(2, 1);
   EXPECT_THROW((void)pack::packed_peak_power(schedule, p),

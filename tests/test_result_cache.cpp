@@ -175,6 +175,13 @@ TEST(ResultCache, TheChargeCountsTheKeyAndTheNodes) {
   RequestKey longer = key_for(1);
   longer.options += std::string(100, 'x');
   EXPECT_EQ(ResultCache::charge(longer, solve), entry_bytes + 100);
+  // The placements count in full: the entry keeps them alive, whichever
+  // answers also hold them.
+  CachedSolve placed = solve;
+  placed.outcome.schedule.placements =
+      pack::PlacementList(std::vector<pack::PackedPlacement>(10));
+  EXPECT_EQ(ResultCache::charge(key_for(1), placed),
+            entry_bytes + 10 * sizeof(pack::PackedPlacement));
 }
 
 TEST(ResultCache, AnEntryWithinTheBudgetIsStored) {

@@ -2,11 +2,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "api/job_io.hpp"
+#include "api/request_key.hpp"
 #include "api/result_cache.hpp"
 #include "api/solver.hpp"
 #include "core/assignment_exact.hpp"
@@ -381,6 +384,34 @@ TEST(SolverCache, RepeatedRequestIsServedFromCacheByteIdentically) {
             result_to_json(cold).dump_string());
   EXPECT_EQ(cache->stats().hits, 1u);
   EXPECT_EQ(cache->stats().insertions, 1u);
+}
+
+TEST(SolverCache, AMissAndItsCacheEntryShareOnePlacementList) {
+  // A miss publishes the placement list its answer holds, and every hit,
+  // stored or probed, hands that list out again instead of a copy.
+  for (const std::string backend : {"rectpack", "enumerative"}) {
+    const auto cache = std::make_shared<ResultCache>();
+    const Solver solver(SolverOptions::with_threads(1, cache));
+    const SolveRequest request = d695_request(24, backend);
+    const SolveResult cold = solver.solve(request);
+    ASSERT_EQ(cold.status, Status::Ok) << backend;
+    ASSERT_EQ(cold.cache, CacheOutcome::Miss) << backend;
+    const pack::PlacementList& list = cold.outcome->schedule.placements;
+    ASSERT_FALSE(list.empty()) << backend;
+
+    const auto stored = cache->lookup(request_keys(request));
+    ASSERT_TRUE(stored.has_value()) << backend;
+    EXPECT_EQ(stored->front().outcome.schedule.placements.data(), list.data())
+        << backend;
+    const SolveResult warm = solver.solve(request);
+    ASSERT_EQ(warm.cache, CacheOutcome::Hit) << backend;
+    EXPECT_EQ(warm.outcome->schedule.placements.data(), list.data())
+        << backend;
+    const std::optional<SolveResult> inline_hit = solver.solve_stored(request);
+    ASSERT_TRUE(inline_hit.has_value()) << backend;
+    EXPECT_EQ(inline_hit->outcome->schedule.placements.data(), list.data())
+        << backend;
+  }
 }
 
 TEST(SolverCache, EqualWorkHitsAcrossDifferentSocPhrasings) {

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <queue>
+#include <span>
+#include <string>
 
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
+#include "core/test_time_table.hpp"
 #include "soc/benchmarks.hpp"
+#include "soc/generator.hpp"
 #include "wrapper/wrapper.hpp"
 
 namespace wtam::wrapper {
@@ -237,6 +243,209 @@ TEST(DesignWrapperNaive, PenaltyOnImbalancedChains) {
 TEST(DesignWrapperNaive, RejectsNonPositiveWidth) {
   const soc::Core core = make_core("x", 1, 1, 1, {});
   EXPECT_THROW((void)design_wrapper_naive(core, 0), std::invalid_argument);
+}
+
+// ---- differential test against the one-step Design_wrapper ---------------
+
+/// Design_wrapper as it was before its closed forms: BFD relaxing the
+/// capacity by one until `width` bins suffice, and water-filling one cell
+/// at a time from a heap. The closed forms must reproduce it exactly.
+namespace reference {
+
+/// Best-Fit-Decreasing pack of the internal scan chains into bins of the
+/// given capacity; returns one vector of chain indices per opened bin.
+/// `order` holds chain indices sorted by decreasing length.
+std::vector<std::vector<int>> bfd_pack(const std::vector<int>& lengths,
+                                       const std::vector<int>& order,
+                                       std::int64_t capacity) {
+  std::vector<std::vector<int>> bins;
+  std::vector<std::int64_t> loads;
+  for (const int idx : order) {
+    const std::int64_t len = lengths[static_cast<std::size_t>(idx)];
+    // Best fit: the fullest bin that still has room.
+    int best = -1;
+    std::int64_t best_load = -1;
+    for (std::size_t b = 0; b < bins.size(); ++b) {
+      if (loads[b] + len <= capacity && loads[b] > best_load) {
+        best = static_cast<int>(b);
+        best_load = loads[b];
+      }
+    }
+    if (best < 0) {
+      bins.emplace_back();
+      loads.push_back(0);
+      best = static_cast<int>(bins.size()) - 1;
+    }
+    bins[static_cast<std::size_t>(best)].push_back(idx);
+    loads[static_cast<std::size_t>(best)] += len;
+  }
+  return bins;
+}
+
+/// Greedy water-filling: place `cells` one at a time on the wrapper chain
+/// whose relevant length (selected by `length_of`) is currently minimal;
+/// ties go to the lowest index. This minimizes the resulting maximum.
+template <typename LengthFn, typename AddFn>
+void distribute_cells(std::vector<WrapperChain>& chains, std::int64_t cells,
+                      LengthFn length_of, AddFn add_cell) {
+  if (cells <= 0 || chains.empty()) return;
+  using Entry = std::pair<std::int64_t, int>;  // (length, chain index)
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  for (std::size_t i = 0; i < chains.size(); ++i)
+    heap.emplace(length_of(chains[i]), static_cast<int>(i));
+  for (std::int64_t c = 0; c < cells; ++c) {
+    const auto [len, idx] = heap.top();
+    heap.pop();
+    add_cell(chains[static_cast<std::size_t>(idx)]);
+    heap.emplace(length_of(chains[static_cast<std::size_t>(idx)]), idx);
+  }
+}
+
+WrapperDesign design_wrapper(const soc::Core& core, int width) {
+  WrapperDesign design;
+  design.tam_width = width;
+  design.chains.resize(static_cast<std::size_t>(width));
+
+  const auto& lengths = core.scan_chains;
+  if (!lengths.empty()) {
+    std::vector<int> order(lengths.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&lengths](int a, int b) {
+      return lengths[static_cast<std::size_t>(a)] >
+             lengths[static_cast<std::size_t>(b)];
+    });
+    std::int64_t capacity = std::max<std::int64_t>(
+        core.longest_scan_chain(),
+        common::ceil_div(core.total_scan_bits(), width));
+    std::vector<std::vector<int>> bins;
+    for (;;) {
+      bins = bfd_pack(lengths, order, capacity);
+      if (static_cast<int>(bins.size()) <= width) break;
+      ++capacity;
+    }
+    for (std::size_t b = 0; b < bins.size(); ++b) {
+      auto& chain = design.chains[b];
+      chain.internal_chain_indices = std::move(bins[b]);
+      for (const int idx : chain.internal_chain_indices)
+        chain.scan_bits += lengths[static_cast<std::size_t>(idx)];
+    }
+  }
+
+  distribute_cells(
+      design.chains, core.num_bidirs,
+      [](const WrapperChain& c) {
+        return std::max(c.scan_in_length(), c.scan_out_length());
+      },
+      [](WrapperChain& c) { ++c.bidir_cells; });
+  distribute_cells(
+      design.chains, core.num_inputs,
+      [](const WrapperChain& c) { return c.scan_in_length(); },
+      [](WrapperChain& c) { ++c.input_cells; });
+  distribute_cells(
+      design.chains, core.num_outputs,
+      [](const WrapperChain& c) { return c.scan_out_length(); },
+      [](WrapperChain& c) { ++c.output_cells; });
+
+  for (const auto& chain : design.chains) {
+    design.scan_in_length =
+        std::max(design.scan_in_length, chain.scan_in_length());
+    design.scan_out_length =
+        std::max(design.scan_out_length, chain.scan_out_length());
+  }
+  design.test_time = test_time_formula(
+      core.test_patterns, design.scan_in_length, design.scan_out_length);
+  return design;
+}
+
+}  // namespace reference
+
+/// Empty when the two designs agree in every field, else the first field
+/// that differs.
+std::string first_difference(const WrapperDesign& got,
+                             const WrapperDesign& want) {
+  if (got.tam_width != want.tam_width) return "tam_width";
+  if (got.scan_in_length != want.scan_in_length) return "si";
+  if (got.scan_out_length != want.scan_out_length) return "so";
+  if (got.test_time != want.test_time) return "T";
+  if (got.chains.size() != want.chains.size()) return "chain count";
+  for (std::size_t c = 0; c < got.chains.size(); ++c) {
+    const WrapperChain& a = got.chains[c];
+    const WrapperChain& b = want.chains[c];
+    const std::string at = "chain " + std::to_string(c) + ": ";
+    if (a.internal_chain_indices != b.internal_chain_indices)
+      return at + "internal chains";
+    if (a.scan_bits != b.scan_bits) return at + "scan bits";
+    if (a.bidir_cells != b.bidir_cells) return at + "bidir cells";
+    if (a.input_cells != b.input_cells) return at + "input cells";
+    if (a.output_cells != b.output_cells) return at + "output cells";
+  }
+  return "";
+}
+
+/// Compares design_wrapper, WrapperTimer and the TestTimeTable row of
+/// every core of `soc` with the reference at widths 1..max_width.
+void expect_matches_reference(const soc::Soc& soc, int max_width) {
+  const core::TestTimeTable table(soc, max_width);
+  for (std::size_t i = 0; i < soc.cores.size(); ++i) {
+    const soc::Core& core = soc.cores[i];
+    WrapperTimer timer(core);
+    // The envelope as TestTimeTable has always built it, from the
+    // reference's raw times.
+    const std::int64_t floor_time = soc::min_test_time_bound(core);
+    std::int64_t best = -1;
+    const std::span<const std::int64_t> row =
+        table.row(static_cast<int>(i));
+    for (int w = 1; w <= max_width; ++w) {
+      const WrapperDesign want = reference::design_wrapper(core, w);
+      ASSERT_EQ(first_difference(design_wrapper(core, w), want), "")
+          << soc.name << " core " << i << " w=" << w;
+      ASSERT_EQ(timer.test_time(w), want.test_time)
+          << soc.name << " core " << i << " w=" << w;
+      if (best < 0 || (best > floor_time && want.test_time < best))
+        best = want.test_time;
+      ASSERT_EQ(row[static_cast<std::size_t>(w - 1)], best)
+          << soc.name << " core " << i << " w=" << w;
+    }
+  }
+}
+
+TEST(DesignWrapperDifferential, BuiltInSocsMatchTheReference) {
+  for (const soc::Soc& soc :
+       {soc::d695(), soc::p21241(), soc::p31108(), soc::p93791()})
+    expect_matches_reference(soc, 256);
+}
+
+TEST(DesignWrapperDifferential, GeneratedSocsMatchTheReference) {
+  for (soc::SyntheticSpec spec :
+       {soc::p21241_spec(), soc::p31108_spec(), soc::p93791_spec()}) {
+    spec.seed = 11;
+    spec.name += "-seed11";
+    expect_matches_reference(soc::generate_soc(spec), 256);
+  }
+}
+
+TEST(DesignWrapperDifferential, SeededCoresWithTiesMatchTheReference) {
+  // Short chains from a narrow range make BFD's fit tests and the fills'
+  // levels tie often; bidir cells exercise the first fill, which no
+  // built-in or generated core has.
+  common::Rng rng(29);
+  soc::Soc soc;
+  soc.name = "seeded";
+  for (int c = 0; c < 200; ++c) {
+    soc::Core core;
+    core.name = "core" + std::to_string(c);
+    core.test_patterns = rng.uniform_int(1, 50);
+    core.num_inputs = static_cast<int>(rng.uniform_int(0, 60));
+    core.num_outputs = static_cast<int>(rng.uniform_int(0, 60));
+    core.num_bidirs = static_cast<int>(rng.uniform_int(0, 12));
+    const int chains = static_cast<int>(rng.uniform_int(0, 16));
+    for (int k = 0; k < chains; ++k)
+      core.scan_chains.push_back(static_cast<int>(rng.uniform_int(1, 9)));
+    if (core.functional_ios() == 0 && core.scan_chains.empty())
+      core.num_inputs = 1;
+    soc.cores.push_back(std::move(core));
+  }
+  expect_matches_reference(soc, 40);
 }
 
 /// Property sweep over random cores: structural invariants at many widths.
