@@ -8,8 +8,8 @@
 // byte-identically in O(1):
 //
 //   * one lock: one mutex guards the LRU list, the key index, the
-//     in-flight map and the counters, held for a probe and a copy and
-//     never across a solve;
+//     in-flight map and the counters, held for a probe and a copy (whose
+//     placements are the stored list, shared) and never across a solve;
 //   * bounded: one byte budget for the whole cache, each entry charged
 //     for its value, its key and its list and index nodes (charge()),
 //     enforced by cache-wide LRU eviction; only an entry that alone

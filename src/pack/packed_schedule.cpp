@@ -146,7 +146,7 @@ std::vector<std::string> validate_packed_schedule(
     std::erase_if(placed, [&](const PackedPlacement& p) {
       return p.core < 0 || p.core >= table.core_count();
     });
-    PackedSchedule known = schedule;
+    PackedSchedule known;
     known.placements = PlacementList(std::move(placed));
     const std::int64_t peak = packed_peak_power(known, constraints.power);
     if (peak > constraints.power_budget)

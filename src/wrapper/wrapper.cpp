@@ -23,13 +23,19 @@ std::vector<int> decreasing_order(const std::vector<int>& lengths) {
   return order;
 }
 
-/// Phase 1: Best-Fit-Decreasing packing of the chains `order` lists into
-/// at most `width` bins, from `capacity` (the scheduling lower bound) up;
-/// see the header for the capacity jump. On return loads[b] is bin b's
-/// load, one entry per opened bin, and bin_of[k] is the bin of order[k].
-void pack_chains(const std::vector<int>& lengths, const std::vector<int>& order,
-                 int width, std::int64_t capacity,
-                 std::vector<std::int64_t>& loads, std::vector<int>& bin_of) {
+/// Phase 1: Best-Fit-Decreasing packing of the core's internal chains,
+/// taken in `order` (decreasing_order), into at most `width` bins; see
+/// the header for the capacity jump. On return loads[b] is bin b's load,
+/// one entry per opened bin, and bin_of[k] is the bin of order[k].
+void pack_chains(const soc::Core& core, const std::vector<int>& order,
+                 int width, std::vector<std::int64_t>& loads,
+                 std::vector<int>& bin_of) {
+  const std::vector<int>& lengths = core.scan_chains;
+  // Start at the scheduling lower bound: no packing into `width` bins
+  // does better.
+  std::int64_t capacity = std::max<std::int64_t>(
+      core.longest_scan_chain(),
+      common::ceil_div(core.total_scan_bits(), width));
   bin_of.resize(order.size());
   for (;;) {
     loads.clear();
@@ -60,12 +66,6 @@ void pack_chains(const std::vector<int>& lengths, const std::vector<int>& order,
     if (k == order.size()) return;
     capacity = next_capacity;
   }
-}
-
-/// BFD's first capacity: no packing into `width` bins does better.
-std::int64_t lower_bound_capacity(std::int64_t longest, std::int64_t total,
-                                  int width) {
-  return std::max(longest, common::ceil_div(total, width));
 }
 
 /// Phase 2's water level for `cells` cells on chains of the lengths in
@@ -138,10 +138,7 @@ WrapperDesign design_wrapper(const soc::Core& core, int width) {
   const std::vector<int> order = decreasing_order(core.scan_chains);
   std::vector<std::int64_t> loads;
   std::vector<int> bin_of;
-  pack_chains(core.scan_chains, order, width,
-              lower_bound_capacity(core.longest_scan_chain(),
-                                   core.total_scan_bits(), width),
-              loads, bin_of);
+  pack_chains(core, order, width, loads, bin_of);
   for (std::size_t k = 0; k < order.size(); ++k)
     design.chains[static_cast<std::size_t>(bin_of[k])]
         .internal_chain_indices.push_back(order[k]);
@@ -176,16 +173,12 @@ std::int64_t test_time(const soc::Core& core, int width) {
 }
 
 WrapperTimer::WrapperTimer(const soc::Core& core)
-    : core_(core),
-      order_(decreasing_order(core.scan_chains)),
-      longest_(core.longest_scan_chain()),
-      total_(core.total_scan_bits()) {}
+    : core_(core), order_(decreasing_order(core.scan_chains)) {}
 
 std::int64_t WrapperTimer::test_time(int width) {
   if (width < 1)
     throw std::invalid_argument("WrapperTimer: width must be >= 1");
-  pack_chains(core_.scan_chains, order_, width,
-              lower_bound_capacity(longest_, total_, width), loads_, bin_of_);
+  pack_chains(core_, order_, width, loads_, bin_of_);
 
   // The wrapper chains' lengths in ascending order; unopened bins are
   // empty. Only the multiset of lengths decides si and so.

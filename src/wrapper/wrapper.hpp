@@ -103,8 +103,6 @@ class WrapperTimer {
  private:
   const soc::Core& core_;
   std::vector<int> order_;  ///< chain indices by decreasing length
-  std::int64_t longest_ = 0;
-  std::int64_t total_ = 0;
   std::vector<std::int64_t> loads_;   ///< the wrapper chains' scan bits
   std::vector<int> bin_of_;           ///< wrapper chain of order_[k]
   std::vector<std::int64_t> levels_;  ///< the chains' lengths, ascending
