@@ -351,9 +351,9 @@ PackedSchedule holefill_pack(const RectModel& model, const PackState& state,
       plan.any ? topo_project(state.order, plan) : state.order;
   std::vector<std::int64_t> core_end(state.order.size(), 0);
 
-  // Power profile of what is already placed, mirrored from `placed`
-  // (the hole-filler cannot rely on the skyline's
-  // power timeline, so it keeps its own). Only fed under a budget;
+  // Power profile of what is already placed, mirrored from `placed` (the
+  // hole-filler cannot rely on the skyline's power timeline, so it keeps
+  // its own). Only fed under a budget;
   // feasibility is the timeline's window_fits — same values as the old
   // span-list core::power_window_fits check.
   core::PowerTimeline power_timeline;

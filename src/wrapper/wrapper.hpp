@@ -21,8 +21,9 @@
 // core::TestTimeTable): a width that does not strictly lower T is never
 // worth its wires.
 //
-// Both phases run in closed form, with the same result as the one-step
-// loops they replace:
+// Both phases are computed in closed form, exactly equal to their
+// one-step definitions (relax the capacity by one, place one cell at a
+// time), which tests/test_wrapper.cpp keeps as its reference:
 //
 //   * BFD's bins depend on the capacity only through its fit tests
 //     `load + length <= capacity`. A pass that needs a bin past `width`
